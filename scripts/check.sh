@@ -57,7 +57,7 @@ CTEST_FLAGS=(--output-on-failure -j "$JOBS")
 # --fast runs only unit tests, so it must not pay for the 13 bench binaries.
 TEST_TARGETS=(test_index_correctness test_cursor test_leaf_ops test_qsbr
               test_keysets test_service test_crc32c test_recovery
-              test_scan_fastpath test_wormhole_concurrent)
+              test_scan_fastpath test_wormhole_concurrent svcbench_selftest)
 
 STAGE_T0=0
 stage_begin() {

@@ -38,9 +38,11 @@ Rules (each also documented in README.md "Static analysis"):
   seqlock-order    The leaf `version` seqlock counter has exactly one legal
                    protocol (odd/even write sections, acquire-validated
                    reads), implemented by the helpers in src/core/leaf_ops.h
-                   and their call sites in src/core/wormhole.cc — today the
+                   and their call sites in src/core/wormhole.cc — the
                    point-read (OptimisticLeafGet) and cursor window-fill
-                   (TrySpecFill / SpecHop*) speculative paths. Any direct
+                   (CursorImpl::ExtractWindow / Hop) extractors, which
+                   also serve as the read fallbacks by running under the
+                   leaf's shared lock. Any direct
                    `version` load/store/RMW or operator form in any other
                    file fails; inside the two home files, method calls must
                    still name an explicit std::memory_order and operator

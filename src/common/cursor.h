@@ -37,11 +37,11 @@
 //   outstanding cursor (using one afterwards is undefined). The concurrent
 //   Wormhole is the exception: its cursors stay usable under concurrent
 //   writers with per-leaf snapshot semantics (see wormhole.h; each leaf's
-//   window is filled speculatively — a seqlock-validated lock-free copy, so
-//   a read-only scan performs zero atomic RMW — falling back to a copy under
-//   the per-leaf shared lock after optimistic_retries lost races. Either
-//   way a cursor never holds a leaf lock across user code, and never blocks
-//   writers between calls).
+//   window is one seqlock-validated copy — lock-free, so a read-only scan
+//   performs zero atomic RMW — and after optimistic_retries lost races the
+//   same copy runs under the per-leaf shared lock. Either way a cursor
+//   never holds a leaf lock across user code, and never blocks writers
+//   between calls).
 //
 // Hints:
 //   SetScanLimitHint(n) tells the cursor the caller expects to consume about

@@ -31,8 +31,11 @@
 //     reads GUARDED_BY data with NO lock held, bracketed by
 //     leafops::SeqlockReadBegin / SeqlockReadValidate on the guarding leaf's
 //     version counter. Point reads (Wormhole::OptimisticLeafGet) and cursor
-//     window fills (Wormhole::CursorImpl::TrySpecFill + the deep neighbor
-//     prefetch it issues) are the two instances. Such functions must (a)
+//     window fills (Wormhole::CursorImpl::ExtractWindow + the deep neighbor
+//     prefetch TrySpecFill issues) are the two instances. They are also the
+//     read fallbacks: Wormhole::LockedLeafGet and a locked TrySpecFill run
+//     the same function while holding the leaf's shared lock, which TSA
+//     cannot see through the data-dependent leaf. Such functions must (a)
 //     never dereference out of the validated snapshot (every index/offset is
 //     bounds-checked against the acquired block capacity — for window fills
 //     the copy pass must also reuse the exact slot snapshots the layout pass

@@ -14,15 +14,16 @@
 // the slab. Erases and relocating overwrites leave dead bytes behind, tracked
 // in `dead` and reclaimed by Compact once they dominate the slab.
 //
-// Concurrency model (the seqlock read path, PR 8). Mutators still require the
-// caller to hold the leaf's exclusive lock, but reads come in two flavors:
+// Concurrency model (the seqlock read path). Mutators require the caller to
+// hold the leaf's exclusive lock. The concurrent index reads a leaf through
+// exactly two extractors — SpecFind (point reads) and SpecFillWindow (cursor
+// window fills) — bracketed by SeqlockReadBegin / SeqlockReadValidate on the
+// leaf's version counter, with NO lock on the fast path; its fallback runs
+// the same extractor under the leaf's shared lock, where validation cannot
+// fail. The plain-load helpers (FindSlot, LowerBoundRank, Key/Value) serve
+// writers under the exclusive lock and the single-threaded WormholeUnsafe.
 //
-//   locked       shared lock held; plain loads, any helper below is fair game
-//   speculative  NO lock; only SpecFind (point reads) and SpecFillWindow
-//                (cursor window fills), bracketed by SeqlockReadBegin /
-//                SeqlockReadValidate on the leaf's version counter
-//
-// To make the speculative flavor defined behavior, each container is a
+// To make the speculative reads defined behavior, each container is a
 // SpecVec: a heap block whose capacity is embedded in its own header, so a
 // racy reader can clamp every index and offset to the capacity of the exact
 // block it loaded — a stale size or torn offset can point at garbage bytes
@@ -83,14 +84,9 @@ inline void RelaxedStore64(uint64_t* p, uint64_t v) {
   __atomic_store_n(p, v, __ATOMIC_RELAXED);
 }
 #else
-// Non-GNU fallback: plain accesses. The optimistic read path is only enabled
-// on toolchains with the builtins; everything else stays on the locked path.
-inline char RelaxedLoad8(const char* p) { return *p; }
-inline void RelaxedStore8(char* p, char v) { *p = v; }
-inline uint16_t RelaxedLoad16(const uint16_t* p) { return *p; }
-inline void RelaxedStore16(uint16_t* p, uint16_t v) { *p = v; }
-inline uint64_t RelaxedLoad64(const uint64_t* p) { return *p; }
-inline void RelaxedStore64(uint64_t* p, uint64_t v) { *p = v; }
+// Every read runs a speculative extractor (the locked fallback included), so
+// there is no plain-access build: plain loads racing writers would be UB.
+#error "leaf_ops.h requires the GNU __atomic builtins (GCC or Clang)"
 #endif
 
 // Byte-range copies where exactly one side is a published block. The
@@ -113,11 +109,10 @@ inline void RelaxedCopyIn(char* dst, const char* src, size_t n) {
   }
 }
 
-// Word-wise speculative reads are available when the relaxed builtins exist
-// and the target is little-endian (the shift composition below assembles
-// byte 0 into the LSB). Everything else falls back to per-byte loops.
-#if (defined(__GNUC__) || defined(__clang__)) && defined(__BYTE_ORDER__) && \
-    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+// Word-wise speculative reads need a little-endian target (the shift
+// composition below assembles byte 0 into the LSB); big-endian targets fall
+// back to per-byte loops.
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 #define WH_SPEC_WORDWISE 1
 #else
 #define WH_SPEC_WORDWISE 0
@@ -165,8 +160,8 @@ inline uint64_t SpecLoadTail(const char* p, size_t n) {
 // hot-path: speculative value copy-out
 inline void RelaxedCopyOut(char* dst, const char* src, size_t n) {
 #if WH_SPEC_WORDWISE
-  // CopyBytes' shape (leaf window fills copy hundreds of short strings per
-  // scan; a per-byte loop here halves scan throughput). Streams ALIGNED
+  // Leaf window fills copy hundreds of short strings per scan; a per-byte
+  // loop here halves scan throughput. Streams ALIGNED
   // words, carrying the previous word in a register so a misaligned source
   // costs one load per 8 output bytes, not two — each aligned word is read
   // once and shift-merged with its successor.
@@ -313,8 +308,9 @@ struct BlockRelease {
 // inside one live allocation for as long as the reader's QSBR epoch pins it.
 //
 // The writer-side API mirrors the std::vector surface the old code used
-// (size/capacity/data/operator[]/begin/end) so locked readers and the
-// single-threaded index are untouched. Mutation is exclusive-writer only.
+// (size/capacity/data/operator[]/begin/end) so writers and the
+// single-threaded index read it like a vector. Mutation is exclusive-writer
+// only.
 template <typename T>
 class SpecVec {
  public:
@@ -548,11 +544,7 @@ inline LeafSlotKey SlotLoadKey(const LeafSlot* src) {
 // [lo, lo + cnt)); a stale id is clamped exactly like the real probe's.
 // hot-path: speculative probe prefetch
 inline void SpecPrefetchLine(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
 }
 inline void SpecPrefetchProbes(const uint16_t* idx, size_t lo, size_t cnt,
                                const LeafSlot* slots, size_t slots_cap) {
@@ -612,12 +604,11 @@ struct LeafStore {
 // A cursor's detached copy of one contiguous key-ordered rank range of a
 // leaf: every key/value byte lands in a single reusable flat buffer, with
 // offset/length entries per item — no per-item std::string, no per-item heap
-// allocation, ever. Refill() replaces the contents; both vectors keep their
-// capacity, so a cursor that reuses one FlatWindow across leaf hops (and
-// across requests, when the embedder caches cursors) stops allocating after
-// the first few windows. This is the "validated slab read" half of the
-// bounded scan fast path (wormhole.h): the copy runs under the leaf's shared
-// lock (or single-threaded), and the caller emits straight from the buffer.
+// allocation, ever. SpecFillWindow replaces the contents; the vectors keep
+// their capacity, so a cursor that reuses one FlatWindow across leaf hops
+// (and across requests, when the embedder caches cursors) stops allocating
+// after the first few windows. The window is self-contained: once its fill
+// validates, the caller emits straight from the buffer with no lock held.
 struct FlatWindow {
   struct Entry {
     uint32_t koff;
@@ -643,96 +634,6 @@ struct FlatWindow {
   std::string_view ValueAt(size_t i) const {
     const Entry& e = entries[i];
     return {buf.data() + e.voff, e.vlen};
-  }
-
-  static void PrefetchForRead(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-    (void)p;
-#endif
-  }
-
-  // Keys and values here are a few dozen bytes at most; a libc memcpy call
-  // per copy costs more in dispatch than the copy itself. Constant-size
-  // memcpys lower to plain register moves, and the overlapping-tail trick
-  // covers any length without ever reading or writing outside [0, n).
-  static void CopyBytes(char* dst, const char* src, size_t n) {
-    if (n > 64) {
-      // Long keys (URL-scale and up): libc's vectorized copy wins again.
-      std::memcpy(dst, src, n);
-    } else if (n >= 8) {
-      size_t i = 0;
-      for (; i + 8 < n; i += 8) {
-        std::memcpy(dst + i, src + i, 8);
-      }
-      std::memcpy(dst + n - 8, src + n - 8, 8);
-    } else if (n >= 4) {
-      std::memcpy(dst, src, 4);
-      std::memcpy(dst + n - 4, src + n - 4, 4);
-    } else {
-      for (size_t i = 0; i < n; i++) {
-        dst[i] = src[i];
-      }
-    }
-  }
-
-  // Replaces the contents with ranks [lo, hi) of s, in key order. The caller
-  // holds whatever lock protects the leaf; after Refill the window is
-  // self-contained and outlives the lock. Two passes: the first lays out
-  // entry offsets while prefetching ahead — rank order is random over the
-  // slots array and slab, so on a cold leaf every slot and key would
-  // otherwise be a serial miss — and the second is nothing but raw memcpy
-  // into the pre-sized buffer, hitting the lines pass one warmed.
-  // hot-path: cursor window fill
-  void Refill(const LeafStore& s, size_t lo, size_t hi) {
-    entries.clear();
-    if (lo >= hi) {
-      buf.clear();
-      return;
-    }
-    if (entries.capacity() < hi - lo) {
-      entries.reserve(hi - lo);
-    }
-    // Locals so the compiler keeps the base pointers in registers: the
-    // memcpys below could alias the vectors' control blocks as far as it
-    // knows, which would force a reload per item.
-    const uint16_t* by_key = s.by_key.data();
-    const LeafSlot* slots = s.slots.data();
-    const char* slab = s.slab.data();
-    constexpr size_t kAhead = 4;  // slots to run ahead of the offset pass
-    uint32_t bytes = 0;
-    for (size_t r = lo; r < hi; r++) {
-      if (r + kAhead < hi) {
-        PrefetchForRead(&slots[by_key[r + kAhead]]);
-      }
-      const LeafSlot& sl = slots[by_key[r]];
-      PrefetchForRead(slab + sl.koff);  // key bytes for pass two
-      if (sl.vlen > kInlineValue) {
-        PrefetchForRead(slab + sl.voff);
-      }
-      Entry e;
-      e.koff = bytes;
-      e.klen = sl.klen;
-      bytes += sl.klen;
-      e.voff = bytes;
-      e.vlen = sl.vlen;
-      bytes += sl.vlen;
-      entries.push_back(e);
-    }
-    // resize(), not clear()+insert(): growth past capacity only ever happens
-    // on the first few windows, after which this is a plain size update.
-    buf.resize(bytes);
-    char* dst = buf.data();
-    const Entry* es = entries.data();
-    const size_t n = entries.size();
-    for (size_t i = 0; i < n; i++) {
-      const LeafSlot& sl = slots[by_key[lo + i]];
-      const Entry& e = es[i];
-      CopyBytes(dst + e.koff, slab + sl.koff, sl.klen);
-      const char* src = sl.vlen <= kInlineValue ? sl.vinl : slab + sl.voff;
-      CopyBytes(dst + e.voff, src, sl.vlen);
-    }
   }
 };
 
@@ -863,8 +764,8 @@ inline int FindSlot(const LeafStore& s, bool direct_pos, std::string_view key,
 }
 
 // ---------------------------------------------------------------------------
-// Speculative (lockless) point lookup. Everything below runs with NO lock and
-// must assume every load can be stale or torn; correctness comes from (a)
+// Speculative (lockless) point lookup. Everything below may run with NO lock
+// and must assume every load can be stale or torn; correctness comes from (a)
 // clamping all derived indexes/offsets to the capacity of the block they were
 // loaded from, and (b) the caller's SeqlockReadValidate discarding the result
 // unless the leaf version held still.
@@ -977,12 +878,13 @@ struct SpecWindow {
   size_t n = 0;   // snapshot size the ranks were computed against
 };
 
-// SpecFind's discipline applied to a whole window: fill `win` with the same
-// key-ordered rank range the locked FillForward/FillBackward would copy —
-// forward: [lower_bound(bound, strict), +budget); backward: ranks below that
+// SpecFind's discipline applied to a whole window, and the only window
+// extractor: fill `win` with a key-ordered rank range — forward:
+// [LowerBoundRank(bound, strict), +budget); backward: ranks below that
 // bound, the last `budget` of them — through AcquireView + relaxed loads
 // only, clamping every id and offset to the capacity of the block it was
-// loaded from. `has_bound == false` skips the rank search (hop fills: rank 0
+// loaded from. Under the leaf's shared lock the same code simply never
+// trips a bound. `has_bound == false` skips the rank search (hop fills: rank 0
 // forward, the leaf end backward). budget == 0 means unbounded.
 //
 // The rank search runs on possibly-garbage keys like SpecFind's: it still
@@ -1050,7 +952,10 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
     out.n = n;
     return out;
   }
-  // Two passes in Refill's shape — fusing them serializes every copy's
+  // Two passes: pass one lays out entry offsets while prefetching ahead
+  // (rank order is random over the slots array and slab, so on a cold leaf
+  // every slot and key would otherwise be a serial miss), pass two is a
+  // pure streaming copy. Fusing them serializes every copy's
   // address computation behind the previous slot's loaded lengths and
   // measures ~2x slower; with precomputed offsets pass two is a pure
   // streaming copy. Two rejected shapes, both measured slower: a one-shot

@@ -825,10 +825,10 @@ bool Wormhole::Covers(const Leaf* leaf, std::string_view key) {
   // Locked callers hold leaf->lock (either mode): the leaf's own range only
   // changes under that lock held exclusively; a *successor's* removal can
   // swing leaf->next concurrently, but that only grows the true range, so a
-  // stale next either accepts correctly or rejects and retries. Lock-free
-  // callers (OptimisticLeafGet) use this purely as a pre-filter — anchors
-  // are immutable, the loads are atomic, and a racy verdict is caught by the
-  // seqlock validation that follows.
+  // stale next either accepts correctly or rejects and retries. Speculative
+  // attempts (OptimisticLeafGet, the cursor's ExtractWindow) run it with no
+  // lock as a pre-filter — anchors are immutable, the loads are atomic, and
+  // a racy verdict is caught by the seqlock validation that follows.
   if (leaf->retired()) {
     return false;
   }
@@ -920,18 +920,23 @@ bool Wormhole::Get(std::string_view key, std::string* value) {
       return oc == SpecOutcome::kHit;  // RouteToLeaf counted the lookup
     }
   }
-  // Fallback: the locked read path (also the whole path when
-  // optimistic_retries is 0). Bounded-retry lock + validate, serializing
-  // with structural writers in the limit — readers cannot livelock.
-  Leaf* leaf = AcquireLeaf(key, Mode::kShared, &h);
+  // Fallback (also the whole path when optimistic_retries is 0): the same
+  // read under the leaf's shared lock — readers cannot livelock.
+  return LockedLeafGet(key, &h, value);
+}
+
+bool Wormhole::LockedLeafGet(std::string_view key, uint32_t* kv_hash,
+                             std::string* value) {
+  // AcquireLeaf retries a stale route under the lock and serializes with
+  // structural writers in the limit, so the leaf it hands over covers key.
+  Leaf* leaf = AcquireLeaf(key, Mode::kShared, kv_hash);
   leaf->lock.AssertReaderHeld();  // handed over by AcquireLeaf (NO_TSA)
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  const bool found = slot >= 0;
-  if (found && value != nullptr) {
-    value->assign(leaf->store.Value(static_cast<uint16_t>(slot)));
-  }
+  const SpecOutcome oc = OptimisticLeafGet(leaf, key, *kv_hash, value);
   leaf->lock.unlock_shared();
-  return found;
+  // Every version bump and dead-flag store happens under the exclusive
+  // lock, so a covering leaf read under the shared lock always validates.
+  assert(oc != SpecOutcome::kRetry && "locked read failed validation");
+  return oc == SpecOutcome::kHit;
 }
 
 size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
@@ -1096,8 +1101,8 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
     // Stage 3: validate, don't lock. Each key runs the same optimistic
     // protocol as serial Get, seeded with the pipelined route as the first
     // candidate (its leaf header is already in cache from stage 2); a lost
-    // attempt re-routes, and an exhausted retry budget falls back to one
-    // per-key locked lookup. The fast path touches no leaf lock at all.
+    // attempt re-routes, and an exhausted retry budget falls back to Get's
+    // locked read. The fast path touches no leaf lock at all.
     size_t rerouted = 0;  // keys whose re-route/fallback self-counted lookups
     for (size_t i = 0; i < g; i++) {
       const std::string_view key = keys[base + i];
@@ -1116,20 +1121,10 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
         cand = RouteToLeaf(key, &r.kv_hash);  // self-counts the lookup
         recount = true;
       }
-      bool hit;
+      bool hit = oc == SpecOutcome::kHit;
       if (oc == SpecOutcome::kRetry) {
         recount = true;
-        Leaf* leaf = AcquireLeaf(key, Mode::kShared, &r.kv_hash);
-        leaf->lock.AssertReaderHeld();  // handed over by AcquireLeaf (NO_TSA)
-        const int slot =
-            leafops::FindSlot(leaf->store, opt_.direct_pos, key, r.kv_hash);
-        hit = slot >= 0;
-        if (hit) {
-          out->assign(leaf->store.Value(static_cast<uint16_t>(slot)));
-        }
-        leaf->lock.unlock_shared();
-      } else {
-        hit = oc == SpecOutcome::kHit;
+        hit = LockedLeafGet(key, &r.kv_hash, out);
       }
       if (hit) {
         (*hits)[base + i] = 1;
@@ -1314,21 +1309,19 @@ bool Wormhole::DeleteSlow(std::string_view key) {
 //     edge continues inside the same leaf under a version check (no
 //     re-route) and only falls back to the hash route on a lost race.
 //
-// The fill itself is SPECULATIVE first, exactly like Get: route lock-free,
-// snapshot the leaf's version (even, or bail), copy the rank window through
-// leafops::SpecFillWindow (relaxed loads, every index/offset clamped to its
-// block), then an acquire fence + version re-read + dead-flag recheck. A
-// validated window is indistinguishable from one copied under the shared
-// lock; a failed validation retries, and after Options::optimistic_retries
-// failures the operation falls back to the locked FillForward/FillBackward
-// path below (also the whole path when optimistic_retries is 0). Window
-// hops and truncated-edge continuations revalidate against the snapshot
-// version the same way the locked paths do — just without the lock — so a
-// read-only scan performs ZERO atomic RMW: no leaf lock word is ever
-// written, and the only stores land in the cursor's own window buffer.
-// Either flavor fills the same reusable FlatWindow — one flat buffer, no
-// per-item allocation — and computes the seek rank against the same
-// snapshot it copies, so the items a positioning skips are never copied.
+// Every fill runs one extractor, leafops::SpecFillWindow, inside the seqlock
+// protocol exactly like Get: snapshot the leaf's version (even, or bail),
+// copy the rank window through relaxed loads with every index/offset clamped
+// to its block, then an acquire fence + version re-read + dead-flag recheck.
+// An attempt runs speculatively — no lock and no atomic RMW on any outcome,
+// so a read-only scan never writes a leaf lock word — until
+// Options::optimistic_retries attempts of one operation have failed; later
+// attempts (every attempt when the option is 0) run the same extractor while
+// holding the leaf's shared lock, where validation cannot fail. Window hops
+// and truncated-edge continuations revalidate against the snapshot version
+// the same way. Fills land in one reusable FlatWindow — one flat buffer, no
+// per-item allocation — and compute the seek rank against the same snapshot
+// they copy, so the items a positioning skips are never copied.
 class Wormhole::CursorImpl final : public Cursor {
  public:
   explicit CursorImpl(Wormhole* wh) : wh_(wh), slot_(wh->qsbr_->CurrentSlot()) {
@@ -1346,7 +1339,7 @@ class Wormhole::CursorImpl final : public Cursor {
     strict_ = false;
     consumed_ = 0;
     pending_ = Pending::kNone;
-    PositionForward();
+    Position(/*forward=*/true);
   }
 
   void SeekForPrev(std::string_view target) override {
@@ -1354,7 +1347,7 @@ class Wormhole::CursorImpl final : public Cursor {
     strict_ = false;
     consumed_ = 0;
     pending_ = Pending::kNone;
-    PositionBackward();
+    Position(/*forward=*/false);
   }
 
   bool Valid() const override {
@@ -1426,32 +1419,13 @@ class Wormhole::CursorImpl final : public Cursor {
     }
   }
 
+  // A drained edge flush with the leaf boundary hops to the neighbor leaf; a
+  // truncated edge (a bounded fill left items behind in this very leaf,
+  // which a hop would skip) continues inside the leaf instead.
   void Advance() {
-    const Pending p = pending_;
+    const bool forward = pending_ == Pending::kForward;
     pending_ = Pending::kNone;
-    if (p == Pending::kForward) {
-      // A truncated window left items behind in this very leaf — a leaf hop
-      // would skip them, so continue inside the (revalidated) leaf instead.
-      // Otherwise hop: speculative first (no lock), then the locked hop, and
-      // a failed locked hop retries as a continuation — re-rank under the
-      // coverage check and hop from the fresh snapshot, far cheaper than the
-      // full re-route ContinueForwardLocked falls back to.
-      if (trunc_hi_) {
-        ContinueForward();
-      } else if (wh_->opt_.optimistic_retries == 0 || !SpecHopForward()) {
-        if (!HopForward()) {
-          ContinueForwardLocked();
-        }
-      }
-    } else {
-      if (trunc_lo_) {
-        ContinueBackward();
-      } else if (wh_->opt_.optimistic_retries == 0 || !SpecHopBackward()) {
-        if (!HopBackward()) {
-          ContinueBackwardLocked();  // same failed-hop retry as the forward leg
-        }
-      }
-    }
+    Continue(forward, /*hop=*/forward ? !trunc_hi_ : !trunc_lo_);
   }
 
   // Remaining per-positioning budget: the hint promises "about hint_ items
@@ -1467,29 +1441,66 @@ class Wormhole::CursorImpl final : public Cursor {
     return consumed_ < hint_ ? hint_ - consumed_ : hint_;
   }
 
-  // Verdict of one speculative fill attempt. kMoved is the coverage
-  // pre-filter rejecting bound_ (leaf split past it / retired / stale
-  // route): the bound lives elsewhere, so retrying the same leaf is
-  // pointless — reposition instead, exactly like the locked Covers checks.
+  // Verdict of one fill attempt. kMoved is the coverage pre-filter
+  // rejecting bound_ (leaf split past it / retired / stale route): the bound
+  // lives elsewhere, so retrying the same leaf is pointless — reposition.
   enum class SpecFill { kOk, kRetry, kMoved };
+  // How an attempt holds the leaf's shared lock: not at all (speculative),
+  // taken around the extract and validate, or already held by the caller
+  // (a locked positioning, handed over by AcquireLeaf).
+  enum class Lock { kNone, kTake, kHeld };
 
-  // One speculative window fill against `leaf`, bracketed by the seqlock
-  // protocol exactly like OptimisticLeafGet: even-version snapshot, coverage
-  // pre-filter, bounds-clamped SpecFillWindow copy, then acquire fence +
-  // version re-read + dead-flag recheck. On kOk the window, truncation
-  // flags, and the (leaf_, leaf_version_) snapshot are installed — the
-  // validated even `begin` IS the snapshot version every later hop or
-  // continuation revalidates, the same role the under-lock version load
-  // plays in the locked fills. No lock, no atomic RMW on any outcome.
+  // Attempt `a` of one operation runs locked once the speculative budget is
+  // spent — from the first attempt when optimistic_retries is 0.
+  bool Locked(uint32_t a) const { return a >= wh_->opt_.optimistic_retries; }
+  static Lock LockFor(bool locked) {
+    return locked ? Lock::kTake : Lock::kNone;
+  }
+
+  // One window fill attempt against `leaf` (ExtractWindow), releasing any
+  // lock before it returns.
+  // NO_TSA: the lock taken here is the data-dependent target leaf's, or was
+  // handed over by AcquireLeaf — transfers TSA cannot express.
+  SpecFill TrySpecFill(Leaf* leaf, bool forward, bool has_bound, bool strict,
+                       Lock lock) NO_THREAD_SAFETY_ANALYSIS {
+    if (lock == Lock::kTake) {
+      leaf->lock.lock_shared();
+    }
+    const SpecFill oc = ExtractWindow(leaf, forward, has_bound, strict);
+    if (lock != Lock::kNone) {
+      leaf->lock.unlock_shared();
+    }
+    // Every version bump and dead-flag store happens under the exclusive
+    // lock, so a locked attempt is only ever turned away by the pre-filter:
+    // bound_ is not in the leaf, or the leaf is dead (which is final).
+    assert((lock == Lock::kNone || oc != SpecFill::kRetry || leaf->retired()) &&
+           "locked window fill failed validation");
+    // Warm the next hop target only when this window reached the leaf edge
+    // in scan direction — a truncated window's next refill continues inside
+    // THIS leaf, so the neighbor's lines would be fetched for nothing (and
+    // bounded short scans would pay it on every positioning).
+    if (oc == SpecFill::kOk && (forward ? !trunc_hi_ : !trunc_lo_)) {
+      PrefetchNeighborData(leaf, forward);
+    }
+    return oc;
+  }
+
+  // The seqlock-bracketed extract, exactly like OptimisticLeafGet:
+  // even-version snapshot, coverage pre-filter, bounds-clamped
+  // SpecFillWindow copy, then acquire fence + version re-read + dead-flag
+  // recheck. On kOk the window, truncation flags, and the (leaf_,
+  // leaf_version_) snapshot are installed — the validated even `begin` IS
+  // the snapshot version every later hop or continuation revalidates.
   // `has_bound` selects the rank source: the bound_ rank search for
   // positioning/continuation fills, or the leaf edge for hop fills (which
   // pre-check only the dead flag — a hop target legitimately does not cover
   // bound_).
   // NO_TSA: the seqlock-reader shape (sync.h usage rules) — reads
-  // GUARDED_BY(leaf->lock) data with no lock held and discards the result
-  // unless the version validates; the TSan hammer tests exercise the race.
-  SpecFill TrySpecFill(Leaf* leaf, bool forward, bool has_bound,
-                       bool strict) NO_THREAD_SAFETY_ANALYSIS {
+  // GUARDED_BY(leaf->lock) data with no lock held (or one TSA cannot see)
+  // and discards the result unless the version validates; the TSan hammer
+  // tests exercise the race.
+  SpecFill ExtractWindow(Leaf* leaf, bool forward, bool has_bound,
+                         bool strict) NO_THREAD_SAFETY_ANALYSIS {
     const uint64_t begin = leafops::SeqlockReadBegin(leaf->version);
     if ((begin & 1) != 0) {
       return SpecFill::kRetry;  // writer mid-section; reading is pointless
@@ -1503,10 +1514,7 @@ class Wormhole::CursorImpl final : public Cursor {
     }
     const leafops::SpecWindow w = leafops::SpecFillWindow(
         leaf->store, forward, has_bound, bound_, strict, Budget(), &win_);
-    if (!w.ok) {
-      return SpecFill::kRetry;  // internally impossible snapshot
-    }
-    if (!leafops::SeqlockReadValidate(leaf->version, begin) ||
+    if (!w.ok || !leafops::SeqlockReadValidate(leaf->version, begin) ||
         leaf->retired()) {
       return SpecFill::kRetry;
     }
@@ -1514,24 +1522,17 @@ class Wormhole::CursorImpl final : public Cursor {
     trunc_hi_ = w.hi < w.n;
     leaf_ = leaf;
     leaf_version_ = begin;
-    // Warm the next hop target only when this window reached the leaf edge
-    // in scan direction — a truncated window's next refill continues inside
-    // THIS leaf, so the neighbor's lines would be fetched for nothing (and
-    // bounded short scans would pay it on every positioning).
-    if (forward ? !trunc_hi_ : !trunc_lo_) {
-      PrefetchNeighborData(leaf, forward);
-    }
     return SpecFill::kOk;
   }
 
   // Warm the likely next hop target while the caller drains this window:
   // header plus the store's ordered index, slot array, and slab head — the
-  // lines the next fill touches first. The locked fills stop at the header
-  // because they would prefetch while HOLDING the current leaf's lock;
-  // here no lock is held at all, and reaching the neighbor's block
-  // pointers is an atomic AcquireView (a prefetch of the payload is not a
-  // memory access the model sees), so the deep prefetch is legal.
-  // NO_TSA: same lock-free neighbor peek as TrySpecFill.
+  // lines the next fill touches first. Runs with no lock held (TrySpecFill
+  // releases first: peeking into a neighbor's store while holding a leaf
+  // lock is the shape the lock discipline bans); reaching the neighbor's
+  // block pointers is an atomic AcquireView and a prefetch of the payload
+  // is not a memory access the model sees, so the deep prefetch is legal.
+  // NO_TSA: same lock-free neighbor peek as ExtractWindow.
   void PrefetchNeighborData(const Leaf* leaf,
                             bool forward) NO_THREAD_SAFETY_ANALYSIS {
     const Leaf* nb = forward ? leaf->next.load(std::memory_order_acquire)
@@ -1545,387 +1546,129 @@ class Wormhole::CursorImpl final : public Cursor {
     PrefetchRead(nb->store.slab.AcquireView().p);
   }
 
-  // Speculative counterpart of HopForward: (leaf_, leaf_version_) hold a
-  // validated snapshot whose window reached the leaf end. The safety
-  // argument is the locked hop's, minus the lock: load next, THEN
-  // revalidate the version (SeqlockReadValidate's acquire fence orders the
-  // two loads) — an unchanged version proves leaf_ never split after the
-  // next pointer was read, so that next still bounds everything the window
-  // covered. A successor's plain removal swings next without bumping the
-  // version, but that only grows the covered range. The hop target is then
-  // filled speculatively from rank 0; its own validation (+ dead recheck)
-  // guards the target's half of the race. Returns true when handled
-  // (window installed or list end reached), false on any lost race — the
-  // caller falls back to the locked hop against the same snapshot.
-  bool SpecHopForward() {
-    for (;;) {
-      Leaf* cur = leaf_;
-      Leaf* nx = cur->next.load(std::memory_order_acquire);
-      if (!leafops::SeqlockReadValidate(cur->version, leaf_version_)) {
-        return false;
+  // Lands on a validated window's first item in scan direction; false on an
+  // empty window.
+  bool Land(bool forward) {
+    if (win_.size() == 0) {
+      return false;
+    }
+    pos_ = forward ? 0 : win_.size() - 1;
+    valid_ = true;
+    return true;
+  }
+
+  // Fresh positioning at the first key (strict_ ? > : >=) bound_, or going
+  // backward the last key (strict_ ? < : <=) bound_: Seek, SeekForPrev, and
+  // the re-route after a continuation found bound_ gone from its leaf.
+  // Get's loop shape: a speculative attempt routes lock-free (any lost race
+  // just re-routes); a locked one routes through AcquireLeaf, which retries
+  // stale routes under the lock, serializes with structural writers in the
+  // limit, and hands over the covering leaf with its shared lock held. `a`
+  // counts the attempts the operation already spent, so a locked
+  // continuation that repositions stays locked — bouncing back into
+  // speculation under the churn that defeated it would not bound the work.
+  void Position(bool forward, uint32_t a = 0) {
+    for (;; a++) {
+      const bool locked = Locked(a);
+      uint32_t h;
+      Leaf* leaf = locked ? wh_->AcquireLeaf(bound_, Mode::kShared, &h)
+                          : wh_->RouteToLeaf(bound_, &h);
+      if (leaf == nullptr) {
+        continue;  // routed mid-publication; re-route
       }
-      if (nx == nullptr) {
-        valid_ = false;
-        return true;
+      // Backward, the window is the ranks below the first key
+      // (strict_ ? >= : >) bound_. An empty window means the seek rank was
+      // the leaf's edge, so the validated window "covers" through the leaf
+      // boundary and a hop completes it.
+      if (TrySpecFill(leaf, forward, /*has_bound=*/true,
+                      forward ? strict_ : !strict_,
+                      locked ? Lock::kHeld : Lock::kNone) == SpecFill::kOk &&
+          (Land(forward) || Hop(forward, locked))) {
+        return;
       }
-      if (TrySpecFill(nx, /*forward=*/true, /*has_bound=*/false,
-                      /*strict=*/false) != SpecFill::kOk) {
-        return false;
-      }
-      if (win_.size() > 0) {
-        pos_ = 0;
-        valid_ = true;
-        return true;
-      }
-      // A validated empty live leaf (only ever the head): keep walking from
-      // the fresh snapshot TrySpecFill installed.
     }
   }
 
-  // Mirror, with the locked hop's back-link guard: pv is accepted only
-  // while it still links forward to cur under its validated version — a
-  // lagging back-link (pv split; its new right sibling sits between them)
-  // fails that check. The check runs AFTER the fill: if it fails, the fill
-  // just installed the WRONG predecessor as the snapshot, so restore the
-  // previous (still coherent) one before handing the caller to the locked
-  // fallback — otherwise the locked hop would resume from pv and skip
-  // every key in between.
-  bool SpecHopBackward() {
+  // The step past a drained window: hop to the scan-direction neighbor
+  // (`hop`: the window reached the leaf edge), else refill from leaf_ past
+  // bound_ — same leaf, fresh rank, no re-route. The version advances on
+  // every write section, so a continuation does not demand equality: a live
+  // leaf that still covers bound_ holds exactly the keys between bound_ and
+  // its current neighbor's anchor, so bound_'s successor (if any in range)
+  // lives here — re-rank and refill. A failed hop retries as a
+  // continuation, which hops again from its fresh snapshot when nothing past
+  // bound_ is left — far cheaper than a re-route. Only a moved/removed
+  // bound_ (kMoved) repositions.
+  void Continue(bool forward, bool hop) {
+    for (uint32_t a = 0;; a++) {
+      const bool locked = Locked(a);
+      if (!hop) {
+        // Forward: keys > bound_; backward: keys < bound_.
+        const SpecFill oc = TrySpecFill(leaf_, forward, /*has_bound=*/true,
+                                        /*strict=*/forward, LockFor(locked));
+        if (oc == SpecFill::kMoved) {
+          Position(forward, a);
+          return;
+        }
+        if (oc != SpecFill::kOk) {
+          continue;
+        }
+        if (Land(forward)) {
+          return;
+        }
+      }
+      if (Hop(forward, locked)) {
+        return;
+      }
+      hop = false;
+    }
+  }
+
+  // Walks from leaf_, whose validated window reached the leaf edge, to the
+  // scan-direction neighbors until a nonempty window or the list end. Load
+  // the neighbor pointer, THEN revalidate leaf_'s snapshot version
+  // (SeqlockReadValidate's acquire fence orders the two loads): an
+  // unchanged version proves leaf_ never split after the pointer was read,
+  // so that neighbor still bounds everything the window covered. A
+  // successor's plain removal swings next without bumping the version, but
+  // that only grows the covered range. The target's own fill validation
+  // (+ dead recheck) guards its half of the race. Going backward, the
+  // target is accepted only while it still links forward to leaf_ under its
+  // validated version — a lagging back-link (the target split; its new
+  // right sibling sits between them) fails that check AFTER the fill
+  // installed the wrong predecessor, so the previous (still coherent)
+  // snapshot is restored before the caller continues from it; resuming from
+  // the target would skip every key in between. Returns true when handled
+  // (window installed or list end reached), false on any lost race.
+  bool Hop(bool forward, bool locked) {
     for (;;) {
       Leaf* cur = leaf_;
       const uint64_t cur_version = leaf_version_;
-      Leaf* pv = cur->prev.load(std::memory_order_acquire);
+      Leaf* nb = forward ? cur->next.load(std::memory_order_acquire)
+                         : cur->prev.load(std::memory_order_acquire);
       if (!leafops::SeqlockReadValidate(cur->version, cur_version)) {
         return false;
       }
-      if (pv == nullptr) {
-        valid_ = false;  // cur is the head leaf: nothing before it
+      if (nb == nullptr) {
+        valid_ = false;  // cur is the list's last (or head) leaf
         return true;
       }
-      if (TrySpecFill(pv, /*forward=*/false, /*has_bound=*/false,
-                      /*strict=*/false) != SpecFill::kOk) {
+      if (TrySpecFill(nb, forward, /*has_bound=*/false, /*strict=*/false,
+                      LockFor(locked)) != SpecFill::kOk) {
         return false;
       }
-      if (pv->next.load(std::memory_order_acquire) != cur ||
-          !leafops::SeqlockReadValidate(pv->version, leaf_version_)) {
+      if (!forward &&
+          (nb->next.load(std::memory_order_acquire) != cur ||
+           !leafops::SeqlockReadValidate(nb->version, leaf_version_))) {
         leaf_ = cur;
         leaf_version_ = cur_version;
         return false;
       }
-      if (win_.size() > 0) {
-        pos_ = win_.size() - 1;
-        valid_ = true;
+      if (Land(forward)) {
         return true;
       }
-    }
-  }
-
-  // Bounded refill from ranks [lo, min(lo + budget, size)); caller holds
-  // leaf->lock shared and this RELEASES it. The version snapshot taken here
-  // is what every later hop or in-leaf continuation revalidates; trunc_*_
-  // record whether either side of the leaf was left out, i.e. whether a
-  // plain leaf hop at the matching window edge would skip items. Also the
-  // prefetch point: the likely next leaf's header is warmed while the
-  // caller drains this window. Header only — peeking into a neighbor's
-  // store while HOLDING this leaf's lock is the shape the lock discipline
-  // bans; the speculative fills above, which hold nothing, go deeper.
-  void FillForward(Leaf* leaf, size_t lo) RELEASE_SHARED(leaf->lock) {
-    const leafops::LeafStore& s = leaf->store;
-    const size_t budget = Budget();
-    const size_t hi =
-        budget == 0 ? s.size() : std::min(s.size(), lo + budget);
-    win_.Refill(s, lo, hi);
-    trunc_lo_ = lo > 0;
-    trunc_hi_ = hi < s.size();
-    leaf_ = leaf;
-    leaf_version_ = leaf->version.load(std::memory_order_relaxed);
-    PrefetchRead(leaf->next.load(std::memory_order_acquire));
-    leaf->lock.unlock_shared();
-  }
-
-  // Mirror: ranks [max(above - hint, 0), above), prefetching the prev leaf.
-  void FillBackward(Leaf* leaf, size_t above) RELEASE_SHARED(leaf->lock) {
-    const leafops::LeafStore& s = leaf->store;
-    const size_t budget = Budget();
-    const size_t lo = (budget == 0 || above <= budget) ? 0 : above - budget;
-    win_.Refill(s, lo, above);
-    trunc_lo_ = lo > 0;
-    trunc_hi_ = above < s.size();
-    leaf_ = leaf;
-    leaf_version_ = leaf->version.load(std::memory_order_relaxed);
-    PrefetchRead(leaf->prev.load(std::memory_order_acquire));
-    leaf->lock.unlock_shared();
-  }
-
-  // Fresh positioning at "first key (strict_ ? > : >=) bound_": Seek and
-  // the re-route fallback after a lost continuation race. Mirrors Get's
-  // loop shape — optimistic_retries lock-free attempts (route fresh each
-  // time; any validation loss just re-routes), then the locked path.
-  void PositionForward() {
-    for (uint32_t a = 0; a < wh_->opt_.optimistic_retries; a++) {
-      uint32_t h;
-      Leaf* leaf = wh_->RouteToLeaf(bound_, &h);
-      if (leaf == nullptr) {
-        continue;  // routed mid-publication; re-route
-      }
-      if (TrySpecFill(leaf, /*forward=*/true, /*has_bound=*/true, strict_) !=
-          SpecFill::kOk) {
-        continue;
-      }
-      if (win_.size() > 0) {
-        pos_ = 0;
-        valid_ = true;
-        return;
-      }
-      // Empty window: the seek rank was the leaf's end, so the validated
-      // window "covers" through the leaf boundary and a hop completes it.
-      if (SpecHopForward()) {
-        return;
-      }
-    }
-    PositionForwardLocked();
-  }
-
-  // Mirror image: "last key (strict_ ? < : <=) bound_".
-  void PositionBackward() {
-    for (uint32_t a = 0; a < wh_->opt_.optimistic_retries; a++) {
-      uint32_t h;
-      Leaf* leaf = wh_->RouteToLeaf(bound_, &h);
-      if (leaf == nullptr) {
-        continue;
-      }
-      if (TrySpecFill(leaf, /*forward=*/false, /*has_bound=*/true,
-                      !strict_) != SpecFill::kOk) {
-        continue;
-      }
-      if (win_.size() > 0) {
-        pos_ = win_.size() - 1;
-        valid_ = true;
-        return;
-      }
-      if (SpecHopBackward()) {
-        return;
-      }
-    }
-    PositionBackwardLocked();
-  }
-
-  // Speculative continuation past a truncated window edge: same leaf, fresh
-  // rank past bound_, no lock. A kMoved verdict (bound_ left the leaf) goes
-  // straight to repositioning — spec-first again, since positioning has its
-  // own fallback ladder. Lost races burn attempts, then the locked
-  // continuation takes over.
-  void ContinueForward() {
-    for (uint32_t a = 0; a < wh_->opt_.optimistic_retries; a++) {
-      const SpecFill oc =
-          TrySpecFill(leaf_, /*forward=*/true, /*has_bound=*/true,
-                      /*strict=*/true);
-      if (oc == SpecFill::kMoved) {
-        PositionForward();
-        return;
-      }
-      if (oc != SpecFill::kOk) {
-        continue;
-      }
-      if (win_.size() > 0) {
-        pos_ = 0;
-        valid_ = true;
-        return;
-      }
-      // Nothing past bound_ left in this leaf: the validated empty window
-      // reaches the leaf end with a fresh snapshot, so hop from it.
-      if (SpecHopForward()) {
-        return;
-      }
-    }
-    ContinueForwardLocked();
-  }
-
-  void ContinueBackward() {
-    for (uint32_t a = 0; a < wh_->opt_.optimistic_retries; a++) {
-      const SpecFill oc =
-          TrySpecFill(leaf_, /*forward=*/false, /*has_bound=*/true,
-                      /*strict=*/false);
-      if (oc == SpecFill::kMoved) {
-        PositionBackward();
-        return;
-      }
-      if (oc != SpecFill::kOk) {
-        continue;
-      }
-      if (win_.size() > 0) {
-        pos_ = win_.size() - 1;
-        valid_ = true;
-        return;
-      }
-      if (SpecHopBackward()) {
-        return;
-      }
-    }
-    ContinueBackwardLocked();
-  }
-
-  // --- locked fallback path (also the whole path when optimistic_retries
-  // --- is 0). Once an operation lands here it stays locked: bouncing back
-  // --- into speculation under the very churn that defeated it would burn
-  // --- retries without bounding the work.
-
-  // Locked fresh route: AcquireLeaf locks + validates coverage exactly like
-  // Get's fallback.
-  void PositionForwardLocked() {
-    for (;;) {
-      uint32_t h;
-      Leaf* leaf = wh_->AcquireLeaf(bound_, Mode::kShared, &h);
-      leaf->lock.AssertReaderHeld();  // handed over by AcquireLeaf (NO_TSA)
-      FillForward(leaf, leafops::LowerBoundRank(leaf->store, bound_, strict_));
-      if (win_.size() > 0) {
-        pos_ = 0;
-        valid_ = true;
-        return;
-      }
-      // Empty window here means the seek rank was the leaf's end, so the
-      // window "covers" through the leaf boundary and a hop is complete.
-      if (HopForward()) {
-        return;
-      }
-    }
-  }
-
-  void PositionBackwardLocked() {
-    for (;;) {
-      uint32_t h;
-      Leaf* leaf = wh_->AcquireLeaf(bound_, Mode::kShared, &h);
-      leaf->lock.AssertReaderHeld();  // handed over by AcquireLeaf (NO_TSA)
-      FillBackward(leaf,
-                   leafops::LowerBoundRank(leaf->store, bound_, !strict_));
-      if (win_.size() > 0) {
-        pos_ = win_.size() - 1;
-        valid_ = true;
-        return;
-      }
-      if (HopBackward()) {
-        return;
-      }
-    }
-  }
-
-  // Locked continuation past a truncated window edge without a re-route.
-  // The version counter advances on EVERY write section (the seqlock
-  // protocol), so equality would force a re-route on any in-leaf churn;
-  // under the shared lock a weaker check suffices: a live leaf that still
-  // covers bound_ holds exactly the keys between bound_ and its current
-  // next anchor, so the successor of bound_ (if any in range) lives here —
-  // re-rank and refill. The refill re-snapshots the version, so a follow-up
-  // hop validates against fresh state. Only a moved/removed bound_ falls
-  // back to the full (locked) route.
-  void ContinueForwardLocked() {
-    Leaf* cur = leaf_;
-    cur->lock.lock_shared();
-    if (!Covers(cur, bound_)) {
-      cur->lock.unlock_shared();
-      PositionForwardLocked();
-      return;
-    }
-    FillForward(cur,
-                leafops::LowerBoundRank(cur->store, bound_, /*strict=*/true));
-    if (win_.size() > 0) {
-      pos_ = 0;
-      valid_ = true;
-      return;
-    }
-    // Nothing past bound_ left in this leaf (deleted since the last window,
-    // or the leaf split at bound_): the fresh empty window reaches the leaf
-    // end with a just-recorded version, so hop from it.
-    if (!HopForward()) {
-      PositionForwardLocked();
-    }
-  }
-
-  void ContinueBackwardLocked() {
-    Leaf* cur = leaf_;
-    cur->lock.lock_shared();
-    if (!Covers(cur, bound_)) {
-      cur->lock.unlock_shared();
-      PositionBackwardLocked();
-      return;
-    }
-    FillBackward(cur,
-                 leafops::LowerBoundRank(cur->store, bound_, /*strict=*/false));
-    if (win_.size() > 0) {
-      pos_ = win_.size() - 1;
-      valid_ = true;
-      return;
-    }
-    if (!HopBackward()) {
-      PositionBackwardLocked();
-    }
-  }
-
-  // Walks to following leaves until a nonempty window or the list end.
-  // Returns false on a lost race — leaf_ split or was removed since its
-  // window was filled, or the successor died mid-hop — and the caller
-  // re-routes from bound_. The version check is what makes the hop safe: an
-  // unchanged version proves leaf_ never split, so its current next pointer
-  // still bounds everything the window covered.
-  bool HopForward() {
-    for (;;) {
-      Leaf* cur = leaf_;
-      cur->lock.lock_shared();
-      const bool intact =
-          cur->version.load(std::memory_order_relaxed) == leaf_version_;
-      Leaf* nx = intact ? cur->next.load(std::memory_order_acquire) : nullptr;
-      cur->lock.unlock_shared();
-      if (!intact) {
-        return false;
-      }
-      if (nx == nullptr) {
-        valid_ = false;
-        return true;
-      }
-      nx->lock.lock_shared();
-      if (nx->retired()) {
-        nx->lock.unlock_shared();
-        return false;
-      }
-      FillForward(nx, 0);
-      if (win_.size() > 0) {
-        pos_ = 0;
-        valid_ = true;
-        return true;
-      }
-      // An empty live leaf (only ever the head): keep walking forward.
-    }
-  }
-
-  bool HopBackward() {
-    for (;;) {
-      Leaf* cur = leaf_;
-      cur->lock.lock_shared();
-      const bool intact =
-          cur->version.load(std::memory_order_relaxed) == leaf_version_;
-      Leaf* pv = intact ? cur->prev.load(std::memory_order_acquire) : nullptr;
-      cur->lock.unlock_shared();
-      if (!intact) {
-        return false;
-      }
-      if (pv == nullptr) {
-        valid_ = false;  // cur is the head leaf: nothing before it
-        return true;
-      }
-      pv->lock.lock_shared();
-      // The back-link can lag a split of pv (its new right sibling slots in
-      // between them): accept pv only while it is live and still links
-      // forward to cur; otherwise re-route.
-      if (pv->retired() || pv->next.load(std::memory_order_acquire) != cur) {
-        pv->lock.unlock_shared();
-        return false;
-      }
-      FillBackward(pv, pv->store.size());
-      if (win_.size() > 0) {
-        pos_ = win_.size() - 1;
-        valid_ = true;
-        return true;
-      }
+      // A validated empty live leaf (only ever the head): keep walking from
+      // the fresh snapshot the fill installed.
     }
   }
 

@@ -50,17 +50,22 @@
 //     snapshots the leaf's version counter (must be even: odd means a writer
 //     is mid-mutation), re-checks coverage ([anchor, next->anchor)) and the
 //     dead flag, speculatively copies the matched 24-byte slot and value
-//     bytes out of the leaf slab through relaxed atomic loads, issues an
-//     acquire fence, and re-reads the version. An unchanged even version
-//     proves no writer overlapped the copy, so the bytes are a consistent
-//     snapshot; any change discards the copy and retries. After
-//     Options::optimistic_retries failed attempts (or on a dead/moved leaf)
-//     the read falls back to the shared-lock path below, so readers cannot
-//     livelock under write storms. The fast path performs zero atomic RMW:
-//     no reader-count cache line bounces between cores.
-//   - The locked fallback (also the cursor fill fallback) takes the target
-//     leaf's reader-writer lock, validates coverage, and retries a stale
-//     route; after a bounded number of attempts it serializes with writers.
+//     bytes out of the leaf slab through relaxed atomic loads
+//     (leafops::SpecFind), issues an acquire fence, and re-reads the
+//     version. An unchanged even version proves no writer overlapped the
+//     copy, so the bytes are a consistent snapshot; any change discards the
+//     copy and retries. The fast path performs zero atomic RMW: no
+//     reader-count cache line bounces between cores.
+//   - Reads have ONE extractor each (SpecFind for point reads,
+//     SpecFillWindow for cursor windows) and no separate locked copy. After
+//     Options::optimistic_retries failed attempts (every attempt when it is
+//     0) the read runs the same extractor while holding the leaf's shared
+//     lock. Every version bump and dead-flag store happens under the leaf's
+//     exclusive lock, so under the shared lock validation cannot fail — the
+//     locked attempt is what keeps readers from livelocking under write
+//     storms. A locked point read or positioning routes through AcquireLeaf
+//     (lock, validate coverage, retry a stale route, and serialize with
+//     structural writers after a bounded number of attempts).
 //   - In-leaf writes (update / insert with room / non-emptying delete) take
 //     only that leaf's lock, and bracket every store mutation in a seqlock
 //     write section (leaf_ops.h): version goes odd, a release fence, the
@@ -85,36 +90,35 @@
 //     the leaf pointer it remembers between calls stays dereferenceable even
 //     after the leaf is unlinked — exactly the guarantee lock-free lookups
 //     get from their implicit no-quiesce window, made explicit across calls.
-//   - Every window fill is SPECULATIVE first: route lock-free to the leaf,
-//     read an even seqlock version, rank + copy the window through the same
-//     relaxed-atomic bounds-clamped discipline SpecFind uses
-//     (leafops::SpecFillWindow), then validate — acquire fence, version
-//     unchanged, leaf not dead. A validated window is a consistent snapshot
-//     taken with ZERO atomic RMW: read-only scans never write a leaf lock
-//     word or any other shared cache line. While a validated window drains,
-//     the cursor prefetches the NEXT leaf's rank index / slot array / slab
-//     (safe precisely because the speculative path holds no lock — the
-//     neighbor's blocks are QSBR-protected and prefetch is invisible to the
-//     memory model). After Options::optimistic_retries failed validations
-//     the fill falls back to the locked path below, exactly like Get.
-//   - The locked fallback routes through AcquireLeaf (lock + covers-
-//     validation + bounded retry), computes the seek rank against the live
-//     store, and fills the same flat window under the per-leaf shared lock.
-//     Either way the fill honors SetScanLimitHint — a scan that fits the
-//     hint copies only the items it will emit and nothing else; without a
-//     hint the fill covers the rest of the leaf. User code only ever sees
-//     the window: no cursor path holds a leaf lock while invoking user code,
-//     and a cursor parked between calls blocks no writer.
+//   - Every window fill is one SpecFillWindow attempt inside the seqlock
+//     protocol: read an even version, rank + copy the window through the
+//     same relaxed-atomic bounds-clamped discipline SpecFind uses, then
+//     validate — acquire fence, version unchanged, leaf not dead. A
+//     speculative attempt holds no lock, so a validated window is a
+//     consistent snapshot taken with ZERO atomic RMW: read-only scans never
+//     write a leaf lock word or any other shared cache line. Once an
+//     operation has spent Options::optimistic_retries attempts, the rest run
+//     locked, exactly like Get: a positioning through AcquireLeaf, a
+//     continuation or hop target under that leaf's shared lock. Either way
+//     the fill honors SetScanLimitHint — a scan that fits the hint copies
+//     only the items it will emit and nothing else; without a hint the fill
+//     covers the rest of the leaf. Any lock is released before the fill
+//     returns; the cursor then prefetches the NEXT leaf's rank index / slot
+//     array / slab while the window drains (legal because nothing is held —
+//     the neighbor's blocks are QSBR-protected and prefetch is invisible to
+//     the memory model). User code only ever sees the window: no cursor
+//     path holds a leaf lock while invoking user code, and a cursor parked
+//     between calls blocks no writer.
 //   - Next/Prev past a window edge flush with the leaf boundary hop to the
 //     neighbor leaf: load the neighbor pointer, revalidate the drained
 //     leaf's version (which proves the pointer still bounds the window),
-//     then speculatively fill the neighbor — plus its dead flag and, going
-//     backward, the back-link. Past a TRUNCATED edge (bounded fill left
-//     items behind in the same leaf) the cursor refills from the same leaf.
-//     Any lost race — the leaf split, was removed, or the neighbor changed
-//     mid-hop — falls back to the locked hop (version-equality check under
-//     the lock) and ultimately a fresh re-Seek from the last returned key,
-//     which can only re-route, never skip or duplicate a persistent key.
+//     then fill the neighbor — plus its dead flag and, going backward, the
+//     back-link. Past a TRUNCATED edge (bounded fill left items behind in
+//     the same leaf) the cursor refills from the same leaf. Any lost race —
+//     the leaf split, was removed, or the neighbor changed mid-hop — retries
+//     as a refill from the drained leaf past the last returned key, and
+//     ultimately a fresh re-Seek from that key, which can only re-route,
+//     never skip or duplicate a persistent key.
 // Consequence: a cursor observes each window atomically (a consistent
 // snapshot at fill time); concurrent inserts/deletes elsewhere may or may
 // not be seen, and keys present for the whole traversal are seen exactly
@@ -165,10 +169,11 @@ struct Options {
   bool count_probes = false;
   // Clamped to [4, 4096]: leaf indexes use 16-bit slot ids.
   size_t leaf_capacity = 128;
-  // Class Wormhole only: lock-free seqlock-validated Get/MultiGet attempts
-  // before a key falls back to the shared-lock read path. 0 disables the
-  // optimistic path entirely (every read locks) — the forced-fallback tests
-  // pin it there to exercise the fallback deterministically.
+  // Class Wormhole only: lock-free seqlock-validated attempts per Get /
+  // MultiGet key and per cursor window fill before the read runs the same
+  // extractor under the leaf's shared lock. 0 means every read and fill
+  // takes the shared lock — the forced-fallback tests pin it there to
+  // exercise the locked attempt deterministically.
   uint32_t optimistic_retries = 3;
 };
 
@@ -301,7 +306,7 @@ class Wormhole {
   // the in-leaf searches run — so the batch overlaps the memory latencies a
   // serial loop would pay back-to-back. Stage 3 serves each key with the same
   // lock-free optimistic protocol as Get (the pipelined route is the first
-  // candidate; exhausted retries fall back to a per-key locked lookup), so
+  // candidate; exhausted retries fall back to Get's locked read), so
   // the batch fast path touches no leaf lock at all. Returns the hit count.
   size_t MultiGet(const std::vector<std::string_view>& keys,
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
@@ -369,6 +374,11 @@ class Wormhole {
   SpecOutcome OptimisticLeafGet(Leaf* leaf, std::string_view key,
                                 uint32_t kv_hash, std::string* value) const
       NO_THREAD_SAFETY_ANALYSIS;
+  // The point-read fallback shared by Get and MultiGet: AcquireLeaf, then
+  // OptimisticLeafGet on the held leaf — under the shared lock its
+  // validation cannot fail. Returns whether key was found.
+  bool LockedLeafGet(std::string_view key, uint32_t* kv_hash,
+                     std::string* value) EXCLUDES(meta_mu_);
 
   // Structural writers: REQUIRES(meta_mu_) — only the *Slow paths (which
   // acquire it) and the destructor reach these.

@@ -1,11 +1,14 @@
 // Property tests for the slab-backed LeafStore (src/core/leaf_ops.h): random
 // Insert / UpdateValue / Erase / RebuildIndexes / Compact sequences must keep
 // `slots`, `by_key`, `by_hash` and the slab encoding mutually consistent, and
-// FindSlot must agree with a std::map oracle at every step. Value lengths
-// straddle the inline threshold so every encoding transition (inline <->
-// out-of-line, in-place overwrite, relocating overwrite) is exercised.
+// FindSlot must agree with a std::map oracle at every step, and so must
+// SpecFillWindow (the cursor's only window extractor) on the quiescent store.
+// Value lengths straddle the inline threshold so every encoding transition
+// (inline <-> out-of-line, in-place overwrite, relocating overwrite) is
+// exercised.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -78,6 +81,58 @@ void CheckStore(const LeafStore& s, bool direct_pos,
   ASSERT_EQ(leafops::FindSlot(s, direct_pos, absent, FullHash(absent)), -1);
 }
 
+// SpecFillWindow on a quiescent store copies exactly the oracle's rank range:
+// forward [rank, rank + budget), backward the last `budget` ranks below rank,
+// where rank is the first key (strict ? > : >=) bound, or the leaf edge in
+// scan direction without a bound. budget 0 is unbounded. `win` is reused
+// across calls, so stale bytes from earlier, larger fills sit in its slack.
+void CheckSpecFillWindow(const LeafStore& s,
+                         const std::map<std::string, std::string>& oracle,
+                         const std::vector<std::string>& bounds,
+                         leafops::FlatWindow* win) {
+  const std::vector<std::pair<std::string, std::string>> items(oracle.begin(),
+                                                               oracle.end());
+  const size_t n = items.size();
+  for (const bool forward : {true, false}) {
+    for (const size_t budget : {size_t{0}, size_t{1}, size_t{7}}) {
+      for (size_t b = 0; b <= bounds.size(); b++) {
+        const bool has_bound = b < bounds.size();
+        const std::string bound = has_bound ? bounds[b] : std::string();
+        for (const bool strict : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "forward=" << forward << " budget=" << budget
+                       << " bound=" << (has_bound ? bound : "<none>")
+                       << " strict=" << strict);
+          size_t rank = forward ? 0 : n;
+          if (has_bound) {
+            const auto it = strict ? oracle.upper_bound(bound)
+                                   : oracle.lower_bound(bound);
+            rank = static_cast<size_t>(std::distance(oracle.begin(), it));
+          }
+          size_t lo = rank;
+          size_t hi = rank;
+          if (forward) {
+            hi = budget == 0 ? n : std::min(n, rank + budget);
+          } else {
+            lo = budget == 0 || rank <= budget ? 0 : rank - budget;
+          }
+          const leafops::SpecWindow w = leafops::SpecFillWindow(
+              s, forward, has_bound, bound, strict, budget, win);
+          ASSERT_TRUE(w.ok);
+          ASSERT_EQ(w.n, n);
+          ASSERT_EQ(w.lo, lo);
+          ASSERT_EQ(w.hi, hi);
+          ASSERT_EQ(win->size(), hi - lo);
+          for (size_t i = 0; i < hi - lo; i++) {
+            ASSERT_EQ(win->KeyAt(i), std::string_view(items[lo + i].first));
+            ASSERT_EQ(win->ValueAt(i), std::string_view(items[lo + i].second));
+          }
+        }
+      }
+    }
+  }
+}
+
 std::string RandomValue(Rng& rng) {
   // Lengths 0..(3*kInlineValue): below, at, and well past the inline cutoff.
   const size_t len = rng.NextBounded(3 * kInlineValue + 1);
@@ -99,6 +154,12 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
     pool.push_back("key-" + std::to_string(rng.NextBounded(1000)) + "-" +
                    std::to_string(i));
   }
+
+  // Window bounds: two pool keys (present or not, depending on the step),
+  // keys between and beyond every pool key, and the empty key.
+  const std::vector<std::string> bounds = {pool[0], pool[17], "key-5",
+                                           "key-", "zzz", ""};
+  leafops::FlatWindow win;
 
   for (int op = 0; op < 4000; op++) {
     const std::string& key = pool[rng.NextBounded(pool.size())];
@@ -126,9 +187,11 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
     }
     if (op % 97 == 0 || op == 3999) {
       CheckStore(store, direct_pos, oracle);
+      CheckSpecFillWindow(store, oracle, bounds, &win);
     }
   }
   CheckStore(store, direct_pos, oracle);
+  CheckSpecFillWindow(store, oracle, bounds, &win);
 }
 
 TEST(LeafOps, RandomizedAgainstOracleDirectPos) { RunRandomized(true, 0xfeedu); }

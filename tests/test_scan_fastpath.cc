@@ -9,11 +9,13 @@
 // covers the everything-fits-one-window case. The multi-thread tests drive
 // bounded cursors under structural churn so the TSan stage (scripts/check.sh)
 // watches the fast path's lock/validation protocol, not just its quiesced
-// results — including the SPECULATIVE window fills (seqlock-validated,
-// lock-free; wormhole.h): a sweep hammer under split/merge + inline<->slab
-// value churn asserts untorn values and exactly-once residents, and a
-// forced-fallback differential (optimistic_retries=0) pins the locked path
-// to the oracle so the fallback ladder cannot rot behind the fast path.
+// results. Every window fill runs the one extractor (SpecFillWindow inside
+// the seqlock protocol; wormhole.h), speculatively or, once
+// optimistic_retries attempts failed, under the leaf's shared lock: a sweep
+// hammer under split/merge + inline<->slab value churn asserts untorn values
+// and exactly-once residents for the speculative attempts, and the
+// forced-fallback tests (optimistic_retries=0) pin the locked attempts to
+// the oracle, single-threaded and under churn in both scan directions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -400,10 +402,11 @@ TEST(ScanFastpath, SpeculativeSweepsUnderSplitMergeValueChurn) {
 }
 
 // optimistic_retries=0 disables speculation entirely: every fill, hop, and
-// continuation runs the locked fallback ladder. The full differential (all
-// keysets, minimum leaf capacity) run in this mode pins the fallback to the
-// oracle, so a speculative-path bug can never hide behind "the fallback
-// catches it" while the fallback itself has rotted.
+// continuation runs its extractor under the leaf's shared lock. The full
+// differential (all keysets, minimum leaf capacity) run in this mode pins
+// the locked attempts to the oracle, so a speculative-path bug can never
+// hide behind "the fallback catches it" while the fallback itself has
+// rotted.
 TEST(ScanFastpath, ForcedFallbackMatchesOracleAllKeysets) {
   for (const KeysetId id : kAllKeysets) {
     SCOPED_TRACE(std::string("keyset=") + KeysetName(id));
@@ -417,9 +420,12 @@ TEST(ScanFastpath, ForcedFallbackMatchesOracleAllKeysets) {
 }
 
 // The same churn hammer as BoundedCursorsUnderChurn with speculation off:
-// under TSan this exercises the locked fill / hop / reposition protocol
-// against live writers, so both halves of the fallback rule stay
-// race-checked, not just the speculative half.
+// under TSan this exercises the locked fill / hop / reposition attempts
+// against live writers in both directions — one scanner runs Seek/Next, the
+// other SeekForPrev/Prev, whose reverse hop carries the back-link guard —
+// so the locked attempts stay race-checked, not just the speculative ones.
+// Residents are never deleted, so every scan must land exactly on its start
+// key and never step over a resident.
 TEST(ScanFastpath, ForcedFallbackCursorsUnderChurn) {
   Options opt;
   opt.leaf_capacity = 4;
@@ -454,26 +460,49 @@ TEST(ScanFastpath, ForcedFallbackCursorsUnderChurn) {
       }
     }
   });
-  for (int tid = 0; tid < 2; tid++) {
-    threads.emplace_back([&, tid] {
-      Rng rng(31 + static_cast<uint64_t>(tid));
+  // "ff-<i>+c" sorts right after resident i and before resident i + 1.
+  auto index_of = [](std::string_view k) {
+    return std::atoi(std::string(k.substr(3, 6)).c_str());
+  };
+  for (const bool reverse : {false, true}) {
+    threads.emplace_back([&, reverse] {
+      Rng rng(reverse ? 32 : 31);
       auto c = index.NewCursor();
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t limit = 1 + rng.NextBounded(16);
         c->SetScanLimitHint(limit);
         const std::string start =
             key_of(static_cast<int>(rng.NextBounded(kResident)));
-        std::string prev;
-        bool first = true;
-        size_t got = 0;
-        for (c->Seek(start); c->Valid() && got < limit; c->Next(), got++) {
+        if (reverse) {
+          c->SeekForPrev(start);
+        } else {
+          c->Seek(start);
+        }
+        if (!c->Valid() || c->key() != std::string_view(start)) {
+          failures.fetch_add(1);
+        }
+        std::string prev = start;
+        for (size_t got = 1; c->Valid() && got < limit; got++) {
+          if (reverse) {
+            c->Prev();
+          } else {
+            c->Next();
+          }
+          if (!c->Valid()) {
+            break;
+          }
           const std::string_view k = c->key();
-          if (first) {
-            if (k < std::string_view(start)) {
-              failures.fetch_add(1);
-            }
-            first = false;
-          } else if (k <= std::string_view(prev)) {
+          // The resident next to prev in scan direction: k must not pass it.
+          const int i = index_of(prev);
+          const bool churn = prev.size() > 9;
+          const int next = reverse ? (churn ? i : i - 1) : i + 1;
+          const bool ordered = reverse ? k < std::string_view(prev)
+                                       : k > std::string_view(prev);
+          const bool skipped =
+              next >= 0 && next < kResident &&
+              (reverse ? k < std::string_view(key_of(next))
+                       : k > std::string_view(key_of(next)));
+          if (!ordered || skipped) {
             failures.fetch_add(1);
           }
           prev.assign(k);

@@ -717,10 +717,16 @@ TEST(WormholeConcurrent, ParallelLoadMatchesSerialLoad) {
 // leaf mutation shape: slot rewrite, slab append/compact, split, merge. A
 // resident key must always hit, and the value must be exactly one of the two
 // legal values — anything else is a torn read the seqlock validation failed
-// to catch. Absent keys must always miss. Runs under ASan and TSan.
-TEST(WormholeConcurrent, OptimisticGetUnderSplitMergeChurn) {
+// to catch. Absent keys must always miss. Runs under ASan and TSan, once
+// with the default retry budget and once with optimistic_retries = 0, where
+// every Get and MultiGet key takes the locked read (the same extractor under
+// the leaf's shared lock) against the live split/merge churn.
+class OptimisticGetChurn : public testing::TestWithParam<uint32_t> {};
+
+TEST_P(OptimisticGetChurn, OptimisticGetUnderSplitMergeChurn) {
   Options opt;
   opt.leaf_capacity = 4;
+  opt.optimistic_retries = GetParam();
   Wormhole index(opt);
 
   constexpr int kResident = 64;
@@ -817,9 +823,16 @@ TEST(WormholeConcurrent, OptimisticGetUnderSplitMergeChurn) {
   }
 }
 
-// With the retry budget pinned to zero every read skips the optimistic path
-// and exercises the locked fallback; a differential run against a std::map
-// oracle proves the fallback alone is a complete, correct read path.
+INSTANTIATE_TEST_SUITE_P(WormholeConcurrent, OptimisticGetChurn,
+                         testing::Values(3u, 0u),
+                         [](const testing::TestParamInfo<uint32_t>& info) {
+                           return "retries" + std::to_string(info.param);
+                         });
+
+// With the retry budget pinned to zero every read skips the speculative
+// attempts and runs the extractor under the shared lock; a differential run
+// against a std::map oracle proves the locked attempt alone is a complete,
+// correct read path.
 TEST(WormholeConcurrent, ForcedFallbackMatchesOracle) {
   Options opt;
   opt.leaf_capacity = 8;
