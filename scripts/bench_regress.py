@@ -4,8 +4,13 @@
 The gated metrics — each added after (or to guard) a rewrite of the path it
 measures:
 
-  service-ycsb-e   service_mixed, mean of the YCSB-E column across shard rows
-                   (regressed in the PR-5 cursor rewrite)
+  service-ycsb-e   service_mixed, mean of the WAL-off YCSB-E column across
+                   shard rows (regressed in the PR-5 cursor rewrite)
+  service-ycsb-c   service_mixed, mean of the WAL-off YCSB-C column across
+                   shard rows — 100% Get through Service::Execute, so every
+                   key runs Wormhole::MultiGet's pipeline (trie walk and
+                   in-leaf search interleaved across a key group); a broken
+                   or serialized pipeline shows up here first
   fig18-fwd-100    fig18_range "forward scan 100" section, mean of the
                    Wormhole row across keysets (same rewrite)
   fig09-read-1t    fig09_scalability, Wormhole row, 1-thread Get MOPS —
@@ -60,17 +65,27 @@ def mean(values):
     return sum(values) / len(values) if values else None
 
 
-def service_ycsb_e(snapshot):
+def service_wal_off(snapshot, col):
+    """Mean of one service_mixed column across the WAL-off shard rows (the
+    durable-mode section repeats the columns and is skipped)."""
     bench = bench_named(snapshot, "service_mixed")
     if bench is None:
         return None
     for section in bench.get("sections", []):
         cols = section.get("cols", [])
-        if "YCSB-E" not in cols:
+        if col not in cols or "durable" in section.get("title", ""):
             continue
-        idx = cols.index("YCSB-E")
+        idx = cols.index(col)
         return mean(row["values"][idx] for row in section.get("rows", []))
     return None
+
+
+def service_ycsb_e(snapshot):
+    return service_wal_off(snapshot, "YCSB-E")
+
+
+def service_ycsb_c(snapshot):
+    return service_wal_off(snapshot, "YCSB-C")
 
 
 def fig18_forward_100(snapshot):
@@ -124,6 +139,7 @@ def fig18_short16(snapshot):
 
 METRICS = [
     ("service-ycsb-e", service_ycsb_e),
+    ("service-ycsb-c", service_ycsb_c),
     ("fig18-fwd-100", fig18_forward_100),
     ("fig09-read-1t", fig09_read_1t),
     ("fig18-short16", fig18_short16),

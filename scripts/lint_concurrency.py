@@ -39,8 +39,11 @@ Rules (each also documented in README.md "Static analysis"):
                    protocol (odd/even write sections, acquire-validated
                    reads), implemented by the helpers in src/core/leaf_ops.h
                    and their call sites in src/core/wormhole.cc — the
-                   point-read (OptimisticLeafGet) and cursor window-fill
-                   (CursorImpl::ExtractWindow / Hop) extractors, which
+                   read bracket SpecBegin / SpecEnd (shared by Get's
+                   OptimisticLeafGet, MultiGet's pipelined stage 3 via
+                   PointVerdict, and the cursor's ExtractWindow), the
+                   cursor hop revalidation (CursorImpl::Hop) and the
+                   writers' SeqlockWriteSection brackets; the read paths
                    also serve as the read fallbacks by running under the
                    leaf's shared lock. Any direct
                    `version` load/store/RMW or operator form in any other

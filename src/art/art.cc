@@ -20,19 +20,19 @@ struct ArtTree::Inner {
 };
 
 struct ArtTree::Node4 {
-  Inner in{{NodeType::kNode4}};
+  Inner in{{NodeType::kNode4}, {}, 0};
   uint8_t bytes[4];  // sorted
   ArtNode* child[4];
 };
 
 struct ArtTree::Node16 {
-  Inner in{{NodeType::kNode16}};
+  Inner in{{NodeType::kNode16}, {}, 0};
   uint8_t bytes[16];  // sorted
   ArtNode* child[16];
 };
 
 struct ArtTree::Node48 {
-  Inner in{{NodeType::kNode48}};
+  Inner in{{NodeType::kNode48}, {}, 0};
   uint8_t index[256];  // 0xff = empty, else slot into child
   ArtNode* child[48];
   Node48() {
@@ -42,7 +42,7 @@ struct ArtTree::Node48 {
 };
 
 struct ArtTree::Node256 {
-  Inner in{{NodeType::kNode256}};
+  Inner in{{NodeType::kNode256}, {}, 0};
   ArtNode* child[256];
   Node256() { std::memset(child, 0, sizeof(child)); }
 };

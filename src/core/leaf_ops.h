@@ -16,7 +16,8 @@
 //
 // Concurrency model (the seqlock read path). Mutators require the caller to
 // hold the leaf's exclusive lock. The concurrent index reads a leaf through
-// exactly two extractors — SpecFind (point reads) and SpecFillWindow (cursor
+// exactly two extractors — SpecProbe (point reads: SpecFind runs it in one
+// go, MultiGet steps a group of them round-robin) and SpecFillWindow (cursor
 // window fills) — bracketed by SeqlockReadBegin / SeqlockReadValidate on the
 // leaf's version counter, with NO lock on the fast path; its fallback runs
 // the same extractor under the leaf's shared lock, where validation cannot
@@ -350,6 +351,11 @@ class SpecVec {
     }
     return View{Payload(b), b->cap};
   }
+  // Warms the block header AcquireView reads. A prefetch is no access in the
+  // memory model, so the relaxed pointer load is all it needs.
+  void Prefetch() const {
+    __builtin_prefetch(block_.load(std::memory_order_relaxed), 0, 3);
+  }
 
   void SetSize(size_t n) { size_.store(n, std::memory_order_relaxed); }
 
@@ -545,6 +551,14 @@ inline LeafSlotKey SlotLoadKey(const LeafSlot* src) {
 // hot-path: speculative probe prefetch
 inline void SpecPrefetchLine(const void* p) {
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
+}
+// Warms every cache line of [p, p + bytes); a null p warms nothing.
+inline void SpecPrefetchRange(const void* p, size_t bytes) {
+  const uintptr_t first = reinterpret_cast<uintptr_t>(p);
+  for (uintptr_t a = first & ~uintptr_t{63}; p != nullptr && a < first + bytes;
+       a += 64) {
+    SpecPrefetchLine(reinterpret_cast<const void*>(a));
+  }
 }
 inline void SpecPrefetchProbes(const uint16_t* idx, size_t lo, size_t cnt,
                                const LeafSlot* slots, size_t slots_cap) {
@@ -795,31 +809,67 @@ inline bool SpecKeyEquals(const char* slab, uint32_t koff, uint32_t klen,
 // step) and at worst lands on a wrong slot, which the final key compare or
 // the caller's validation rejects. On kAbsent/kInconsistent *value may hold
 // scribbled bytes; callers only consume it on a validated kFound.
+//
+// A resumable probe, so a batch can overlap the dependent misses of several
+// reads (Wormhole::MultiGet steps a group round-robin): Start acquires the
+// views and clamps the stale size, Step runs one binary-search level, Finish
+// loads the final slot, compares the key and copies the value. Prefetching
+// is the caller's: SpecFind warms both slots the next level may probe
+// (SpecPrefetchProbes); a pipelined caller warms the index (WarmIndex), then
+// exactly the next probe's slot (Prime), a whole round ahead of its use.
 // hot-path: optimistic point read
-inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
-                         std::string_view key, uint32_t hash,
-                         std::string* value) {
-  const auto idx = direct_pos ? s.by_hash.AcquireView() : s.by_key.AcquireView();
-  const auto slots = s.slots.AcquireView();
-  const auto slab = s.slab.AcquireView();
-  size_t n = s.size();
-  if (n > idx.cap) {
-    n = idx.cap;  // stale size; clamp — validation will reject the attempt
+struct SpecProbe {
+  SpecVec<uint16_t>::View idx;
+  SpecVec<LeafSlot>::View slots;
+  SpecVec<char>::View slab;
+  size_t n = 0;
+  size_t lo = 0;  // lower_bound interval [lo, lo + cnt)
+  size_t cnt = 0;
+  bool direct_pos = false;
+  bool bad = false;  // a bound check failed: Finish reports kInconsistent
+
+  void Start(const LeafStore& s, bool dp) {
+    direct_pos = dp;
+    idx = dp ? s.by_hash.AcquireView() : s.by_key.AcquireView();
+    slots = s.slots.AcquireView();
+    slab = s.slab.AcquireView();
+    // A stale size is clamped; validation will reject the attempt.
+    n = std::min(s.size(), idx.cap);
+    lo = 0;
+    cnt = n;
+    bad = false;
   }
-  // Hand-rolled lower_bound over the id index.
-  size_t lo = 0;
-  size_t cnt = n;
-  while (cnt > 0) {
+  bool done() const { return bad || cnt == 0; }
+
+  // Warms the index lines the first levels load: all of a default-sized
+  // leaf's index, the middle 128 ids of a larger one.
+  void WarmIndex() const {
+    const size_t span = std::min<size_t>(n, 128);
+    SpecPrefetchRange(idx.p + (n - span) / 2, span * sizeof(uint16_t));
+  }
+  // Warms the slot the next Step probes.
+  void Prime() const {
+    if (cnt > 0) {
+      const uint16_t id = RelaxedLoad16(idx.p + lo + cnt / 2);
+      if (id < slots.cap) {
+        SpecPrefetchLine(slots.p + id);
+      }
+    }
+  }
+
+  // One level of the hand-rolled lower_bound over the id index.
+  void Step(std::string_view key, uint32_t hash) {
     const size_t half = cnt / 2;
     const size_t mid = lo + half;
     const uint16_t id = RelaxedLoad16(idx.p + mid);
     if (id >= slots.cap) {
-      return SpecRead::kInconsistent;
+      bad = true;
+      return;
     }
-    SpecPrefetchProbes(idx.p, lo, cnt, slots.p, slots.cap);
     const LeafSlotKey sl = SlotLoadKey(slots.p + id);
     if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
-      return SpecRead::kInconsistent;
+      bad = true;
+      return;
     }
     bool less;  // does slot `id` order strictly before `key`?
     if (direct_pos && sl.hash != hash) {
@@ -835,35 +885,55 @@ inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
       cnt = half;
     }
   }
-  if (lo >= n) {
-    return SpecRead::kAbsent;
-  }
-  const uint16_t id = RelaxedLoad16(idx.p + lo);
-  if (id >= slots.cap) {
-    return SpecRead::kInconsistent;
-  }
-  const LeafSlot sl = SlotLoad(slots.p + id);
-  if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
-    return SpecRead::kInconsistent;
-  }
-  if (direct_pos && sl.hash != hash) {
-    return SpecRead::kAbsent;
-  }
-  if (!SpecKeyEquals(slab.p, sl.koff, sl.klen, key)) {
-    return SpecRead::kAbsent;
-  }
-  if (value != nullptr) {
-    if (sl.vlen <= kInlineValue) {
-      value->assign(sl.vinl, sl.vlen);  // sl is a local snapshot already
-    } else {
-      if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap) {
-        return SpecRead::kInconsistent;
-      }
-      value->resize(sl.vlen);
-      RelaxedCopyOut(value->data(), slab.p + sl.voff, sl.vlen);
+
+  SpecRead Finish(std::string_view key, uint32_t hash,
+                  std::string* value) const {
+    if (bad) {
+      return SpecRead::kInconsistent;
     }
+    if (lo >= n) {
+      return SpecRead::kAbsent;
+    }
+    const uint16_t id = RelaxedLoad16(idx.p + lo);
+    if (id >= slots.cap) {
+      return SpecRead::kInconsistent;
+    }
+    const LeafSlot sl = SlotLoad(slots.p + id);
+    if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
+      return SpecRead::kInconsistent;
+    }
+    if (direct_pos && sl.hash != hash) {
+      return SpecRead::kAbsent;
+    }
+    if (!SpecKeyEquals(slab.p, sl.koff, sl.klen, key)) {
+      return SpecRead::kAbsent;
+    }
+    if (value != nullptr) {
+      if (sl.vlen <= kInlineValue) {
+        value->assign(sl.vinl, sl.vlen);  // sl is a local snapshot already
+      } else {
+        if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap) {
+          return SpecRead::kInconsistent;
+        }
+        value->resize(sl.vlen);
+        RelaxedCopyOut(value->data(), slab.p + sl.voff, sl.vlen);
+      }
+    }
+    return SpecRead::kFound;
   }
-  return SpecRead::kFound;
+};
+
+// hot-path: optimistic point read
+inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
+                         std::string_view key, uint32_t hash,
+                         std::string* value) {
+  SpecProbe p;
+  p.Start(s, direct_pos);
+  while (!p.done()) {
+    SpecPrefetchProbes(p.idx.p, p.lo, p.cnt, p.slots.p, p.slots.cap);
+    p.Step(key, hash);
+  }
+  return p.Finish(key, hash, value);
 }
 
 // Result of one speculative whole-window fill. `ok == false` means an

@@ -839,30 +839,62 @@ bool Wormhole::Covers(const Leaf* leaf, std::string_view key) {
   return nx == nullptr || key < std::string_view(nx->anchor);
 }
 
+// The seqlock bracket every lock-free leaf read runs inside: point reads
+// here, window fills in CursorImpl::ExtractWindow. SpecBegin snapshots the
+// version and refuses an odd one (a writer is mid-section; reading is
+// pointless). SpecEnd's acquire fence orders every speculative load before
+// the version re-read, so an unchanged version on a still-live leaf means no
+// write section overlapped the copy — the snapshot is consistent.
+// hot-path: optimistic read bracket
+bool Wormhole::SpecBegin(const Leaf* leaf, uint64_t* begin) {
+  *begin = leafops::SeqlockReadBegin(leaf->version);
+  return (*begin & 1) == 0;
+}
+
+bool Wormhole::SpecEnd(const Leaf* leaf, uint64_t begin) {
+  return leafops::SeqlockReadValidate(leaf->version, begin) && !leaf->retired();
+}
+
+// The end half of a point read: the extractor's answer stands only on an
+// internally consistent snapshot that SpecEnd validates. The caller checks
+// coverage (Covers) anywhere inside the bracket: Get before the search, so
+// its loads overlap the search; MultiGet after it, once the next leaf's
+// anchor it prefetched has landed.
+Wormhole::SpecOutcome Wormhole::PointVerdict(const Leaf* leaf, uint64_t begin,
+                                             leafops::SpecRead r) {
+  if (r == leafops::SpecRead::kInconsistent || !SpecEnd(leaf, begin)) {
+    return SpecOutcome::kRetry;
+  }
+  return r == leafops::SpecRead::kFound ? SpecOutcome::kHit : SpecOutcome::kMiss;
+}
+
 // hot-path: the lock-free point read (one attempt)
 Wormhole::SpecOutcome Wormhole::OptimisticLeafGet(Leaf* leaf,
                                                   std::string_view key,
                                                   uint32_t kv_hash,
                                                   std::string* value) const {
-  const uint64_t begin = leafops::SeqlockReadBegin(leaf->version);
-  if ((begin & 1) != 0) {
-    return SpecOutcome::kRetry;  // writer mid-section; reading is pointless
+  uint64_t begin;
+  if (!SpecBegin(leaf, &begin) || !Covers(leaf, key)) {
+    return SpecOutcome::kRetry;  // writer mid-section, or a stale route
   }
-  if (!Covers(leaf, key)) {
-    return SpecOutcome::kRetry;  // stale route (split/removed); re-route
-  }
-  const leafops::SpecRead r =
-      leafops::SpecFind(leaf->store, opt_.direct_pos, key, kv_hash, value);
-  if (r == leafops::SpecRead::kInconsistent) {
-    return SpecOutcome::kRetry;
-  }
-  // The acquire fence inside orders every speculative load above before the
-  // version re-read; an unchanged even version (and a still-live leaf) means
-  // no write section overlapped the copy — the snapshot is consistent.
-  if (!leafops::SeqlockReadValidate(leaf->version, begin) || leaf->retired()) {
-    return SpecOutcome::kRetry;
-  }
-  return r == leafops::SpecRead::kFound ? SpecOutcome::kHit : SpecOutcome::kMiss;
+  return PointVerdict(
+      leaf, begin,
+      leafops::SpecFind(leaf->store, opt_.direct_pos, key, kv_hash, value));
+}
+
+// Round 1 of a pipelined point read (MultiGet stage 3): warm the next leaf
+// (Covers reads its anchor) and the block headers Start's views load.
+void Wormhole::WarmLeafRead(const Leaf* leaf) const {
+  PrefetchRead(leaf->next.load(std::memory_order_relaxed));
+  (opt_.direct_pos ? leaf->store.by_hash : leaf->store.by_key).Prefetch();
+  leaf->store.slots.Prefetch();
+  leaf->store.slab.Prefetch();
+}
+
+// Round 2: acquire the block views and warm the index lines.
+void Wormhole::StartLeafRead(const Leaf* leaf, leafops::SpecProbe* p) const {
+  p->Start(leaf->store, opt_.direct_pos);
+  p->WarmIndex();
 }
 
 Wormhole::Leaf* Wormhole::AcquireLeaf(std::string_view key, Mode mode,
@@ -905,12 +937,18 @@ Wormhole::Leaf* Wormhole::AcquireLeaf(std::string_view key, Mode mode,
 
 bool Wormhole::Get(std::string_view key, std::string* value) {
   QsbrOp op(qsbr_);
+  return GetFrom(0, key, value);
+}
+
+bool Wormhole::GetFrom(uint32_t first, std::string_view key,
+                       std::string* value) {
   uint32_t h;
   // Fast path: route lock-free, then one seqlock-validated speculative read
-  // per attempt. The QsbrOp above is what makes the lockless dereferences
+  // per attempt. The caller's QsbrOp is what makes the lockless dereferences
   // safe — this thread's epoch stays pinned for the whole operation, so a
   // leaf (or a store block) retired mid-read cannot be freed under us.
-  for (uint32_t attempt = 0; attempt < opt_.optimistic_retries; attempt++) {
+  for (uint32_t attempt = first; attempt < opt_.optimistic_retries;
+       attempt++) {
     Leaf* leaf = RouteToLeaf(key, &h);
     if (leaf == nullptr) {
       continue;  // routed mid-publication; re-route
@@ -969,9 +1007,12 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
     const std::atomic<Bucket*>* slot;  // pending probe's bucket head slot
     const Bucket* line;                // loaded head for the pending probe
     Leaf* leaf;
+    uint64_t begin;  // stage 3: the leaf version snapshot
+    leafops::SpecProbe probe;
     char child_byte;
     bool lpm_done;
     bool need_child;
+    bool reading;  // stage 3: the pipelined attempt is still live
   };
   Route rt[kGroup];
 
@@ -982,35 +1023,19 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
     uint64_t probes = 0;
 
     // Stage 1: interleaved LPM binary searches. Two sub-passes per round so
-    // the bucket-slot load and the line fetch both overlap across keys.
-    size_t active = 0;
+    // the bucket-slot load and the line fetch both overlap across keys. A
+    // key's first round has no probe to consume yet (m == 0).
+    size_t active = g;
     for (size_t i = 0; i < g; i++) {
       Route& r = rt[i];
-      const std::string_view key = keys[base + i];
       r.lo = 0;
-      r.hi = std::min(key.size(), anchor_cap);
+      r.hi = std::min(keys[base + i].size(), anchor_cap);
+      r.m = 0;
       r.lo_state = kCrc32cInit;
       r.best = root_;
       r.leaf = nullptr;
       r.kv_hash = 0;
-      r.lpm_done = r.lo >= r.hi;
-      if (!r.lpm_done) {
-        r.m = (r.lo + r.hi + 1) / 2;
-        r.probe_state =
-            opt_.inc_hashing
-                ? Crc32cExtend(r.lo_state, key.data() + r.lo, r.m - r.lo)
-                : Crc32cExtend(kCrc32cInit, key.data(), r.m);
-        r.slot = &t->buckets[r.probe_state & t->mask];
-        PrefetchRead(r.slot);
-        active++;
-      }
-    }
-    for (size_t i = 0; i < g; i++) {
-      Route& r = rt[i];
-      if (!r.lpm_done) {
-        r.line = r.slot->load(std::memory_order_acquire);
-        PrefetchRead(r.line);
-      }
+      r.lpm_done = false;
     }
     while (active > 0) {
       for (size_t i = 0; i < g; i++) {
@@ -1019,14 +1044,16 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
           continue;
         }
         const std::string_view key = keys[base + i];
-        probes++;
-        Node* nd = FindNodeInChain(r.line, r.probe_state, key.substr(0, r.m));
-        if (nd != nullptr) {
-          r.best = nd;
-          r.lo = r.m;
-          r.lo_state = r.probe_state;
-        } else {
-          r.hi = r.m - 1;
+        if (r.m != 0) {
+          probes++;
+          Node* nd = FindNodeInChain(r.line, r.probe_state, key.substr(0, r.m));
+          if (nd != nullptr) {
+            r.best = nd;
+            r.lo = r.m;
+            r.lo_state = r.probe_state;
+          } else {
+            r.hi = r.m - 1;
+          }
         }
         if (r.lo >= r.hi) {
           r.lpm_done = true;
@@ -1052,7 +1079,8 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
 
     // Stage 2: resolve nodes to leaves, deriving each full-key hash from the
     // LPM prefix state; child descents get the same two-step prefetch, and
-    // every resolved leaf's header line is prefetched ahead of stage 3.
+    // every resolved leaf's header lines (next, version, the store's block
+    // pointers) are prefetched ahead of stage 3.
     for (size_t i = 0; i < g; i++) {
       Route& r = rt[i];
       const std::string_view key = keys[base + i];
@@ -1076,7 +1104,7 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
                      : (r.best->has_terminal.load(std::memory_order_acquire)
                             ? lm
                             : lm->prev.load(std::memory_order_acquire));
-        PrefetchRead(r.leaf);
+        leafops::SpecPrefetchRange(r.leaf, sizeof(Leaf));
       }
     }
     for (size_t i = 0; i < g; i++) {
@@ -1095,45 +1123,64 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
           FindChildInChain(r.line, r.child_hash, r.best->prefix, r.child_byte);
       r.leaf =
           child == nullptr ? nullptr : child->rmost.load(std::memory_order_acquire);
-      PrefetchRead(r.leaf);
+      leafops::SpecPrefetchRange(r.leaf, sizeof(Leaf));
     }
 
-    // Stage 3: validate, don't lock. Each key runs the same optimistic
-    // protocol as serial Get, seeded with the pipelined route as the first
-    // candidate (its leaf header is already in cache from stage 2); a lost
-    // attempt re-routes, and an exhausted retry budget falls back to Get's
-    // locked read. The fast path touches no leaf lock at all.
+    // Stage 3: the in-leaf searches, interleaved like stage 1. Attempt 0 of
+    // every key is OptimisticLeafGet cut at its cache misses, one piece per
+    // key per round: snapshot the version and warm the next leaf and block
+    // headers; acquire the views and warm the index; warm the first probe's
+    // slot; one binary-search level per round, each warming the slot the
+    // next one probes; then check coverage, finish and validate. A key that
+    // loses attempt 0 runs Get's remaining attempts, so the fast path
+    // touches no leaf lock.
+    for (size_t i = 0; i < g; i++) {
+      Route& r = rt[i];
+      r.reading = opt_.optimistic_retries > 0 && r.leaf != nullptr &&
+                  SpecBegin(r.leaf, &r.begin);
+      if (r.reading) {
+        WarmLeafRead(r.leaf);
+      }
+    }
+    for (size_t i = 0; i < g; i++) {
+      if (rt[i].reading) {
+        StartLeafRead(rt[i].leaf, &rt[i].probe);
+      }
+    }
+    for (size_t i = 0; i < g; i++) {
+      if (rt[i].reading) {
+        rt[i].probe.Prime();
+      }
+    }
+    for (bool more = true; more;) {
+      more = false;
+      for (size_t i = 0; i < g; i++) {
+        Route& r = rt[i];
+        if (r.reading && !r.probe.done()) {
+          r.probe.Step(keys[base + i], r.kv_hash);
+          r.probe.Prime();
+          more = true;
+        }
+      }
+    }
     size_t rerouted = 0;  // keys whose re-route/fallback self-counted lookups
     for (size_t i = 0; i < g; i++) {
       const std::string_view key = keys[base + i];
       Route& r = rt[i];
       std::string* out = &(*values)[base + i];
-      Leaf* cand = r.leaf;
       SpecOutcome oc = SpecOutcome::kRetry;
-      bool recount = false;
-      for (uint32_t a = 0; a < opt_.optimistic_retries; a++) {
-        if (cand != nullptr) {
-          oc = OptimisticLeafGet(cand, key, r.kv_hash, out);
-          if (oc != SpecOutcome::kRetry) {
-            break;
-          }
-        }
-        cand = RouteToLeaf(key, &r.kv_hash);  // self-counts the lookup
-        recount = true;
+      if (r.reading && Covers(r.leaf, key)) {
+        oc = PointVerdict(r.leaf, r.begin, r.probe.Finish(key, r.kv_hash, out));
       }
-      bool hit = oc == SpecOutcome::kHit;
       if (oc == SpecOutcome::kRetry) {
-        recount = true;
-        hit = LockedLeafGet(key, &r.kv_hash, out);
+        rerouted++;
+        oc = GetFrom(1, key, out) ? SpecOutcome::kHit : SpecOutcome::kMiss;
       }
-      if (hit) {
+      if (oc == SpecOutcome::kHit) {
         (*hits)[base + i] = 1;
         found++;
       } else {
         out->clear();
-      }
-      if (recount) {
-        rerouted++;
       }
     }
     if (opt_.count_probes) {
@@ -1485,10 +1532,9 @@ class Wormhole::CursorImpl final : public Cursor {
     return oc;
   }
 
-  // The seqlock-bracketed extract, exactly like OptimisticLeafGet:
-  // even-version snapshot, coverage pre-filter, bounds-clamped
-  // SpecFillWindow copy, then acquire fence + version re-read + dead-flag
-  // recheck. On kOk the window, truncation flags, and the (leaf_,
+  // The seqlock-bracketed extract, in OptimisticLeafGet's bracket:
+  // SpecBegin, coverage pre-filter, bounds-clamped SpecFillWindow copy,
+  // SpecEnd. On kOk the window, truncation flags, and the (leaf_,
   // leaf_version_) snapshot are installed — the validated even `begin` IS
   // the snapshot version every later hop or continuation revalidates.
   // `has_bound` selects the rank source: the bound_ rank search for
@@ -1501,9 +1547,9 @@ class Wormhole::CursorImpl final : public Cursor {
   // tests exercise the race.
   SpecFill ExtractWindow(Leaf* leaf, bool forward, bool has_bound,
                          bool strict) NO_THREAD_SAFETY_ANALYSIS {
-    const uint64_t begin = leafops::SeqlockReadBegin(leaf->version);
-    if ((begin & 1) != 0) {
-      return SpecFill::kRetry;  // writer mid-section; reading is pointless
+    uint64_t begin;
+    if (!SpecBegin(leaf, &begin)) {
+      return SpecFill::kRetry;
     }
     if (has_bound) {
       if (!Covers(leaf, bound_)) {
@@ -1514,8 +1560,7 @@ class Wormhole::CursorImpl final : public Cursor {
     }
     const leafops::SpecWindow w = leafops::SpecFillWindow(
         leaf->store, forward, has_bound, bound_, strict, Budget(), &win_);
-    if (!w.ok || !leafops::SeqlockReadValidate(leaf->version, begin) ||
-        leaf->retired()) {
+    if (!w.ok || !SpecEnd(leaf, begin)) {
       return SpecFill::kRetry;
     }
     trunc_lo_ = w.lo > 0;

@@ -52,10 +52,13 @@
 //     dead flag, speculatively copies the matched 24-byte slot and value
 //     bytes out of the leaf slab through relaxed atomic loads
 //     (leafops::SpecFind), issues an acquire fence, and re-reads the
-//     version. An unchanged even version proves no writer overlapped the
-//     copy, so the bytes are a consistent snapshot; any change discards the
-//     copy and retries. The fast path performs zero atomic RMW: no
-//     reader-count cache line bounces between cores.
+//     version and the dead flag. An unchanged even version proves no writer
+//     overlapped the copy, so the bytes are a consistent snapshot; any
+//     change discards the copy and retries. MultiGet runs the same read in
+//     steps interleaved across a key group, inside the same SpecBegin /
+//     PointVerdict bracket, and checks coverage after the search instead.
+//     The fast path performs zero atomic RMW: no reader-count cache line
+//     bounces between cores.
 //   - Reads have ONE extractor each (SpecFind for point reads,
 //     SpecFillWindow for cursor windows) and no separate locked copy. After
 //     Options::optimistic_retries failed attempts (every attempt when it is
@@ -299,15 +302,18 @@ class Wormhole {
 
   // Batched point lookups. values and hits are resized to keys.size(); on a
   // miss the value slot is cleared and the hit byte is 0. The whole batch
-  // runs under one quiescent-state report. Keys are routed through a
-  // prefetch-interleaved pipeline in groups of ~8: each round issues one LPM
-  // hash probe per in-flight key and prefetches the next bucket line while
-  // the other keys' probes execute, then leaf headers are prefetched before
-  // the in-leaf searches run — so the batch overlaps the memory latencies a
-  // serial loop would pay back-to-back. Stage 3 serves each key with the same
-  // lock-free optimistic protocol as Get (the pipelined route is the first
-  // candidate; exhausted retries fall back to Get's locked read), so
-  // the batch fast path touches no leaf lock at all. Returns the hit count.
+  // runs under one quiescent-state report. Keys run through a
+  // prefetch-interleaved pipeline in groups of 8, so the batch overlaps the
+  // memory latencies a serial loop would pay back-to-back: each round of
+  // stage 1 issues one LPM hash probe per in-flight key and prefetches the
+  // next bucket line while the other keys' probes execute; stage 2 resolves
+  // leaves and prefetches their headers; each round of stage 3 advances
+  // every key's in-leaf read by one step (version snapshot, block views,
+  // one binary-search level, finish + validate — OptimisticLeafGet cut at
+  // its cache misses, over the same SpecBegin / PointVerdict bracket and
+  // leafops::SpecProbe extractor). That pipelined read is attempt 0; a key
+  // that loses it runs Get's remaining attempts and locked fallback, so the
+  // batch fast path touches no leaf lock at all. Returns the hit count.
   size_t MultiGet(const std::vector<std::string_view>& keys,
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
       EXCLUDES(meta_mu_);
@@ -315,7 +321,8 @@ class Wormhole {
   // Batched Put with the same amortization: one quiescent-state report for
   // the batch, and consecutive keys hitting the same leaf reuse the held
   // exclusive lock (a Put that needs a split falls back to the slow path).
-  // NO_TSA: same loop-carried held-lock reuse as MultiGet, exclusive mode.
+  // NO_TSA: the held lock is loop-carried — which leaf's lock is held across
+  // iterations is data-dependent, a transfer TSA cannot express.
   void MultiPut(
       const std::vector<std::pair<std::string_view, std::string_view>>& items)
       EXCLUDES(meta_mu_) NO_THREAD_SAFETY_ANALYSIS;
@@ -362,18 +369,42 @@ class Wormhole {
   static bool Covers(const Leaf* leaf, std::string_view key);
 
   enum class SpecOutcome { kHit, kMiss, kRetry };
-  // One lock-free optimistic read attempt against a routed leaf candidate.
-  // kHit/kMiss are seqlock-validated verdicts (the leaf version held still
-  // across the speculative copy); kRetry means the snapshot was unusable —
+  // The seqlock bracket of every lock-free leaf read (point reads and cursor
+  // window fills): SpecBegin snapshots the version, false if it is odd (a
+  // writer is mid-section); SpecEnd is true iff the version held still
+  // across the speculative copy and the leaf is not retired.
+  static bool SpecBegin(const Leaf* leaf, uint64_t* begin);
+  static bool SpecEnd(const Leaf* leaf, uint64_t begin);
+  // End half of a point read: kRetry unless the snapshot `r` came from is
+  // internally consistent and SpecEnd validates. The caller checks Covers
+  // inside the bracket.
+  static SpecOutcome PointVerdict(const Leaf* leaf, uint64_t begin,
+                                  leafops::SpecRead r);
+  // One lock-free optimistic read attempt against a routed leaf candidate:
+  // SpecBegin, Covers, leafops::SpecFind, PointVerdict. kHit/kMiss are
+  // seqlock-validated verdicts; kRetry means the snapshot was unusable —
   // odd/changed version, dead leaf, key outside the anchor range, or an
   // internally impossible store snapshot. On kMiss/kRetry *value may hold
   // scribbled bytes.
-  // NO_TSA: the seqlock-reader shape (sync.h usage rules) — reads
-  // GUARDED_BY(leaf->lock) data with no lock and discards the result unless
-  // the version validates; the TSan stage exercises the race directly.
+  // NO_TSA (here and on the two MultiGet round helpers below): the
+  // seqlock-reader shape (sync.h usage rules) — reads GUARDED_BY(leaf->lock)
+  // data with no lock and discards the result unless the version validates;
+  // the TSan stage exercises the race directly.
   SpecOutcome OptimisticLeafGet(Leaf* leaf, std::string_view key,
                                 uint32_t kv_hash, std::string* value) const
       NO_THREAD_SAFETY_ANALYSIS;
+  // MultiGet's pipelined attempt runs OptimisticLeafGet in rounds; these
+  // are its first two, the ones that touch the store: warm the next leaf
+  // and the store's block headers, then start the probe and warm its index.
+  void WarmLeafRead(const Leaf* leaf) const NO_THREAD_SAFETY_ANALYSIS;
+  void StartLeafRead(const Leaf* leaf, leafops::SpecProbe* p) const
+      NO_THREAD_SAFETY_ANALYSIS;
+  // Attempts [first, optimistic_retries) of a point read — re-route, then
+  // one OptimisticLeafGet each — and then LockedLeafGet. Get runs them all;
+  // a MultiGet key whose pipelined attempt 0 lost runs the rest. The caller
+  // holds a QsbrOp.
+  bool GetFrom(uint32_t first, std::string_view key, std::string* value)
+      EXCLUDES(meta_mu_);
   // The point-read fallback shared by Get and MultiGet: AcquireLeaf, then
   // OptimisticLeafGet on the held leaf — under the shared lock its
   // validation cannot fail. Returns whether key was found.

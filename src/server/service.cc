@@ -186,7 +186,8 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
   while (i < idx_n) {
     const Op op = batch[idx[i]].op;
     // Maximal same-op run: one MultiGet/MultiPut per run amortizes the
-    // quiescent-state report and leaf-lock traffic across it.
+    // quiescent-state report (and, for MultiPut, leaf-lock traffic) across
+    // it, and lets MultiGet overlap the memory latency of its keys.
     size_t j = i + 1;
     if (op == Op::kGet || op == Op::kPut) {
       while (j < idx_n && batch[idx[j]].op == op) {

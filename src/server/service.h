@@ -9,10 +9,12 @@
 // array parallel to the batch. Within a shard, maximal runs of consecutive
 // Gets and Puts are executed through the core's batch entry points
 // (Wormhole::MultiGet / MultiPut), which serve a whole run under one
-// quiescent-state report and reuse a held leaf lock across keys that land in
-// the same leaf; MultiGet additionally routes the run through the core's
-// prefetch-interleaved lookup pipeline (~8 trie walks in flight at once) —
-// the QSBR-, lock- and memory-latency amortization that makes batching pay.
+// quiescent-state report. MultiGet takes no leaf lock on its fast path: it
+// runs groups of ~8 keys through the core's prefetch-interleaved pipeline,
+// which overlaps their trie walks and then their seqlock-validated in-leaf
+// searches. MultiPut reuses a held exclusive leaf lock across consecutive
+// keys that land in the same leaf. That QSBR-, lock- and memory-latency
+// amortization is what makes batching pay.
 //
 // Ordering contract: requests to the same shard (hence: all requests touching
 // any single key) are applied in batch order. Requests to different shards

@@ -28,22 +28,34 @@ def check(name, cond, detail=""):
 
 
 def snapshot(ycsb_e=None, fwd100=None, read1t=None, short16=None, scale=1000,
-             threads=4, seconds=1):
+             threads=4, seconds=1, ycsb_c=None, durable_first=False,
+             no_ycsb_c=False):
     """Build a snapshot dict in the shape bench_snapshot.sh emits. Any
-    metric can be omitted to simulate an old/partial snapshot."""
+    metric can be omitted to simulate an old/partial snapshot. The WAL-off
+    YCSB-C column is 5.0/9.0 (mean 7.0) unless ycsb_c sets both rows;
+    durable_first puts a durable-mode decoy section (same columns, tiny
+    values) ahead of the WAL-off one, and no_ycsb_c drops the column."""
     benches = []
     if ycsb_e is not None:
-        benches.append({
-            "bench": "service_mixed",
-            "sections": [{
-                "title": "ops/sec by shard count",
-                "cols": ["shards", "YCSB-C", "YCSB-E"],
-                "rows": [
-                    {"label": "1", "values": [1, 5.0, ycsb_e]},
-                    {"label": "4", "values": [4, 9.0, ycsb_e]},
-                ],
-            }],
-        })
+        cs = (5.0, 9.0) if ycsb_c is None else (ycsb_c, ycsb_c)
+        cols = ["shards", "YCSB-C", "YCSB-E"]
+        rows = [{"label": "1", "values": [1, cs[0], ycsb_e]},
+                {"label": "4", "values": [4, cs[1], ycsb_e]}]
+        if no_ycsb_c:
+            cols = ["shards", "YCSB-E"]
+            rows = [{"label": r["label"], "values": [r["values"][0],
+                                                     r["values"][2]]}
+                    for r in rows]
+        sections = [{"title": "ops/sec by shard count", "cols": cols,
+                     "rows": rows}]
+        if durable_first:
+            sections.insert(0, {
+                "title": "Sharded service, durable mode: ops/sec",
+                "cols": cols,
+                "rows": [{"label": "1+wal",
+                          "values": [1] + [0.01] * (len(cols) - 1)}],
+            })
+        benches.append({"bench": "service_mixed", "sections": sections})
     fig18_sections = []
     if fwd100 is not None:
         fig18_sections.append({
@@ -191,6 +203,40 @@ with tempfile.TemporaryDirectory() as root:
     check("short16 missing while fwd100 present exits 1", code == 1
           and "fig18-short16 missing from the current run" in err
           and "fig18-fwd-100" not in err,
+          f"(exit {code}, stderr {err!r})")
+
+    print("[compare service ycsb-c metric]")
+    # Mean of the WAL-off YCSB-C column (the batched Get path), never the
+    # durable section's column, whichever section comes first.
+    base5 = write(root, "base_c.json",
+                  snapshot(ycsb_e=10.0, fwd100=2.0, ycsb_c=8.0))
+    cur = write(root, "cur_c_ok.json",
+                snapshot(ycsb_e=10.0, fwd100=2.0, ycsb_c=7.8))
+    code, out, err = run("compare", base5, cur)
+    check("ycsb-c within threshold exits 0", code == 0
+          and "service-ycsb-c: current 7.8000 vs baseline 8.0000" in out,
+          f"(exit {code}, out {out!r}, err {err!r})")
+    cur = write(root, "cur_c_bad.json",
+                snapshot(ycsb_e=10.0, fwd100=2.0, ycsb_c=4.0))
+    code, out, err = run("compare", base5, cur)
+    check("ycsb-c regression exits 1", code == 1
+          and "service-ycsb-c dropped 50.0%" in err
+          and "service-ycsb-e" not in err,
+          f"(exit {code}, stderr {err!r})")
+    cur = write(root, "cur_c_durable.json",
+                snapshot(ycsb_e=10.0, fwd100=2.0, ycsb_c=8.0,
+                         durable_first=True))
+    code, out, err = run("compare", base5, cur)
+    check("ycsb-c skips the durable section", code == 0
+          and "service-ycsb-c: current 8.0000" in out
+          and "service-ycsb-e: current 10.0000" in out,
+          f"(exit {code}, out {out!r}, err {err!r})")
+    cur = write(root, "cur_c_missing.json",
+                snapshot(ycsb_e=10.0, fwd100=2.0, no_ycsb_c=True))
+    code, out, err = run("compare", base5, cur)
+    check("ycsb-c missing exits 1", code == 1
+          and "service-ycsb-c missing from the current run" in err
+          and "service-ycsb-e" not in err,
           f"(exit {code}, stderr {err!r})")
 
     print("[compare best-of-N samples]")

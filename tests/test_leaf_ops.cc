@@ -2,7 +2,9 @@
 // Insert / UpdateValue / Erase / RebuildIndexes / Compact sequences must keep
 // `slots`, `by_key`, `by_hash` and the slab encoding mutually consistent, and
 // FindSlot must agree with a std::map oracle at every step, and so must
-// SpecFillWindow (the cursor's only window extractor) on the quiescent store.
+// SpecFillWindow (the cursor's only window extractor) and the resumable
+// SpecProbe (the point-read extractor, stepped round-robin over a group of
+// keys as MultiGet does) on the quiescent store.
 // Value lengths straddle the inline threshold so every encoding transition
 // (inline <-> out-of-line, in-place overwrite, relocating overwrite) is
 // exercised.
@@ -143,6 +145,59 @@ std::string RandomValue(Rng& rng) {
   return v;
 }
 
+// The resumable SpecProbe driven the way Wormhole::MultiGet drives it: a
+// group of 4-8 probes started together and advanced round-robin, one call
+// each per round, on the quiescent store. Every verdict and value must
+// match FindSlot and the oracle — for present keys, pool keys currently
+// absent, and keys never inserted.
+void CheckSpecProbes(const LeafStore& s, bool direct_pos,
+                     const std::map<std::string, std::string>& oracle,
+                     const std::vector<std::string>& keys, Rng& rng) {
+  const size_t g = 4 + rng.NextBounded(5);
+  std::vector<std::string_view> group(g);
+  std::vector<leafops::SpecProbe> probes(g);
+  for (size_t i = 0; i < g; i++) {
+    group[i] = keys[rng.NextBounded(keys.size())];
+    probes[i].Start(s, direct_pos);
+    probes[i].WarmIndex();
+  }
+  for (const auto& p : probes) {
+    p.Prime();
+  }
+  for (bool more = true; more;) {
+    more = false;
+    for (size_t i = 0; i < g; i++) {
+      if (!probes[i].done()) {
+        probes[i].Step(group[i], FullHash(group[i]));
+        probes[i].Prime();
+        more = true;
+      }
+    }
+  }
+  for (size_t i = 0; i < g; i++) {
+    SCOPED_TRACE(std::string(group[i]));
+    std::string value;
+    const leafops::SpecRead r =
+        probes[i].Finish(group[i], FullHash(group[i]), &value);
+    const int slot =
+        leafops::FindSlot(s, direct_pos, group[i], FullHash(group[i]));
+    const auto it = oracle.find(std::string(group[i]));
+    ASSERT_EQ(slot >= 0, it != oracle.end());
+    std::string serial;  // the serial driver of the same probe
+    ASSERT_EQ(leafops::SpecFind(s, direct_pos, group[i], FullHash(group[i]),
+                                &serial),
+              r);
+    if (slot < 0) {
+      ASSERT_EQ(r, leafops::SpecRead::kAbsent);
+      continue;
+    }
+    ASSERT_EQ(r, leafops::SpecRead::kFound);
+    ASSERT_EQ(value, it->second);
+    ASSERT_EQ(value, s.Value(static_cast<uint16_t>(slot)));
+    ASSERT_EQ(serial, value);
+  }
+}
+
 void RunRandomized(bool direct_pos, uint64_t seed) {
   SCOPED_TRACE(std::string("direct_pos=") + (direct_pos ? "on" : "off"));
   Rng rng(seed);
@@ -160,6 +215,15 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
   const std::vector<std::string> bounds = {pool[0], pool[17], "key-5",
                                            "key-", "zzz", ""};
   leafops::FlatWindow win;
+  // Probe keys: the pool plus keys never inserted (a prefix, an extension,
+  // and keys ordering before and after every pool key).
+  std::vector<std::string> probe_keys = pool;
+  for (const char* k : {"", "key-", "key-5", "zzz"}) {
+    probe_keys.push_back(k);
+  }
+  probe_keys.push_back(pool[3] + "~");
+  probe_keys.push_back(pool[9].substr(0, pool[9].size() - 1));
+  Rng probe_rng(seed ^ 0x9e3779b9u);  // keeps the op stream unchanged
 
   for (int op = 0; op < 4000; op++) {
     const std::string& key = pool[rng.NextBounded(pool.size())];
@@ -188,10 +252,14 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
     if (op % 97 == 0 || op == 3999) {
       CheckStore(store, direct_pos, oracle);
       CheckSpecFillWindow(store, oracle, bounds, &win);
+      for (int round = 0; round < 4; round++) {
+        CheckSpecProbes(store, direct_pos, oracle, probe_keys, probe_rng);
+      }
     }
   }
   CheckStore(store, direct_pos, oracle);
   CheckSpecFillWindow(store, oracle, bounds, &win);
+  CheckSpecProbes(store, direct_pos, oracle, probe_keys, probe_rng);
 }
 
 TEST(LeafOps, RandomizedAgainstOracleDirectPos) { RunRandomized(true, 0xfeedu); }

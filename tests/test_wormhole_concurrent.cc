@@ -276,7 +276,12 @@ TEST(WormholeConcurrent, DeleteUntilMergeUnderReaders) {
 // change; under ASan a reader still holding a retired leaf/bucket line
 // becomes a use-after-free, under TSan any unsynchronized slab access is a
 // reported race. Residents are never deleted (a miss is a lost key) and the
-// phantom namespace is never inserted (a hit is a phantom).
+// phantom namespace is never inserted (a hit is a phantom). The churn keys
+// sit right after resident keys, so the residents' own leaves take the
+// in-leaf inserts, splits and removals; each resident's value is derived
+// from its key — half inline, half longer than the inline cutoff — and
+// checked exactly, so an answer read from the wrong slot or the wrong leaf
+// fails.
 TEST(WormholeConcurrent, BatchedReadersUnderConcurrentSplits) {
   Options opt;
   opt.leaf_capacity = 4;  // maximal structural churn
@@ -284,23 +289,32 @@ TEST(WormholeConcurrent, BatchedReadersUnderConcurrentSplits) {
 
   constexpr int kResident = 6000;
   constexpr int kChurnRange = 3000;
+  const auto resident_value = [](int i) {
+    return i % 2 == 0 ? "r" + std::to_string(i)
+                      : "resident-value-" + std::to_string(i);
+  };
   for (int i = 0; i < kResident; i++) {
-    index.Put(ResidentKey(i), "resident");
+    index.Put(ResidentKey(i), resident_value(i));
   }
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> batches{0};
   std::atomic<uint64_t> failures{0};
   std::vector<std::thread> threads;
-  // Two writers churn inserts/deletes: constant splits and leaf removals.
+  // Two writers churn inserts/deletes between residents: constant splits
+  // and leaf removals in the leaves the readers read.
   for (int tid = 0; tid < 2; tid++) {
     threads.emplace_back([&, tid] {
       Rng rng(500 + static_cast<uint64_t>(tid));
+      const auto churn_key = [&] {
+        const int k = static_cast<int>(rng.NextBounded(kChurnRange));
+        return ResidentKey(2 * k) + "+w" + std::to_string(tid);
+      };
       uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        index.Put(ChurnKey(tid, rng.NextBounded(kChurnRange)), "churn");
+        index.Put(churn_key(), "churn");
         if (i++ % 2 == 0) {
-          index.Delete(ChurnKey(tid, rng.NextBounded(kChurnRange)));
+          index.Delete(churn_key());
         }
       }
     });
@@ -311,27 +325,31 @@ TEST(WormholeConcurrent, BatchedReadersUnderConcurrentSplits) {
     threads.emplace_back([&, tid] {
       Rng rng(600 + static_cast<uint64_t>(tid));
       std::vector<std::string> storage;
+      std::vector<int> resident;  // resident index per batch slot; -1: phantom
       std::vector<std::string_view> batch;
       std::vector<std::string> values;
       std::vector<uint8_t> hits;
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t n = 1 + rng.NextBounded(24);
         storage.clear();
+        resident.clear();
         for (size_t i = 0; i < n; i++) {
           if (rng.NextBounded(4) == 0) {
             storage.push_back("phantom-" + std::to_string(rng.NextBounded(1000)));
+            resident.push_back(-1);
           } else {
-            storage.push_back(ResidentKey(static_cast<int>(rng.NextBounded(kResident))));
+            resident.push_back(static_cast<int>(rng.NextBounded(kResident)));
+            storage.push_back(ResidentKey(resident.back()));
           }
         }
         batch.assign(storage.begin(), storage.end());
         index.MultiGet(batch, &values, &hits);
         for (size_t i = 0; i < n; i++) {
-          const bool is_resident = storage[i][0] == 'r';
+          const bool is_resident = resident[i] >= 0;
           if (hits[i] != static_cast<uint8_t>(is_resident ? 1 : 0)) {
             failures.fetch_add(1);
           }
-          if (is_resident && values[i] != "resident") {
+          if (is_resident && values[i] != resident_value(resident[i])) {
             failures.fetch_add(1);
           }
         }
@@ -357,6 +375,9 @@ TEST(WormholeConcurrent, BatchedReadersUnderConcurrentSplits) {
   std::vector<uint8_t> hits;
   EXPECT_EQ(index.MultiGet(batch, &values, &hits),
             static_cast<size_t>(kResident));
+  for (int i = 0; i < kResident; i++) {
+    EXPECT_EQ(values[i], resident_value(i)) << ResidentKey(i);
+  }
 }
 
 // Cursors (epoch-pinned, per-leaf snapshot windows) iterating both directions
