@@ -185,7 +185,7 @@ run_lint() {
 }
 
 run_bench_smoke() {
-  stage_begin "bench-smoke: tiny-scale snapshot + JSON validation"
+  stage_begin "bench-smoke: tiny-scale snapshot + JSON validation, svcbench verify"
   # Exercises the whole snapshot path (bench builds, --json emission,
   # aggregation) at a scale that finishes in seconds; the JSON must parse, so
   # a bench that crashes or emits garbage fails the stage. The temp outfile
@@ -210,6 +210,17 @@ run_bench_smoke() {
     echo "bench_snapshot.sh failed" >&2
     exit 1
   fi
+  # Correctness smoke of the end-to-end Service path: short svcbench runs
+  # whose verifier checks every response and exits nonzero on a bad one.
+  # Timing is not gated here.
+  local workload
+  for workload in get-uniform scan-churn; do
+    if ! python3 svcbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+      --trace 0 >/dev/null; then
+      echo "svcbench $workload failed verification (or did not build)" >&2
+      exit 1
+    fi
+  done
   stage_end "bench-smoke"
 }
 

@@ -4,7 +4,8 @@
 //   slots    fixed 24-byte records at stable ids (append on insert,
 //            swap-with-last on erase)
 //   by_key   slot ids in key order
-//   by_hash  slot ids in (hash, key) order — DirectPos only, else empty
+//   by_hash  (tag, slot id) entries in (hash, key) order — DirectPos only,
+//            else empty; a point read starts at tag * n / 2^16 (see SpecProbe)
 //   slab     one byte buffer holding every key (and every out-of-line value)
 //
 // Key bytes are offset/length-encoded into the slab, so a leaf's keys cost
@@ -47,6 +48,7 @@
 #include <new>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -76,6 +78,12 @@ inline uint16_t RelaxedLoad16(const uint16_t* p) {
   return __atomic_load_n(p, __ATOMIC_RELAXED);
 }
 inline void RelaxedStore16(uint16_t* p, uint16_t v) {
+  __atomic_store_n(p, v, __ATOMIC_RELAXED);
+}
+inline uint32_t RelaxedLoad32(const uint32_t* p) {
+  return __atomic_load_n(p, __ATOMIC_RELAXED);
+}
+inline void RelaxedStore32(uint32_t* p, uint32_t v) {
   __atomic_store_n(p, v, __ATOMIC_RELAXED);
 }
 inline uint64_t RelaxedLoad64(const uint64_t* p) {
@@ -560,6 +568,8 @@ inline void SpecPrefetchRange(const void* p, size_t bytes) {
     SpecPrefetchLine(reinterpret_cast<const void*>(a));
   }
 }
+// by_key bisections only: the cursor's rank search and the point reads of
+// the direct_pos = false ablation (DirectPos probes one tag run instead).
 inline void SpecPrefetchProbes(const uint16_t* idx, size_t lo, size_t cnt,
                                const LeafSlot* slots, size_t slots_cap) {
   const size_t half = cnt / 2;
@@ -585,10 +595,22 @@ inline void SlotStore(LeafSlot* dst, const LeafSlot& v) {
   RelaxedStore64(p + 2, w[2]);
 }
 
+// A by_hash entry: the key hash's tag (its high 16 bits) over the slot id.
+// Entries stay in (hash, key) order, so tags never decrease along the index
+// and a probe reads hashes from the index line instead of from each slot.
+inline uint32_t HashEntry(uint32_t hash, uint16_t id) {
+  return (hash & 0xffff0000u) | id;
+}
+inline uint16_t EntryId(uint32_t entry) { return static_cast<uint16_t>(entry); }
+inline uint32_t EntryTag(uint32_t entry) { return entry >> 16; }
+// Stores into a published index, for both entry widths.
+inline void RelaxedStoreEntry(uint16_t* p, uint16_t v) { RelaxedStore16(p, v); }
+inline void RelaxedStoreEntry(uint32_t* p, uint32_t v) { RelaxedStore32(p, v); }
+
 struct LeafStore {
   SpecVec<LeafSlot> slots;
   SpecVec<uint16_t> by_key;
-  SpecVec<uint16_t> by_hash;
+  SpecVec<uint32_t> by_hash;
   // SpecVec reservations allocate exactly what is asked (like the
   // std::vector::reserve this replaced), so the gentle growth policy in
   // AppendRaw holds and fig. 16's capacity accounting stays honest.
@@ -613,6 +635,12 @@ struct LeafStore {
   // the in-leaf half of cursor iteration (src/common/cursor.h).
   std::string_view KeyAt(size_t rank) const { return Key(by_key[rank]); }
   std::string_view ValueAt(size_t rank) const { return Value(by_key[rank]); }
+  // by_hash order: does slot a sort strictly before slot b by (hash, key)?
+  bool HashOrderLess(uint16_t a, uint16_t b) const {
+    const uint32_t ha = slots[a].hash;
+    const uint32_t hb = slots[b].hash;
+    return ha != hb ? ha < hb : Key(a) < Key(b);
+  }
 };
 
 // A cursor's detached copy of one contiguous key-ordered rank range of a
@@ -747,36 +775,6 @@ inline void MaybeCompact(LeafStore* s) {
   }
 }
 
-// Slot id of `key`, or -1. `hash` is the precomputed full-key CRC32C raw
-// state — lookup paths extend the LPM's incremental prefix state instead of
-// rehashing the key from byte 0; ignored unless direct_pos.
-// hot-path: every point op's in-leaf search
-inline int FindSlot(const LeafStore& s, bool direct_pos, std::string_view key,
-                    uint32_t hash) {
-  if (direct_pos) {
-    // Binary search by (hash, key): almost always pure 4-byte comparisons.
-    auto it = std::lower_bound(s.by_hash.begin(), s.by_hash.end(), key,
-                               [&](uint16_t id, std::string_view k) {
-                                 const LeafSlot& sl = s.slots[id];
-                                 if (sl.hash != hash) {
-                                   return sl.hash < hash;
-                                 }
-                                 return s.Key(id) < k;
-                               });
-    if (it != s.by_hash.end() && s.slots[*it].hash == hash && s.Key(*it) == key) {
-      return *it;
-    }
-    return -1;
-  }
-  auto it = std::lower_bound(
-      s.by_key.begin(), s.by_key.end(), key,
-      [&](uint16_t id, std::string_view k) { return s.Key(id) < k; });
-  if (it != s.by_key.end() && s.Key(*it) == key) {
-    return *it;
-  }
-  return -1;
-}
-
 // ---------------------------------------------------------------------------
 // Speculative (lockless) point lookup. Everything below may run with NO lock
 // and must assume every load can be stale or torn; correctness comes from (a)
@@ -802,110 +800,171 @@ inline bool SpecKeyEquals(const char* slab, uint32_t koff, uint32_t klen,
   return SpecKeyCompare(slab + koff, klen, key) == 0;
 }
 
-// Lockless FindSlot + value copy-out. Mirrors FindSlot's search strategy
-// (by_hash under direct_pos, by_key otherwise) but loads every cell through
-// the relaxed accessors and re-checks every bound. The binary search runs on
-// possibly-garbage keys — it still terminates (the interval shrinks every
-// step) and at worst lands on a wrong slot, which the final key compare or
-// the caller's validation rejects. On kAbsent/kInconsistent *value may hold
-// scribbled bytes; callers only consume it on a validated kFound.
+// Lockless point lookup + value copy-out, and FindSlot's DirectPos search.
+// Every cell is loaded through the relaxed accessors and every id and offset
+// is clamped to the capacity of the block it came from. On garbage data the
+// search still terminates (every walk is monotone and bounded by n) and at
+// worst lands on a wrong slot, which the key compare or the caller's
+// validation rejects. On kAbsent/kInconsistent *value may hold scribbled
+// bytes; callers only consume it on a validated kFound.
+//
+// DirectPos is the paper's tag-run search: by_hash entries carry their
+// hash's tag, and CRC32C tags are uniform, so the run of tag t starts near
+// t * n / 2^16. A kScan step walks from there to the run's first entry on
+// that index line; each kSlot step checks one run entry's slot hash, and a
+// kKey step its key bytes. A hit costs one index line, one slot and one key.
+// The key gets its own step so that a pipelined caller can warm it first:
+// comparing it in the slot's step measured ~5% slower batched Gets.
+// Worst case: the run is walked entry by entry, and an equal-hash run (in
+// key order) key by key up to the first key not below the probe's. CRC32C
+// is unkeyed, so keys crafted to share a hash make a probe O(run length)
+// slot loads and key compares, where the by_key bisection is O(log n): on a
+// 128-item leaf of 8 KiB keys, up to ~1 MiB of key bytes per read.
+// Without DirectPos (the fig. 11 ablation) each kBisect step is one level
+// of a lower_bound over by_key.
 //
 // A resumable probe, so a batch can overlap the dependent misses of several
 // reads (Wormhole::MultiGet steps a group round-robin): Start acquires the
-// views and clamps the stale size, Step runs one binary-search level, Finish
-// loads the final slot, compares the key and copies the value. Prefetching
-// is the caller's: SpecFind warms both slots the next level may probe
-// (SpecPrefetchProbes); a pipelined caller warms the index (WarmIndex), then
-// exactly the next probe's slot (Prime), a whole round ahead of its use.
+// views and clamps the stale size, Step advances one phase, Finish copies
+// the value out. Prefetching is the caller's: a pipelined caller warms the
+// index (WarmIndex), then before each Step what it loads (Prime); serial
+// SpecFind warms both slots the next bisection level may probe.
 // hot-path: optimistic point read
 struct SpecProbe {
-  SpecVec<uint16_t>::View idx;
+  enum class Phase : uint8_t { kBisect, kScan, kSlot, kKey, kDone };
+  SpecVec<uint16_t>::View idx;     // by_key
+  SpecVec<uint32_t>::View tagged;  // by_hash
   SpecVec<LeafSlot>::View slots;
   SpecVec<char>::View slab;
   size_t n = 0;
-  size_t lo = 0;  // lower_bound interval [lo, lo + cnt)
+  size_t lo = 0;   // kBisect: interval [lo, lo + cnt); else the entry at hand
   size_t cnt = 0;
+  uint32_t koff = 0;  // kKey: slot id's key bytes
+  uint32_t klen = 0;
+  uint16_t id = 0;  // by_hash: the slot under test, the hit once found
+  Phase phase = Phase::kDone;
   bool direct_pos = false;
+  // Set by FindSlot, whose callers exclude writers: keys compare with a
+  // plain, vectorized memcmp. SpecKeyCompare's relaxed word loop cost
+  // WormholeUnsafe lookups ~20% on fig. 11's K10 (1 KB keys).
+  bool plain = false;
+  bool hit = false;
   bool bad = false;  // a bound check failed: Finish reports kInconsistent
 
-  void Start(const LeafStore& s, bool dp) {
+  void Start(const LeafStore& s, bool dp, uint32_t hash) {
     direct_pos = dp;
-    idx = dp ? s.by_hash.AcquireView() : s.by_key.AcquireView();
     slots = s.slots.AcquireView();
     slab = s.slab.AcquireView();
+    if (dp) {
+      tagged = s.by_hash.AcquireView();
+    } else {
+      idx = s.by_key.AcquireView();
+    }
     // A stale size is clamped; validation will reject the attempt.
-    n = std::min(s.size(), idx.cap);
-    lo = 0;
+    n = std::min(s.size(), dp ? tagged.cap : idx.cap);
+    lo = dp ? ((hash >> 16) * n) >> 16 : 0;  // tag < 2^16: lo < n, or 0
     cnt = n;
-    bad = false;
+    hit = bad = false;
+    phase = n == 0 ? Phase::kDone : dp ? Phase::kScan : Phase::kBisect;
   }
-  bool done() const { return bad || cnt == 0; }
+  bool done() const { return bad || phase == Phase::kDone; }
 
-  // Warms the index lines the first levels load: all of a default-sized
-  // leaf's index, the middle 128 ids of a larger one.
+  // Warms the by_key lines the first bisection levels load: all of a
+  // default-sized leaf's index, the middle 128 ids of a larger one.
+  // DirectPos's first Step reads one index line, which Prime warms.
   void WarmIndex() const {
-    const size_t span = std::min<size_t>(n, 128);
-    SpecPrefetchRange(idx.p + (n - span) / 2, span * sizeof(uint16_t));
+    if (!direct_pos) {
+      const size_t span = std::min<size_t>(n, 128);
+      SpecPrefetchRange(idx.p + (n - span) / 2, span * sizeof(uint16_t));
+    }
   }
-  // Warms the slot the next Step probes.
+  // Warms what the next Step loads.
   void Prime() const {
-    if (cnt > 0) {
-      const uint16_t id = RelaxedLoad16(idx.p + lo + cnt / 2);
-      if (id < slots.cap) {
-        SpecPrefetchLine(slots.p + id);
+    if (phase == Phase::kScan) {
+      SpecPrefetchLine(tagged.p + lo);
+    } else if (phase == Phase::kKey) {
+      SpecPrefetchRange(slab.p + koff, klen);
+    } else if (phase == Phase::kSlot || phase == Phase::kBisect) {
+      const uint16_t i = phase == Phase::kSlot
+                             ? EntryId(RelaxedLoad32(tagged.p + lo))
+                             : RelaxedLoad16(idx.p + lo + cnt / 2);
+      if (i < slots.cap) {
+        SpecPrefetchLine(slots.p + i);
       }
     }
   }
 
-  // One level of the hand-rolled lower_bound over the id index.
   void Step(std::string_view key, uint32_t hash) {
-    const size_t half = cnt / 2;
-    const size_t mid = lo + half;
-    const uint16_t id = RelaxedLoad16(idx.p + mid);
-    if (id >= slots.cap) {
-      bad = true;
-      return;
+    const uint32_t tag = hash >> 16;
+    switch (phase) {
+      case Phase::kBisect:
+        Bisect(key);
+        return;
+      case Phase::kScan:  // to the tag's lower bound, rightward or leftward
+        while (lo < n && EntryTag(RelaxedLoad32(tagged.p + lo)) < tag) {
+          lo++;
+        }
+        while (lo > 0 && EntryTag(RelaxedLoad32(tagged.p + lo - 1)) >= tag) {
+          lo--;
+        }
+        break;
+      case Phase::kSlot: {
+        id = EntryId(RelaxedLoad32(tagged.p + lo));
+        if (id >= slots.cap) {
+          bad = true;
+          return;
+        }
+        const LeafSlotKey sl = SlotLoadKey(slots.p + id);
+        if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
+          bad = true;
+          return;
+        }
+        if (sl.hash >= hash) {  // the run is in hash order
+          koff = sl.koff;
+          klen = sl.klen;
+          phase = sl.hash == hash ? Phase::kKey : Phase::kDone;
+          return;
+        }
+        lo++;
+        break;
+      }
+      case Phase::kKey: {
+        // An equal-hash run is in key order: stop at the first key not
+        // below the probe's.
+        const int cmp = Compare(koff, klen, key);
+        if (cmp >= 0) {
+          hit = cmp == 0;
+          phase = Phase::kDone;
+          return;
+        }
+        lo++;
+        break;
+      }
+      case Phase::kDone:
+        return;
     }
-    const LeafSlotKey sl = SlotLoadKey(slots.p + id);
-    if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
-      bad = true;
-      return;
-    }
-    bool less;  // does slot `id` order strictly before `key`?
-    if (direct_pos && sl.hash != hash) {
-      less = sl.hash < hash;
-    } else {
-      const int cmp = SpecKeyCompare(slab.p + sl.koff, sl.klen, key);
-      less = cmp != 0 ? cmp < 0 : sl.klen < key.size();
-    }
-    if (less) {
-      lo = mid + 1;
-      cnt -= half + 1;
-    } else {
-      cnt = half;
-    }
+    // Stay in the tag run at entry lo, or end the probe past it.
+    phase = lo < n && EntryTag(RelaxedLoad32(tagged.p + lo)) == tag
+                ? Phase::kSlot
+                : Phase::kDone;
   }
 
-  SpecRead Finish(std::string_view key, uint32_t hash,
-                  std::string* value) const {
+  SpecRead Finish(std::string_view key, std::string* value) const {
     if (bad) {
       return SpecRead::kInconsistent;
     }
-    if (lo >= n) {
+    if (direct_pos ? !hit : lo >= n) {
       return SpecRead::kAbsent;
     }
-    const uint16_t id = RelaxedLoad16(idx.p + lo);
-    if (id >= slots.cap) {
+    const uint16_t i = direct_pos ? id : RelaxedLoad16(idx.p + lo);
+    if (i >= slots.cap) {
       return SpecRead::kInconsistent;
     }
-    const LeafSlot sl = SlotLoad(slots.p + id);
+    const LeafSlot sl = SlotLoad(slots.p + i);
     if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
       return SpecRead::kInconsistent;
     }
-    if (direct_pos && sl.hash != hash) {
-      return SpecRead::kAbsent;
-    }
-    if (!SpecKeyEquals(slab.p, sl.koff, sl.klen, key)) {
+    if (!direct_pos && !SpecKeyEquals(slab.p, sl.koff, sl.klen, key)) {
       return SpecRead::kAbsent;
     }
     if (value != nullptr) {
@@ -921,6 +980,40 @@ struct SpecProbe {
     }
     return SpecRead::kFound;
   }
+
+ private:
+  // One level of the hand-rolled lower_bound over the by_key ids.
+  void Bisect(std::string_view key) {
+    const size_t half = cnt / 2;
+    const size_t mid = lo + half;
+    const uint16_t i = RelaxedLoad16(idx.p + mid);
+    if (i >= slots.cap) {
+      bad = true;
+      return;
+    }
+    const LeafSlotKey sl = SlotLoadKey(slots.p + i);
+    if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
+      bad = true;
+      return;
+    }
+    if (Compare(sl.koff, sl.klen, key) < 0) {
+      lo = mid + 1;
+      cnt -= half + 1;
+    } else {
+      cnt = half;
+    }
+    if (cnt == 0) {
+      phase = Phase::kDone;
+    }
+  }
+  // Orders the slab key [koff, koff + klen) against `key`: <0, 0 or >0.
+  int Compare(uint32_t koff, uint32_t klen, std::string_view key) const {
+    if (plain) {
+      return std::string_view(slab.p + koff, klen).compare(key);
+    }
+    const int cmp = SpecKeyCompare(slab.p + koff, klen, key);
+    return cmp != 0 ? cmp : (klen > key.size()) - (klen < key.size());
+  }
 };
 
 // hot-path: optimistic point read
@@ -928,12 +1021,40 @@ inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
                          std::string_view key, uint32_t hash,
                          std::string* value) {
   SpecProbe p;
-  p.Start(s, direct_pos);
+  p.Start(s, direct_pos, hash);
   while (!p.done()) {
-    SpecPrefetchProbes(p.idx.p, p.lo, p.cnt, p.slots.p, p.slots.cap);
+    if (!direct_pos) {
+      SpecPrefetchProbes(p.idx.p, p.lo, p.cnt, p.slots.p, p.slots.cap);
+    }
     p.Step(key, hash);
   }
-  return p.Finish(key, hash, value);
+  return p.Finish(key, value);
+}
+
+// Slot id of `key`, or -1. `hash` is the precomputed full-key CRC32C raw
+// state — lookup paths extend the LPM's incremental prefix state instead of
+// rehashing the key from byte 0; ignored unless direct_pos. The DirectPos
+// search is SpecProbe's, run where no bound check can trip: under the leaf
+// lock, or single-threaded.
+// hot-path: every point op's in-leaf search
+inline int FindSlot(const LeafStore& s, bool direct_pos, std::string_view key,
+                    uint32_t hash) {
+  if (direct_pos) {
+    SpecProbe p;
+    p.plain = true;
+    p.Start(s, true, hash);
+    while (!p.done()) {
+      p.Step(key, hash);
+    }
+    return p.hit ? p.id : -1;
+  }
+  auto it = std::lower_bound(
+      s.by_key.begin(), s.by_key.end(), key,
+      [&](uint16_t id, std::string_view k) { return s.Key(id) < k; });
+  if (it != s.by_key.end() && s.Key(*it) == key) {
+    return *it;
+  }
+  return -1;
 }
 
 // Result of one speculative whole-window fill. `ok == false` means an
@@ -1132,16 +1253,16 @@ inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
   const uint16_t id = AppendRaw(s, key, value, direct_pos ? hash : 0);
   // The splice shifts the ordered tail one position right; every displaced
   // cell is rewritten through a relaxed store because the block is published.
-  const auto splice = [&](SpecVec<uint16_t>* index, size_t pos) {
+  const auto splice = [&](auto* index, size_t pos, auto entry) {
     const size_t old_n = index->size();
     if (old_n == index->capacity()) {
       index->Reserve(old_n + old_n / 4 + 8, s->release);
     }
-    uint16_t* p = index->data();
+    auto* p = index->data();
     for (size_t i = old_n; i > pos; i--) {
-      RelaxedStore16(p + i, p[i - 1]);
+      RelaxedStoreEntry(p + i, p[i - 1]);
     }
-    RelaxedStore16(p + pos, id);
+    RelaxedStoreEntry(p + pos, entry);
     index->SetSize(old_n + 1);
   };
   const auto kpos = static_cast<size_t>(
@@ -1149,20 +1270,15 @@ inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
           s->by_key.begin(), s->by_key.end(), key,
           [&](uint16_t a, std::string_view k) { return s->Key(a) < k; }) -
       s->by_key.begin());
-  splice(&s->by_key, kpos);
+  splice(&s->by_key, kpos, id);
   if (direct_pos) {
     const auto hpos = static_cast<size_t>(
         std::lower_bound(s->by_hash.begin(), s->by_hash.end(), id,
-                         [&](uint16_t a, uint16_t b) {
-                           const LeafSlot& sa = s->slots[a];
-                           const LeafSlot& sb = s->slots[b];
-                           if (sa.hash != sb.hash) {
-                             return sa.hash < sb.hash;
-                           }
-                           return s->Key(a) < s->Key(b);
+                         [&](uint32_t e, uint16_t b) {
+                           return s->HashOrderLess(EntryId(e), b);
                          }) -
         s->by_hash.begin());
-    splice(&s->by_hash, hpos);
+    splice(&s->by_hash, hpos, HashEntry(hash, id));
   }
 }
 
@@ -1212,20 +1328,24 @@ inline void Erase(LeafStore* s, bool direct_pos, uint16_t id) {
   const uint16_t last = static_cast<uint16_t>(s->slots.size() - 1);
   // Leaves hold at most leaf_capacity (~128) items: linear index fixups are
   // cheap and immune to comparator subtleties.
-  const auto fixup = [&](SpecVec<uint16_t>* index) {
+  const auto fixup = [&](auto* index) {
     const size_t n = index->size();
-    uint16_t* p = index->data();
+    auto* p = index->data();
+    using Entry = std::remove_reference_t<decltype(*p)>;
     size_t erase_pos = n;
     for (size_t i = 0; i < n; i++) {
-      if (p[i] == id) {
+      if (EntryId(p[i]) == id) {
         erase_pos = i;
-      } else if (p[i] == last) {
-        RelaxedStore16(p + i, id);  // the last slot moves into the erased spot
+      } else if (EntryId(p[i]) == last) {
+        // The last slot moves into the erased spot. A by_hash entry keeps
+        // its tag; a by_key id has none.
+        RelaxedStoreEntry(p + i,
+                          static_cast<Entry>((p[i] & ~uint32_t{0xffff}) | id));
       }
     }
     assert(erase_pos < n);
     for (size_t i = erase_pos; i + 1 < n; i++) {
-      RelaxedStore16(p + i, p[i + 1]);
+      RelaxedStoreEntry(p + i, p[i + 1]);
     }
     index->SetSize(n - 1);
   };
@@ -1257,15 +1377,12 @@ inline void RebuildIndexes(LeafStore* s, bool direct_pos) {
   if (direct_pos) {
     s->by_hash.Reserve(n, s->release);
     s->by_hash.SetSize(n);
-    uint16_t* bh = s->by_hash.data();
-    std::memcpy(bh, bk, n * sizeof(uint16_t));
-    std::sort(bh, bh + n, [&](uint16_t a, uint16_t b) {
-      const LeafSlot& sa = s->slots[a];
-      const LeafSlot& sb = s->slots[b];
-      if (sa.hash != sb.hash) {
-        return sa.hash < sb.hash;
-      }
-      return s->Key(a) < s->Key(b);
+    uint32_t* bh = s->by_hash.data();
+    for (size_t i = 0; i < n; i++) {
+      bh[i] = HashEntry(s->slots[bk[i]].hash, bk[i]);
+    }
+    std::sort(bh, bh + n, [&](uint32_t a, uint32_t b) {
+      return s->HashOrderLess(EntryId(a), EntryId(b));
     });
   } else {
     s->by_hash.SetSize(0);
@@ -1360,7 +1477,7 @@ inline uint64_t MemoryBytes(const LeafStore& s, bool direct_pos) {
   uint64_t total = s.slots.capacity() * sizeof(LeafSlot) + s.slab.capacity();
   total += s.by_key.capacity() * sizeof(uint16_t);
   if (direct_pos) {
-    total += s.by_hash.capacity() * sizeof(uint16_t);
+    total += s.by_hash.capacity() * sizeof(uint32_t);
   }
   return total;
 }

@@ -91,8 +91,8 @@ WormholeUnsafe::WormholeUnsafe(const Options& opt) : opt_(opt) {
   // Slot ids in the leaf indexes are uint16_t; keep a safety margin.
   if (opt_.leaf_capacity < 4) {
     opt_.leaf_capacity = 4;
-  } else if (opt_.leaf_capacity > 4096) {
-    opt_.leaf_capacity = 4096;
+  } else if (opt_.leaf_capacity > kMaxLeafCapacity) {
+    opt_.leaf_capacity = kMaxLeafCapacity;
   }
   buckets_.resize(256);
   bucket_mask_ = buckets_.size() - 1;
@@ -660,8 +660,8 @@ struct Wormhole::Table {
 Wormhole::Wormhole(const Options& opt, Qsbr* qsbr) : opt_(opt), qsbr_(qsbr) {
   if (opt_.leaf_capacity < 4) {
     opt_.leaf_capacity = 4;
-  } else if (opt_.leaf_capacity > 4096) {
-    opt_.leaf_capacity = 4096;
+  } else if (opt_.leaf_capacity > kMaxLeafCapacity) {
+    opt_.leaf_capacity = kMaxLeafCapacity;
   }
   head_ = new Leaf("");  // anchor "" — covers everything until the first split
   head_->store.release = {&RetireStoreBlock, qsbr_};
@@ -886,14 +886,20 @@ Wormhole::SpecOutcome Wormhole::OptimisticLeafGet(Leaf* leaf,
 // (Covers reads its anchor) and the block headers Start's views load.
 void Wormhole::WarmLeafRead(const Leaf* leaf) const {
   PrefetchRead(leaf->next.load(std::memory_order_relaxed));
-  (opt_.direct_pos ? leaf->store.by_hash : leaf->store.by_key).Prefetch();
+  if (opt_.direct_pos) {
+    leaf->store.by_hash.Prefetch();
+  } else {
+    leaf->store.by_key.Prefetch();
+  }
   leaf->store.slots.Prefetch();
   leaf->store.slab.Prefetch();
 }
 
-// Round 2: acquire the block views and warm the index lines.
-void Wormhole::StartLeafRead(const Leaf* leaf, leafops::SpecProbe* p) const {
-  p->Start(leaf->store, opt_.direct_pos);
+// Round 2: acquire the block views; for a by_key bisection, warm the index
+// lines its first levels read (DirectPos's one line is the probe's Prime).
+void Wormhole::StartLeafRead(const Leaf* leaf, uint32_t kv_hash,
+                             leafops::SpecProbe* p) const {
+  p->Start(leaf->store, opt_.direct_pos, kv_hash);
   p->WarmIndex();
 }
 
@@ -1129,9 +1135,12 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
     // Stage 3: the in-leaf searches, interleaved like stage 1. Attempt 0 of
     // every key is OptimisticLeafGet cut at its cache misses, one piece per
     // key per round: snapshot the version and warm the next leaf and block
-    // headers; acquire the views and warm the index; warm the first probe's
-    // slot; one binary-search level per round, each warming the slot the
-    // next one probes; then check coverage, finish and validate. A key that
+    // headers; acquire the views (by_key: and warm the index); warm the
+    // first step's line — under DirectPos the index line the key's hash tag
+    // estimates, by_key the first probe's slot; then one SpecProbe step per
+    // round, each warming what the next one loads — under DirectPos the tag
+    // run's slot, then its key (by_key: one binary-search level and its
+    // next slot); then check coverage, finish and validate. A key that
     // loses attempt 0 runs Get's remaining attempts, so the fast path
     // touches no leaf lock.
     for (size_t i = 0; i < g; i++) {
@@ -1144,7 +1153,7 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
     }
     for (size_t i = 0; i < g; i++) {
       if (rt[i].reading) {
-        StartLeafRead(rt[i].leaf, &rt[i].probe);
+        StartLeafRead(rt[i].leaf, rt[i].kv_hash, &rt[i].probe);
       }
     }
     for (size_t i = 0; i < g; i++) {
@@ -1170,7 +1179,7 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
       std::string* out = &(*values)[base + i];
       SpecOutcome oc = SpecOutcome::kRetry;
       if (r.reading && Covers(r.leaf, key)) {
-        oc = PointVerdict(r.leaf, r.begin, r.probe.Finish(key, r.kv_hash, out));
+        oc = PointVerdict(r.leaf, r.begin, r.probe.Finish(key, out));
       }
       if (oc == SpecOutcome::kRetry) {
         rerouted++;

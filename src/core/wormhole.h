@@ -31,8 +31,10 @@
 //   inc_hashing   extend a saved CRC32C state during the binary search instead
 //                 of rehashing each probed prefix from byte 0
 //   sort_by_tag   keep hash-bucket entries sorted by tag (early-exit search)
-//   direct_pos    per-leaf hash-ordered position index, so an in-leaf point
-//                 search compares 4-byte hashes instead of full keys
+//   direct_pos    per-leaf hash-ordered index of (hash tag, slot id)
+//                 entries: an in-leaf point search starts at the tag's
+//                 interpolated position and reads one index line, one slot
+//                 and one key instead of binary-searching full keys
 //
 // Concurrency (class Wormhole; the paper's section 4 design):
 //
@@ -158,6 +160,9 @@
 
 namespace wh {
 
+// Upper clamp of Options::leaf_capacity: leaf indexes use 16-bit slot ids.
+inline constexpr size_t kMaxLeafCapacity = 4096;
+
 struct Options {
   bool tag_matching = true;
   bool inc_hashing = true;
@@ -170,7 +175,7 @@ struct Options {
   // Count MetaTrieHT hash probes per lookup (the O(log L) validation bench).
   // When false, lookups touch no shared statistics counters at all.
   bool count_probes = false;
-  // Clamped to [4, 4096]: leaf indexes use 16-bit slot ids.
+  // Clamped to [4, kMaxLeafCapacity].
   size_t leaf_capacity = 128;
   // Class Wormhole only: lock-free seqlock-validated attempts per Get /
   // MultiGet key and per cursor window fill before the read runs the same
@@ -193,8 +198,9 @@ struct WormholeStats {
 class WormholeUnsafe {
  public:
   // Leaf items live in a slab-backed LeafStore (see leaf_ops.h): fixed slots
-  // at stable ids, `by_key` in key order, `by_hash` in (hash, key) order
-  // (DirectPos only), all key/value bytes in one contiguous slab.
+  // at stable ids, `by_key` in key order, `by_hash` (hash tag, slot id)
+  // entries in (hash, key) order (DirectPos only), all key/value bytes in
+  // one contiguous slab.
   struct Leaf {
     std::string anchor;
     Leaf* prev = nullptr;
@@ -309,7 +315,7 @@ class Wormhole {
   // next bucket line while the other keys' probes execute; stage 2 resolves
   // leaves and prefetches their headers; each round of stage 3 advances
   // every key's in-leaf read by one step (version snapshot, block views,
-  // one binary-search level, finish + validate — OptimisticLeafGet cut at
+  // index line, slot and key, finish + validate — OptimisticLeafGet cut at
   // its cache misses, over the same SpecBegin / PointVerdict bracket and
   // leafops::SpecProbe extractor). That pipelined read is attempt 0; a key
   // that loses it runs Get's remaining attempts and locked fallback, so the
@@ -395,10 +401,11 @@ class Wormhole {
       NO_THREAD_SAFETY_ANALYSIS;
   // MultiGet's pipelined attempt runs OptimisticLeafGet in rounds; these
   // are its first two, the ones that touch the store: warm the next leaf
-  // and the store's block headers, then start the probe and warm its index.
+  // and the store's block headers, then start the probe (and warm a by_key
+  // index; DirectPos's first line is warmed by the probe's Prime).
   void WarmLeafRead(const Leaf* leaf) const NO_THREAD_SAFETY_ANALYSIS;
-  void StartLeafRead(const Leaf* leaf, leafops::SpecProbe* p) const
-      NO_THREAD_SAFETY_ANALYSIS;
+  void StartLeafRead(const Leaf* leaf, uint32_t kv_hash,
+                     leafops::SpecProbe* p) const NO_THREAD_SAFETY_ANALYSIS;
   // Attempts [first, optimistic_retries) of a point read — re-route, then
   // one OptimisticLeafGet each — and then LockedLeafGet. Get runs them all;
   // a MultiGet key whose pipelined attempt 0 lost runs the rest. The caller

@@ -1,6 +1,7 @@
 #include "src/server/service.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace wh {
 
@@ -88,9 +89,17 @@ void Service::Execute(const std::vector<Request>& batch,
   // land in one shard). A two-pass counting sort into one flat index buffer
   // keeps the grouping to three fixed-size allocations per batch — no
   // per-shard vectors, no push_back growth.
+  // Oversized requests join no sub-batch (see kMaxKeyBytes).
+  constexpr uint32_t kRefused = std::numeric_limits<uint32_t>::max();
   std::vector<uint32_t> shard_of(batch.size());
   std::vector<size_t> offsets(shards_.size() + 1, 0);
   for (size_t i = 0; i < batch.size(); i++) {
+    if (batch[i].key.size() > kMaxKeyBytes ||
+        batch[i].value.size() > kMaxValueBytes) {
+      (*responses)[i].ok = false;
+      shard_of[i] = kRefused;
+      continue;
+    }
     shard_of[i] = static_cast<uint32_t>(router_.ShardOf(batch[i].key));
     offsets[shard_of[i] + 1]++;
   }
@@ -101,7 +110,9 @@ void Service::Execute(const std::vector<Request>& batch,
   {
     std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
     for (uint32_t i = 0; i < batch.size(); i++) {
-      order[cursor[shard_of[i]]++] = i;  // ascending i keeps the sort stable
+      if (shard_of[i] != kRefused) {
+        order[cursor[shard_of[i]]++] = i;  // ascending i keeps it stable
+      }
     }
   }
 

@@ -63,6 +63,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -80,6 +81,18 @@ namespace wh {
 
 enum class Op : uint8_t { kGet, kPut, kDelete, kScan, kScanRev };
 
+// Input bounds: Execute refuses a longer key or value (Response::ok ==
+// false) before routing it, so it is neither logged nor applied. A leaf's
+// slab addresses its bytes with uint32_t koff / voff. It holds at most
+// kMaxLeafCapacity + 1 items (a leaf splits past its capacity), no more dead
+// bytes than live ones plus 255 (MaybeCompact), and an overwrite appends one
+// value past that: under 4 * kMaxLeafCapacity items' worth of bytes.
+inline constexpr size_t kMaxKeyBytes = 8 << 10;
+inline constexpr size_t kMaxValueBytes = 120 << 10;
+static_assert(4 * kMaxLeafCapacity * (kMaxKeyBytes + kMaxValueBytes) <=
+                  std::numeric_limits<decltype(leafops::LeafSlot::koff)>::max(),
+              "a full leaf's slab could overflow its 32-bit offsets");
+
 struct Request {
   Op op = Op::kGet;
   std::string key;          // Get/Put/Delete key; Scan/ScanRev start (inclusive)
@@ -91,9 +104,10 @@ struct Request {
 
 struct Response {
   bool found = false;  // Get: hit; Delete: key existed; Put: always true
-  // Durable mode only: false means the mutation was NOT applied because its
-  // WAL append/fsync failed (see the durable-mode contract above). Always
-  // true for reads and in non-durable mode.
+  // False means the request was refused and changed nothing: its key or
+  // value exceeds the input bounds above (any op, any mode), or, in durable
+  // mode, it is a mutation whose WAL append/fsync failed (see the
+  // durable-mode contract above).
   bool ok = true;
   std::string value;   // Get hit payload
   // Scan results merged across shards into one globally ordered stream:

@@ -29,9 +29,14 @@ uint32_t FullHash(std::string_view key) {
   return Crc32cExtend(kCrc32cInit, key.data(), key.size());
 }
 
+// The hash a store's keys were inserted with. The adversarial cases below
+// pass degenerate ones into Insert to stress the tag-run search.
+using HashFn = uint32_t (*)(std::string_view);
+
 // Every structural invariant of one store, checked against the oracle.
 void CheckStore(const LeafStore& s, bool direct_pos,
-                const std::map<std::string, std::string>& oracle) {
+                const std::map<std::string, std::string>& oracle,
+                HashFn hash_of = FullHash) {
   ASSERT_EQ(s.size(), oracle.size());
   ASSERT_EQ(s.by_key.size(), s.slots.size());
   ASSERT_EQ(s.by_hash.size(), direct_pos ? s.slots.size() : 0u);
@@ -54,17 +59,19 @@ void CheckStore(const LeafStore& s, bool direct_pos,
   }
 
   if (direct_pos) {
-    // by_hash is a permutation in (hash, key) order, and each slot's cached
-    // hash is the full-key CRC32C.
+    // by_hash is a permutation in (hash, key) order, each entry carries its
+    // slot's tag, and each slot's cached hash is the key's hash.
     std::vector<bool> hseen(s.slots.size(), false);
     for (size_t i = 0; i < s.by_hash.size(); i++) {
-      const uint16_t id = s.by_hash[i];
+      const uint16_t id = leafops::EntryId(s.by_hash[i]);
       ASSERT_LT(id, s.slots.size());
       ASSERT_FALSE(hseen[id]);
       hseen[id] = true;
-      ASSERT_EQ(s.slots[id].hash, FullHash(s.Key(id)));
+      ASSERT_EQ(s.slots[id].hash, hash_of(s.Key(id)));
+      ASSERT_EQ(s.by_hash[i] >> 16, s.slots[id].hash >> 16)
+          << "entry " << i << " lost its tag";
       if (i > 0) {
-        const uint16_t pid = s.by_hash[i - 1];
+        const uint16_t pid = leafops::EntryId(s.by_hash[i - 1]);
         const bool ordered =
             s.slots[pid].hash < s.slots[id].hash ||
             (s.slots[pid].hash == s.slots[id].hash && s.Key(pid) < s.Key(id));
@@ -75,12 +82,12 @@ void CheckStore(const LeafStore& s, bool direct_pos,
 
   // FindSlot agrees with the oracle for every present key and for probes.
   for (const auto& [key, value] : oracle) {
-    const int slot = leafops::FindSlot(s, direct_pos, key, FullHash(key));
+    const int slot = leafops::FindSlot(s, direct_pos, key, hash_of(key));
     ASSERT_GE(slot, 0) << key;
     ASSERT_EQ(s.Value(static_cast<uint16_t>(slot)), std::string_view(value));
   }
   const std::string absent = "\xff\xff-definitely-absent";
-  ASSERT_EQ(leafops::FindSlot(s, direct_pos, absent, FullHash(absent)), -1);
+  ASSERT_EQ(leafops::FindSlot(s, direct_pos, absent, hash_of(absent)), -1);
 }
 
 // SpecFillWindow on a quiescent store copies exactly the oracle's rank range:
@@ -152,13 +159,14 @@ std::string RandomValue(Rng& rng) {
 // absent, and keys never inserted.
 void CheckSpecProbes(const LeafStore& s, bool direct_pos,
                      const std::map<std::string, std::string>& oracle,
-                     const std::vector<std::string>& keys, Rng& rng) {
+                     const std::vector<std::string>& keys, Rng& rng,
+                     HashFn hash_of = FullHash) {
   const size_t g = 4 + rng.NextBounded(5);
   std::vector<std::string_view> group(g);
   std::vector<leafops::SpecProbe> probes(g);
   for (size_t i = 0; i < g; i++) {
     group[i] = keys[rng.NextBounded(keys.size())];
-    probes[i].Start(s, direct_pos);
+    probes[i].Start(s, direct_pos, hash_of(group[i]));
     probes[i].WarmIndex();
   }
   for (const auto& p : probes) {
@@ -168,7 +176,7 @@ void CheckSpecProbes(const LeafStore& s, bool direct_pos,
     more = false;
     for (size_t i = 0; i < g; i++) {
       if (!probes[i].done()) {
-        probes[i].Step(group[i], FullHash(group[i]));
+        probes[i].Step(group[i], hash_of(group[i]));
         probes[i].Prime();
         more = true;
       }
@@ -177,14 +185,13 @@ void CheckSpecProbes(const LeafStore& s, bool direct_pos,
   for (size_t i = 0; i < g; i++) {
     SCOPED_TRACE(std::string(group[i]));
     std::string value;
-    const leafops::SpecRead r =
-        probes[i].Finish(group[i], FullHash(group[i]), &value);
+    const leafops::SpecRead r = probes[i].Finish(group[i], &value);
     const int slot =
-        leafops::FindSlot(s, direct_pos, group[i], FullHash(group[i]));
+        leafops::FindSlot(s, direct_pos, group[i], hash_of(group[i]));
     const auto it = oracle.find(std::string(group[i]));
     ASSERT_EQ(slot >= 0, it != oracle.end());
     std::string serial;  // the serial driver of the same probe
-    ASSERT_EQ(leafops::SpecFind(s, direct_pos, group[i], FullHash(group[i]),
+    ASSERT_EQ(leafops::SpecFind(s, direct_pos, group[i], hash_of(group[i]),
                                 &serial),
               r);
     if (slot < 0) {
@@ -266,6 +273,121 @@ TEST(LeafOps, RandomizedAgainstOracleDirectPos) { RunRandomized(true, 0xfeedu); 
 
 TEST(LeafOps, RandomizedAgainstOracleNoDirectPos) {
   RunRandomized(false, 0xbeefu);
+}
+
+// Degenerate hashes for the DirectPos tag-run search, each a fixed function
+// of the key, so absent keys probe the same runs as present ones.
+uint32_t SameTag(std::string_view key) {  // one tag run of length n
+  return 0x5a5a0000u | (FullHash(key) & 0xffffu);
+}
+uint32_t SameHash(std::string_view) {  // one equal-hash run, in key order
+  return 0x5a5a5a5au;
+}
+uint32_t EdgeTags(std::string_view key) {  // tags 0x0000 and 0xffff only
+  const uint32_t h = FullHash(key);
+  return ((h & 0x10000u) != 0 ? 0xffff0000u : 0u) | (h & 0xffffu);
+}
+
+// Grows a DirectPos store one key at a time to n_max keys, rebuilds its
+// indexes, then erases it back to empty in random order. After every step
+// the store invariants hold, and FindSlot, serial SpecFind and the
+// round-robin SpecProbe agree with the oracle on present and absent keys —
+// so leaves of n = 0 and n = 1 are covered on the way up and down.
+void RunTagRuns(HashFn hash_of, size_t n_max, uint64_t seed) {
+  Rng rng(seed);
+  LeafStore s;
+  std::map<std::string, std::string> oracle;
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < n_max; i++) {
+    keys.push_back("tag-" + std::to_string(rng.NextBounded(1000000)) + "-" +
+                   std::to_string(i));
+  }
+  std::vector<std::string> probe_keys = keys;
+  for (const char* k : {"", "tag-", "tag-5", "zzz"}) {
+    probe_keys.push_back(k);
+  }
+  Rng probe_rng(seed + 1);
+  const auto check = [&] {
+    ASSERT_NO_FATAL_FAILURE(CheckStore(s, true, oracle, hash_of));
+    for (const std::string& k : probe_keys) {
+      const auto it = oracle.find(k);
+      std::string value;
+      const leafops::SpecRead r =
+          leafops::SpecFind(s, true, k, hash_of(k), &value);
+      ASSERT_EQ(r, it == oracle.end() ? leafops::SpecRead::kAbsent
+                                      : leafops::SpecRead::kFound)
+          << k;
+      ASSERT_EQ(leafops::FindSlot(s, true, k, hash_of(k)) >= 0,
+                it != oracle.end())
+          << k;
+      if (it != oracle.end()) {
+        ASSERT_EQ(value, it->second) << k;
+      }
+    }
+    for (int round = 0; round < 2; round++) {
+      ASSERT_NO_FATAL_FAILURE(
+          CheckSpecProbes(s, true, oracle, probe_keys, probe_rng, hash_of));
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(check());
+  for (const std::string& k : keys) {
+    const std::string v = RandomValue(rng);
+    leafops::Insert(&s, true, k, v, hash_of(k));
+    oracle[k] = v;
+    ASSERT_NO_FATAL_FAILURE(check()) << "after inserting " << k;
+  }
+  // Insert's splices and a full rebuild agree entry for entry.
+  const std::vector<uint32_t> spliced(s.by_hash.begin(), s.by_hash.end());
+  leafops::RebuildIndexes(&s, true);
+  ASSERT_EQ(std::vector<uint32_t>(s.by_hash.begin(), s.by_hash.end()),
+            spliced);
+  for (size_t i = keys.size(); i > 1; i--) {
+    std::swap(keys[i - 1], keys[rng.NextBounded(i)]);
+  }
+  for (const std::string& k : keys) {
+    const int slot = leafops::FindSlot(s, true, k, hash_of(k));
+    ASSERT_GE(slot, 0) << k;
+    leafops::Erase(&s, true, static_cast<uint16_t>(slot));
+    oracle.erase(k);
+    ASSERT_NO_FATAL_FAILURE(check()) << "after erasing " << k;
+  }
+}
+
+TEST(LeafOps, TagRunAllKeysOneTag) { RunTagRuns(SameTag, 130, 1); }
+
+TEST(LeafOps, TagRunAllKeysOneHash) { RunTagRuns(SameHash, 130, 2); }
+
+TEST(LeafOps, TagRunEdgeTagsOnly) { RunTagRuns(EdgeTags, 130, 3); }
+
+TEST(LeafOps, TagRunTinyLeaves) {
+  for (const size_t n : {size_t{1}, size_t{2}}) {
+    RunTagRuns(FullHash, n, 4 + n);
+    RunTagRuns(EdgeTags, n, 6 + n);
+  }
+}
+
+// Erase moves the last slot into the erased id; the moved slot's by_hash
+// entry must keep its own tag, not take the erased slot's or lose it.
+uint32_t PinnedHash(std::string_view key) {
+  return key == "a" ? 0x00000001u : key == "b" ? 0x7fff0002u : 0xffff0003u;
+}
+
+TEST(LeafOps, EraseKeepsMovedEntryTag) {
+  LeafStore s;
+  std::map<std::string, std::string> oracle;
+  for (const char* k : {"a", "b", "c"}) {
+    leafops::Insert(&s, true, k, k, PinnedHash(k));
+    oracle[k] = k;
+  }
+  ASSERT_EQ(leafops::FindSlot(s, true, "a", PinnedHash("a")), 0);
+  leafops::Erase(&s, true, 0);  // slot 2 ("c", tag 0xffff) moves to id 0
+  oracle.erase("a");
+  ASSERT_EQ(s.by_hash[1], 0xffff0000u);
+  CheckStore(s, true, oracle, PinnedHash);
+  std::string value;
+  ASSERT_EQ(leafops::SpecFind(s, true, "c", PinnedHash("c"), &value),
+            leafops::SpecRead::kFound);
+  ASSERT_EQ(value, "c");
 }
 
 TEST(LeafOps, SplitTailPartitionsAndCompacts) {

@@ -9,6 +9,8 @@
 // multi-client smoke.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -511,6 +513,78 @@ TEST(Service, ZeroScanLimitYieldsEmptyResponse) {
   EXPECT_TRUE(responses[3].found);  // neighboring requests are unaffected
   EXPECT_EQ(responses[3].value, "v");
   EXPECT_TRUE(responses[4].items.empty());
+}
+
+// Input bounds (service.h): a key of kMaxKeyBytes and a value of
+// kMaxValueBytes are served; one byte more is refused with ok == false and
+// changes nothing — not the index, and in durable mode not the log either,
+// so a restart recovers exactly the accepted writes. Neighbors in the same
+// batch are unaffected.
+void CheckInputBounds(const ServiceOptions& opt) {
+  const std::string key_at(kMaxKeyBytes, 'k');
+  const std::string key_over(kMaxKeyBytes + 1, 'k');
+  const std::string value_at(kMaxValueBytes, 'v');
+  const std::string value_over(kMaxValueBytes + 1, 'v');
+  std::vector<Response> responses;
+  {
+    Service service(opt, ShardRouter({"m"}));
+    service.Execute({Request{Op::kPut, key_at, "x", 0},
+                     Request{Op::kPut, key_over, "x", 0},
+                     Request{Op::kPut, "a-value-at", value_at, 0},
+                     Request{Op::kPut, "b-value-over", value_over, 0},
+                     Request{Op::kPut, "c-neighbor", "y", 0}},
+                    &responses);
+    EXPECT_TRUE(responses[0].ok);
+    EXPECT_FALSE(responses[1].ok);
+    EXPECT_TRUE(responses[2].ok);
+    EXPECT_FALSE(responses[3].ok);
+    EXPECT_TRUE(responses[4].ok);
+    EXPECT_EQ(service.size(), 3u);
+
+    service.Execute({Request{Op::kGet, key_at, "", 0},
+                     Request{Op::kGet, key_over, "", 0},
+                     Request{Op::kDelete, key_over, "", 0},
+                     Request{Op::kScan, key_over, "", 10},
+                     Request{Op::kGet, "a-value-at", "", 0},
+                     Request{Op::kGet, "b-value-over", "", 0}},
+                    &responses);
+    EXPECT_TRUE(responses[0].ok && responses[0].found);
+    EXPECT_EQ(responses[0].value, "x");
+    for (int i = 1; i <= 3; i++) {
+      EXPECT_FALSE(responses[i].ok) << i;
+      EXPECT_FALSE(responses[i].found) << i;
+      EXPECT_TRUE(responses[i].items.empty()) << i;
+    }
+    EXPECT_TRUE(responses[4].ok && responses[4].found);
+    EXPECT_EQ(responses[4].value, value_at);
+    EXPECT_TRUE(responses[5].ok);
+    EXPECT_FALSE(responses[5].found);
+    EXPECT_EQ(service.size(), 3u);
+  }
+  if (opt.durability.enabled) {  // the refused writes were never logged
+    Service restarted(opt, ShardRouter({"m"}));
+    ASSERT_TRUE(restarted.durability_status().ok());
+    EXPECT_EQ(restarted.size(), 3u);
+    restarted.Execute({Request{Op::kGet, "a-value-at", "", 0},
+                       Request{Op::kGet, "b-value-over", "", 0}},
+                      &responses);
+    EXPECT_EQ(responses[0].value, value_at);
+    EXPECT_FALSE(responses[1].found);
+  }
+}
+
+TEST(Service, InputBoundsWalOff) { CheckInputBounds(ServiceOptions{}); }
+
+TEST(Service, InputBoundsDurable) {
+  durability::Fs* fs = durability::Fs::Default();
+  const std::string dir = "/tmp/wh_service_test." +
+                          std::to_string(static_cast<long>(::getpid()));
+  ASSERT_TRUE(fs->RemoveAll(dir).ok());
+  ServiceOptions opt;
+  opt.durability.enabled = true;
+  opt.durability.dir = dir;
+  CheckInputBounds(opt);
+  EXPECT_TRUE(fs->RemoveAll(dir).ok());
 }
 
 TEST(Service, ConcurrentClientsKeepPerKeySemantics) {

@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -738,16 +739,20 @@ TEST(WormholeConcurrent, ParallelLoadMatchesSerialLoad) {
 // leaf mutation shape: slot rewrite, slab append/compact, split, merge. A
 // resident key must always hit, and the value must be exactly one of the two
 // legal values — anything else is a torn read the seqlock validation failed
-// to catch. Absent keys must always miss. Runs under ASan and TSan, once
-// with the default retry budget and once with optimistic_retries = 0, where
-// every Get and MultiGet key takes the locked read (the same extractor under
-// the leaf's shared lock) against the live split/merge churn.
-class OptimisticGetChurn : public testing::TestWithParam<uint32_t> {};
+// to catch. Absent keys must always miss. Runs under ASan and TSan with the
+// default retry budget and with optimistic_retries = 0, where every Get and
+// MultiGet key takes the locked read (the same extractor under the leaf's
+// shared lock) against the live split/merge churn — each over both in-leaf
+// indexes: DirectPos's tag runs in by_hash, and the by_key bisection of the
+// direct_pos = false ablation.
+class OptimisticGetChurn
+    : public testing::TestWithParam<std::tuple<bool, uint32_t>> {};
 
 TEST_P(OptimisticGetChurn, OptimisticGetUnderSplitMergeChurn) {
   Options opt;
   opt.leaf_capacity = 4;
-  opt.optimistic_retries = GetParam();
+  opt.direct_pos = std::get<0>(GetParam());
+  opt.optimistic_retries = std::get<1>(GetParam());
   Wormhole index(opt);
 
   constexpr int kResident = 64;
@@ -844,11 +849,13 @@ TEST_P(OptimisticGetChurn, OptimisticGetUnderSplitMergeChurn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(WormholeConcurrent, OptimisticGetChurn,
-                         testing::Values(3u, 0u),
-                         [](const testing::TestParamInfo<uint32_t>& info) {
-                           return "retries" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    WormholeConcurrent, OptimisticGetChurn,
+    testing::Combine(testing::Bool(), testing::Values(3u, 0u)),
+    [](const testing::TestParamInfo<std::tuple<bool, uint32_t>>& info) {
+      return std::string(std::get<0>(info.param) ? "DirectPos" : "ByKey") +
+             "_retries" + std::to_string(std::get<1>(info.param));
+    });
 
 // With the retry budget pinned to zero every read skips the speculative
 // attempts and runs the extractor under the shared lock; a differential run
