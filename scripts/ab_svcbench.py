@@ -20,16 +20,30 @@ For every metric the report gives each side's median and quartiles, the
 median over seeds of the per-pair ratio change/base, a 95%
 percentile-bootstrap interval of that median ratio (resampling pairs), and
 the number of pairs in which the change was better (ties count for
-neither), by the metric's direction in BENCHMARK.json. Every run's metrics
-are also appended to runs.jsonl in the work directory. A run that exits
-nonzero (a failed verification, a build error) stops the script with that
-exit code. Standard library only.
+neither), by the metric's direction in BENCHMARK.json. Each end-to-end
+metric also gets a verdict (see `verdict`):
+
+  gain          the change won at least 9 of every 10 pairs, and the medians
+                differ by more than the base's interquartile range
+  beyond bound  the change's median is worse than the base's by more than
+                the metric's `bound` in BENCHMARK.json
+  within bound  neither, and each side's interquartile range is within the
+                bound (or every change run beat every base run)
+  unresolved    neither, and the run-to-run spread is wider than the bound,
+                so the runs cannot tell "unchanged" from "worse"
+
+Every run's metrics are appended to runs.jsonl in the work directory. On
+exit, also on an error or an interrupt, the source copies and build trees
+are deleted and only runs.jsonl is kept; its path is printed last. A run
+that exits nonzero (a failed verification, a build error) stops the script
+with that exit code. Standard library only.
 """
 import argparse
 import json
 import os
 import random
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -84,15 +98,19 @@ def run_side(src, target, workload, seed, seconds, trace):
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
-def directions():
-    """{metric: 'higher'|'lower'} from BENCHMARK.json, when it is there."""
+def load_spec():
+    """({metric: 'higher'|'lower'}, {end-to-end metric: bound}) from
+    BENCHMARK.json; both empty when it is not there."""
     try:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
             spec = json.load(f)
     except (OSError, ValueError):
-        return {}
-    return {m["name"]: m["better"]
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+        return {}, {}
+    better = {m["name"]: m["better"]
+              for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", [])
+              if "bound" in m}
+    return better, bounds
 
 
 def bootstrap_ci(ratios, rng):
@@ -111,12 +129,34 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def report(workload, pairs, better):
+def verdict(base, change, direction, bound):
+    """Verdict on one end-to-end metric over paired runs (see the module
+    docstring). base[i] and change[i] are the two sides of pair i;
+    direction is 'higher' or 'lower'; bound is the relative worsening the
+    benchmark allows."""
+    sign = 1 if direction == "higher" else -1
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    bq1, bmed, bq3 = quartiles(base)
+    cq1, cmed, cq3 = quartiles(change)
+    gap = sign * (cmed - bmed)  # > 0: the change's median is better
+    if 10 * wins >= 9 * len(base) and gap > bq3 - bq1:
+        return "gain"
+    allowed = bound * abs(bmed)
+    if -gap > allowed:
+        return "beyond bound"
+    all_better = (min(change) > max(base) if sign > 0
+                  else max(change) < min(base))
+    if max(bq3 - bq1, cq3 - cq1) <= allowed or all_better:
+        return "within bound"
+    return "unresolved"
+
+
+def report(workload, pairs, better, bounds):
     rng = random.Random(0)
     print("\n%s: %d pairs (change / base)" % (workload, len(pairs)))
-    print("%-28s %26s %26s %7s %16s %6s" %
+    print("%-28s %26s %26s %7s %16s %6s  %s" %
           ("metric", "base median [q1, q3]", "change median [q1, q3]",
-           "ratio", "95% CI", "wins"))
+           "ratio", "95% CI", "wins", "verdict"))
     for name in pairs[0][0]:
         base = [b[name] for b, _ in pairs]
         change = [c[name] for _, c in pairs]
@@ -131,10 +171,32 @@ def report(workload, pairs, better):
             ci = "[%.3f, %.3f]" % (lo, hi)
         sides = ["%.4g [%.4g, %.4g]" % (q2, q1, q3)
                  for q1, q2, q3 in (quartiles(base), quartiles(change))]
-        print("%-28s %26s %26s %7s %16s %6s" %
+        judged = "-"
+        if direction and name in bounds:
+            judged = verdict(base, change, direction, bounds[name])
+        print("%-28s %26s %26s %7s %16s %6s  %s" %
               (name, sides[0], sides[1], ratio, ci,
-               "-" if wins is None else "%d/%d" % (wins, len(pairs))))
+               "-" if wins is None else "%d/%d" % (wins, len(pairs)),
+               judged))
     sys.stdout.flush()
+
+
+def cleanup(work):
+    """Deletes everything in work but runs.jsonl (the work directory too,
+    when no run was recorded); returns the path of runs.jsonl, or None."""
+    runs = os.path.join(work, "runs.jsonl")
+    for name in os.listdir(work):
+        path = os.path.join(work, name)
+        if path == runs:
+            continue
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        else:
+            os.remove(path)
+    if os.path.exists(runs):
+        return runs
+    os.rmdir(work)
+    return None
 
 
 def main():
@@ -148,14 +210,26 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
 
+    # A terminated script still cleans up (the finally below).
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     work = tempfile.mkdtemp(prefix="ab-svcbench-")
+    try:
+        return measure(args, work)
+    finally:
+        runs = cleanup(work)
+        if runs is not None:
+            print("ab_svcbench: runs kept in %s" % runs)
+
+
+def measure(args, work):
+    """Builds both sides in work and runs every pair; returns 0."""
     base_src = export(args.base, os.path.join(work, "base-src"))
     change_src = snapshot_checkout(os.path.join(work, "change-src"))
     sides = {"base": (base_src, os.path.join(work, "base-target")),
              "change": (change_src, os.path.join(work, "change-target"))}
     print("ab_svcbench: base %s, change the current checkout, work dir %s" %
           (args.base, work))
-    better = directions()
+    better, bounds = load_spec()
     for workload in args.workload or ["get-uniform"]:
         pairs = []
         for i in range(args.seeds):
@@ -177,7 +251,7 @@ def main():
                 print("  seed %d (%s first): %s %.4g -> %.4g" %
                       (seed, order[0], tp, got["base"][tp], got["change"][tp]))
                 sys.stdout.flush()
-        report(workload, pairs, better)
+        report(workload, pairs, better, bounds)
     return 0
 
 

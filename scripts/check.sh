@@ -56,8 +56,9 @@ JOBS="$(nproc)"
 CTEST_FLAGS=(--output-on-failure -j "$JOBS")
 # --fast runs only unit tests, so it must not pay for the 13 bench binaries.
 TEST_TARGETS=(test_index_correctness test_cursor test_leaf_ops test_qsbr
-              test_keysets test_service test_crc32c test_recovery
-              test_scan_fastpath test_wormhole_concurrent svcbench_selftest)
+              test_keysets test_service test_scan_alloc test_crc32c
+              test_recovery test_scan_fastpath test_wormhole_concurrent
+              svcbench_selftest)
 
 STAGE_T0=0
 stage_begin() {
@@ -113,7 +114,7 @@ run_tsan() {
   stage_end "tsan build"
   stage_begin "tsan: ctest (concurrent tests)"
   ctest --test-dir build-tsan "${CTEST_FLAGS[@]}" \
-    -R 'test_(wormhole_concurrent|qsbr|service|scan_fastpath|recovery)'
+    -R 'test_(wormhole_concurrent|qsbr|service|scan_alloc|scan_fastpath|recovery)'
   stage_end "tsan ctest"
 }
 
@@ -212,9 +213,11 @@ run_bench_smoke() {
   fi
   # Correctness smoke of the end-to-end Service path: short svcbench runs
   # whose verifier checks every response and exits nonzero on a bad one.
-  # Timing is not gated here.
+  # Timing is not gated here. durable-ycsba is ungated in BENCHMARK.json; it
+  # runs here for its verifier, which covers the durable Execute path (WAL
+  # group commit, reused responses) end to end.
   local workload
-  for workload in get-uniform scan-churn; do
+  for workload in get-uniform scan-churn durable-ycsba; do
     if ! python3 svcbench/run.py --workload "$workload" --seed 1 --seconds 2 \
       --trace 0 >/dev/null; then
       echo "svcbench $workload failed verification (or did not build)" >&2

@@ -648,9 +648,10 @@ struct LeafStore {
 // offset/length entries per item — no per-item std::string, no per-item heap
 // allocation, ever. SpecFillWindow replaces the contents; the vectors keep
 // their capacity, so a cursor that reuses one FlatWindow across leaf hops
-// (and across requests, when the embedder caches cursors) stops allocating
-// after the first few windows. The window is self-contained: once its fill
-// validates, the caller emits straight from the buffer with no lock held.
+// (and, through the cursors' per-thread window free list, a thread's later
+// cursors too) stops allocating after the first few windows. The window is
+// self-contained: once its fill validates, the caller emits straight from
+// the buffer with no lock held.
 struct FlatWindow {
   struct Entry {
     uint32_t koff;

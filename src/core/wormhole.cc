@@ -1350,6 +1350,52 @@ bool Wormhole::DeleteSlow(std::string_view key) {
   return true;
 }
 
+namespace {
+
+// Per-thread free list of cursor window buffers. A cursor takes a window
+// when it opens and hands it back when it is destroyed, so a thread that
+// opens cursor after cursor (Service::Execute opens one per shard per batch)
+// reuses buffers already grown to its leaves instead of allocating and
+// zero-filling fresh ones each time. Only the buffers are recycled: every
+// cursor still takes its own epoch pin and drops it when destroyed. A window
+// past kPooledWindowBytes (a leaf of very long keys or values) is freed
+// rather than parked, so the list holds at most ~2 MiB per thread.
+constexpr size_t kPooledWindows = 8;
+constexpr size_t kPooledWindowBytes = 256 << 10;
+
+struct WindowPool {
+  std::vector<leafops::FlatWindow> windows;
+  ~WindowPool();
+};
+
+// Set once this thread's pool is destroyed at thread exit. Trivially
+// destructible, so it stays readable after that: a cursor destroyed later
+// in thread exit (one owned by another thread_local object) sees it and
+// frees its window instead of touching the dead pool.
+thread_local bool tl_window_pool_gone = false;
+thread_local WindowPool tl_window_pool;
+
+WindowPool::~WindowPool() { tl_window_pool_gone = true; }
+
+leafops::FlatWindow TakeWindow() {
+  if (tl_window_pool_gone || tl_window_pool.windows.empty()) {
+    return {};
+  }
+  leafops::FlatWindow w = std::move(tl_window_pool.windows.back());
+  tl_window_pool.windows.pop_back();
+  return w;
+}
+
+void GiveBackWindow(leafops::FlatWindow&& w) {
+  if (!tl_window_pool_gone &&
+      tl_window_pool.windows.size() < kPooledWindows &&
+      w.buf.capacity() <= kPooledWindowBytes) {
+    tl_window_pool.windows.push_back(std::move(w));
+  }
+}
+
+}  // namespace
+
 // Epoch-pinned concurrent cursor (protocol in wormhole.h). Between calls it
 // holds only the QSBR pin, a leaf pointer + version snapshot, and the filled
 // window — never a lock, so a parked cursor blocks no writer and user code
@@ -1376,11 +1422,13 @@ bool Wormhole::DeleteSlow(std::string_view key) {
 // holding the leaf's shared lock, where validation cannot fail. Window hops
 // and truncated-edge continuations revalidate against the snapshot version
 // the same way. Fills land in one reusable FlatWindow — one flat buffer, no
-// per-item allocation — and compute the seek rank against the same snapshot
-// they copy, so the items a positioning skips are never copied.
+// per-item allocation, recycled from cursor to cursor by the thread's window
+// free list — and compute the seek rank against the same snapshot they
+// copy, so the items a positioning skips are never copied.
 class Wormhole::CursorImpl final : public Cursor {
  public:
-  explicit CursorImpl(Wormhole* wh) : wh_(wh), slot_(wh->qsbr_->CurrentSlot()) {
+  explicit CursorImpl(Wormhole* wh)
+      : wh_(wh), slot_(wh->qsbr_->CurrentSlot()), win_(TakeWindow()) {
     // The pin freezes this thread's epoch: leaf_ stays dereferenceable across
     // calls even after the leaf is unlinked and retired.
     wh_->qsbr_->Pin(slot_);
@@ -1388,6 +1436,7 @@ class Wormhole::CursorImpl final : public Cursor {
   ~CursorImpl() override {
     wh_->qsbr_->Unpin(slot_);
     wh_->qsbr_->Quiesce(slot_);
+    GiveBackWindow(std::move(win_));
   }
 
   void Seek(std::string_view target) override {

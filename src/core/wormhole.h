@@ -303,7 +303,11 @@ class Wormhole {
   // SetScanLimitHint(n) on the returned cursor engages the bounded fill mode
   // — short scans copy only the n items they will emit per positioning.
   // Destroy cursors promptly: a live one pins this thread's QSBR epoch in
-  // the index's domain, deferring all reclamation behind it.
+  // the index's domain, deferring all reclamation behind it. Opening a
+  // cursor per request is cheap: the pin is taken per cursor, but its
+  // window buffer comes from a small per-thread free list that destroyed
+  // cursors refill, so a thread's cursors reuse buffers already grown to
+  // its leaves instead of allocating and zero-filling new ones.
   std::unique_ptr<Cursor> NewCursor();
 
   // Batched point lookups. values and hits are resized to keys.size(); on a

@@ -81,22 +81,32 @@ void Service::Execute(const std::vector<Request>& batch,
   // Uncontended in today's fixed-topology service; pins the shard set for
   // the whole batch once live resharding takes the exclusive side.
   ScopedReadLock topo(topo_mu_);
-  responses->clear();
+  // The caller's Response objects are kept (contract in service.h): every
+  // field is reset below, and a scan refills its items in place.
   responses->resize(batch.size());
 
   // Stable grouping: per-shard sub-batches preserve submission order, which
   // is what makes per-key semantics exactly sequential (all ops on one key
   // land in one shard). A two-pass counting sort into one flat index buffer
-  // keeps the grouping to three fixed-size allocations per batch — no
+  // keeps the grouping to four fixed-size allocations per batch — no
   // per-shard vectors, no push_back growth.
   // Oversized requests join no sub-batch (see kMaxKeyBytes).
   constexpr uint32_t kRefused = std::numeric_limits<uint32_t>::max();
   std::vector<uint32_t> shard_of(batch.size());
   std::vector<size_t> offsets(shards_.size() + 1, 0);
   for (size_t i = 0; i < batch.size(); i++) {
-    if (batch[i].key.size() > kMaxKeyBytes ||
-        batch[i].value.size() > kMaxValueBytes) {
-      (*responses)[i].ok = false;
+    Response& r = (*responses)[i];
+    r.found = false;
+    r.ok = true;
+    r.value.clear();
+    const bool refused = batch[i].key.size() > kMaxKeyBytes ||
+                         batch[i].value.size() > kMaxValueBytes;
+    if (refused ||
+        (batch[i].op != Op::kScan && batch[i].op != Op::kScanRev)) {
+      r.items.clear();
+    }
+    if (refused) {
+      r.ok = false;
       shard_of[i] = kRefused;
       continue;
     }
@@ -118,11 +128,14 @@ void Service::Execute(const std::vector<Request>& batch,
 
   ExecScratch scratch;
   // One cursor per shard, opened on the first scan that touches the shard
-  // and reused (window buffers, epoch pin, QSBR slot and all) by every later
-  // scan in this batch — repositioning an existing cursor re-routes freshly,
-  // so reuse never changes what a scan observes. Stack-local, so concurrent
-  // Execute() callers never share a cursor; destroyed (pins released) when
-  // the batch returns. Sized lazily: a scan-free batch never allocates it.
+  // and reused (epoch pin, QSBR slot and window buffer) by every later scan
+  // in this batch — repositioning an existing cursor re-routes freshly, so
+  // reuse never changes what a scan observes. Stack-local, so concurrent
+  // Execute() callers never share a cursor; destroyed when the batch
+  // returns, which releases the epoch pins (a cursor kept across batches
+  // would stall reclamation) and hands the window buffers to this thread's
+  // free list for the next batch's cursors (see Wormhole::NewCursor). Sized
+  // lazily: a scan-free batch never allocates it.
   std::vector<std::unique_ptr<Cursor>> scan_cursors;
 
   for (size_t s = 0; s < shards_.size(); s++) {
@@ -266,41 +279,52 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
 //
 // Each shard's cursor comes from *cursors — the per-batch cache Execute()
 // passes in — so a scan-heavy batch opens one cursor per shard for the WHOLE
-// batch (one epoch pin, one set of window buffers) instead of one per
-// request. The remaining item budget is threaded down as the scan-limit
-// hint, so a short scan engages the core's bounded fill and copies only the
-// items it returns; the drain emits the limit-th item without stepping past
-// it, so the cursor never pays a repositioning nobody consumes.
+// batch (one epoch pin, one window buffer) instead of one per request. The
+// remaining item budget is threaded down as the scan-limit hint, so a short
+// scan engages the core's bounded fill and copies only the items it returns;
+// the drain emits the limit-th item without stepping past it, so the cursor
+// never pays a repositioning nobody consumes.
+//
+// Items are written over resp->items in place: item n reuses the strings
+// already at position n (assign keeps their capacity), only items past the
+// old length are appended, and the surplus tail is dropped at the end.
 void Service::ExecuteScan(size_t first_shard, const Request& req,
                           Response* resp,
                           std::vector<std::unique_ptr<Cursor>>* cursors) {
-  resp->items.clear();
+  auto& items = resp->items;
   const size_t limit = req.scan_limit;
   if (limit == 0) {
+    items.clear();
     return;  // contract (service.h): scan_limit 0 -> empty response
   }
-  resp->items.reserve(std::min<size_t>(limit, 1024));
+  items.reserve(std::min<size_t>(limit, 1024));
   if (cursors->size() != shards_.size()) {
     cursors->resize(shards_.size());  // first scan of the batch
   }
   const bool reverse = req.op == Op::kScanRev;
   const size_t candidates =
       reverse ? first_shard + 1 : shards_.size() - first_shard;
-  for (size_t i = 0; i < candidates && resp->items.size() < limit; i++) {
+  size_t n = 0;  // items written so far
+  for (size_t i = 0; i < candidates && n < limit; i++) {
     const size_t s = reverse ? first_shard - i : first_shard + i;
     if ((*cursors)[s] == nullptr) {
       (*cursors)[s] = shards_[s]->index->NewCursor();
     }
     Cursor* c = (*cursors)[s].get();
-    c->SetScanLimitHint(limit - resp->items.size());
+    c->SetScanLimitHint(limit - n);
     if (reverse) {
       c->SeekForPrev(req.key);
     } else {
       c->Seek(req.key);
     }
     while (c->Valid()) {
-      resp->items.emplace_back(std::string(c->key()), std::string(c->value()));
-      if (resp->items.size() == limit) {
+      if (n < items.size()) {
+        items[n].first.assign(c->key());
+        items[n].second.assign(c->value());
+      } else {
+        items.emplace_back(c->key(), c->value());
+      }
+      if (++n == limit) {
         break;
       }
       if (reverse) {
@@ -310,6 +334,7 @@ void Service::ExecuteScan(size_t first_shard, const Request& req,
       }
     }
   }
+  items.resize(n);
 }
 
 durability::Status Service::Checkpoint() {

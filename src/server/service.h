@@ -25,9 +25,12 @@
 // one shard's cursor at a time, opened lazily as the scan reaches it. A
 // shard's cursor is opened at most ONCE per Execute() batch and reused by
 // every scan in the batch (repositioning re-routes freshly, so reuse never
-// changes what a scan observes), and each scan's remaining item budget is
-// passed down as the cursor's scan-limit hint so short scans use the core's
-// bounded fill (see wormhole.h) and copy only the items they return.
+// changes what a scan observes); it is destroyed when the batch returns, so
+// its epoch pin never outlives the batch, while its window buffer goes back
+// to the calling thread's free list for the next batch's cursors
+// (Wormhole::NewCursor). Each scan's remaining item budget is passed down
+// as the cursor's scan-limit hint so short scans use the core's bounded fill
+// (see wormhole.h) and copy only the items they return.
 // Because shards partition the keyspace in order, the merged stream is
 // globally ordered, and under quiescence it is exactly the ordered whole;
 // under concurrent writers each shard contributes per-leaf-snapshot results
@@ -102,8 +105,11 @@ struct Request {
   uint32_t scan_limit = 0;
 };
 
+// Fields an op does not set read false / empty (Execute resets them).
 struct Response {
-  bool found = false;  // Get: hit; Delete: key existed; Put: always true
+  // Get: hit; Delete: key existed; Put: always true; Scan/ScanRev and
+  // refused requests: false.
+  bool found = false;
   // False means the request was refused and changed nothing: its key or
   // value exceeds the input bounds above (any op, any mode), or, in durable
   // mode, it is a mutation whose WAL append/fsync failed (see the
@@ -143,9 +149,15 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   // Executes one batch; *responses is resized to batch.size() and
-  // responses[i] answers batch[i]. EXCLUDES(topo_mu_) is the annotated form
-  // of the threading contract above: any number of client threads may call
-  // concurrently (each takes topo_mu_ shared itself), but never from a
+  // responses[i] answers batch[i]. Every field of every responses[i] is
+  // overwritten, so a vector from an earlier batch carries nothing stale.
+  // Its Response objects are kept, though: a scan writes its items over the
+  // strings already in `items`, keeping their capacity, so a client that
+  // reuses one vector across batches stops allocating for scan results once
+  // they reach their high-water sizes. A caller that wants the memory back
+  // passes a fresh vector. EXCLUDES(topo_mu_) is the annotated
+  // form of the threading contract above: any number of client threads may
+  // call concurrently (each takes topo_mu_ shared itself), but never from a
   // context already holding the topology lock.
   void Execute(const std::vector<Request>& batch,
                std::vector<Response>* responses) EXCLUDES(topo_mu_);

@@ -1,0 +1,195 @@
+// Allocation regression for the steady-state scan path of Service::Execute.
+//
+// This binary replaces the global operator new with one that counts the
+// calling thread's allocations. A client that reuses one response vector
+// runs a batch of scans until every string, item vector and cursor window
+// has reached its high-water size; repeating the batch must then allocate a
+// small constant number of times, independent of how many items it returns:
+// the batch's grouping arrays, its cursor cache, and per shard one cursor
+// object and one copy of its seek key. A per-item copy-out (one heap string
+// per key or value) or a cursor that allocates its window buffers afresh
+// shows up as a count that grows with the items or the shards.
+//
+// Also here: a cursor destroyed during thread exit, after the thread's
+// window free list is gone, frees its window without touching the list.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/common/qsbr.h"
+#include "src/common/rng.h"
+#include "src/core/wormhole.h"
+#include "src/server/service.h"
+#include "src/server/shard_router.h"
+#include "src/workload/keysets.h"
+
+namespace {
+
+// Trivially constructible and destructible, so it is safe to touch from any
+// allocation, including those made during thread start-up and exit.
+thread_local uint64_t tl_allocs = 0;
+
+void* CountedAlloc(std::size_t n) {
+  tl_allocs++;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* CountedAlignedAlloc(std::size_t n, std::align_val_t al) {
+  tl_allocs++;
+  const std::size_t a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  return CountedAlignedAlloc(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return CountedAlignedAlloc(n, al);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace wh {
+namespace {
+
+constexpr size_t kShards = 4;
+constexpr size_t kScansPerBatch = 32;
+// Repeats before counting. Execute's cursors take windows from the thread's
+// free list in LIFO order and return them in shard order, so which window
+// serves which shard cycles with a period of at most kShards batches; after
+// that every window has grown to the leaves it will be handed again.
+constexpr int kWarmups = 3 * static_cast<int>(kShards);
+
+// Az1 keys are 33 bytes and the values 24, both past the small-string
+// buffer, so a copy-out into fresh strings allocates twice per item.
+std::string ValueOf(size_t i) {
+  std::string v = "value-" + std::to_string(i);
+  v.resize(24, '.');
+  return v;
+}
+
+struct Fixture {
+  std::vector<std::string> keys = GenerateKeyset({KeysetId::kAz1, 20000, 3});
+  std::unique_ptr<Service> service;
+
+  Fixture() {
+    ServiceOptions opt;
+    opt.index.leaf_capacity = 64;
+    service = std::make_unique<Service>(
+        opt, ShardRouter::FromSamples(keys, kShards));
+    std::vector<Request> load;
+    for (size_t i = 0; i < keys.size(); i++) {
+      load.push_back(Request{Op::kPut, keys[i], ValueOf(i), 0});
+    }
+    std::vector<Response> responses;
+    service->Execute(load, &responses);
+  }
+
+  // kScansPerBatch scans of `limit` items from seeded start keys, alternating
+  // ascending and descending.
+  std::vector<Request> ScanBatch(uint32_t limit) const {
+    Rng rng(0x5ca1);
+    std::vector<Request> batch;
+    for (size_t i = 0; i < kScansPerBatch; i++) {
+      batch.push_back(Request{i % 2 == 0 ? Op::kScan : Op::kScanRev,
+                              keys[rng.NextBounded(keys.size())], "", limit});
+    }
+    return batch;
+  }
+
+  // Allocations made by one Execute of `batch`, after kWarmups repeats of it
+  // through the same response vector.
+  uint64_t SteadyAllocs(const std::vector<Request>& batch,
+                        std::vector<Response>* responses) {
+    for (int i = 0; i < kWarmups; i++) {
+      service->Execute(batch, responses);
+    }
+    const uint64_t before = tl_allocs;
+    service->Execute(batch, responses);
+    return tl_allocs - before;
+  }
+};
+
+size_t ItemCount(const std::vector<Response>& responses) {
+  size_t n = 0;
+  for (const Response& r : responses) {
+    n += r.items.size();
+  }
+  return n;
+}
+
+TEST(ScanAlloc, RepeatedScanBatchAllocatesAConstant) {
+  Fixture f;
+  std::vector<Response> long_resp;
+  std::vector<Response> short_resp;
+  const uint64_t long_allocs = f.SteadyAllocs(f.ScanBatch(50), &long_resp);
+  const uint64_t short_allocs = f.SteadyAllocs(f.ScanBatch(5), &short_resp);
+  ASSERT_EQ(ItemCount(long_resp), kScansPerBatch * 50);
+  ASSERT_EQ(ItemCount(short_resp), kScansPerBatch * 5);
+  // Grouping (shard_of, offsets, order, the counting-sort cursor) and the
+  // cursor cache: 5. Per shard: the cursor object and its seek-key copy: 2.
+  EXPECT_LE(long_allocs, 5 + 2 * kShards) << "1600-item batch";
+  // Ten times the items, the same allocations.
+  EXPECT_EQ(long_allocs, short_allocs);
+}
+
+// Holds a cursor in a thread_local that is constructed before the thread's
+// window free list, so thread exit destroys the list first and the cursor
+// after it — while the thread's QSBR slot is still registered, because the
+// thread joined the index's domain before constructing the holder.
+struct CursorHolder {
+  std::unique_ptr<Cursor> cursor;
+};
+thread_local CursorHolder tl_holder;
+
+TEST(ScanAlloc, CursorDestroyedAfterWindowPoolAtThreadExit) {
+  Wormhole index;
+  for (int i = 0; i < 1000; i++) {
+    index.Put("k" + std::to_string(i), "v");
+  }
+  std::thread t([&] {
+    std::string v;
+    EXPECT_TRUE(index.Get("k1", &v));  // joins the QSBR domain first
+    CursorHolder& holder = tl_holder;  // then constructs the holder
+    holder.cursor = index.NewCursor();  // and only then the window list
+    holder.cursor->Seek("k5");
+    EXPECT_TRUE(holder.cursor->Valid());
+  });
+  t.join();
+  // The window list was built by the thread's first cursor; a second cursor
+  // from a fresh thread still works after that thread has exited.
+  std::thread([&] {
+    auto c = index.NewCursor();
+    c->Seek("k");
+    EXPECT_TRUE(c->Valid());
+  }).join();
+}
+
+}  // namespace
+}  // namespace wh

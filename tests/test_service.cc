@@ -382,6 +382,18 @@ void RunServiceDifferential(size_t shards, uint64_t seed) {
     for (size_t i = 0; i < batch.size(); i++) {
       const Request& req = batch[i];
       const Response& got = responses[i];
+      // responses is reused across rounds: whatever a slot held for an
+      // earlier op must be gone.
+      ASSERT_TRUE(got.ok);
+      const bool scan = req.op == Op::kScan || req.op == Op::kScanRev;
+      if (!scan) {
+        ASSERT_TRUE(got.items.empty()) << "round " << round << " slot " << i;
+      } else {
+        ASSERT_FALSE(got.found) << "round " << round << " slot " << i;
+      }
+      if (req.op != Op::kGet || !got.found) {
+        ASSERT_TRUE(got.value.empty()) << "round " << round << " slot " << i;
+      }
       switch (req.op) {
         case Op::kPut:
           reference.Put(req.key, req.value);
@@ -513,6 +525,132 @@ TEST(Service, ZeroScanLimitYieldsEmptyResponse) {
   EXPECT_TRUE(responses[3].found);  // neighboring requests are unaffected
   EXPECT_EQ(responses[3].value, "v");
   EXPECT_TRUE(responses[4].items.empty());
+}
+
+// Execute reuses the caller's Response objects (service.h), so nothing a
+// slot held for one op may leak into the next. Each of kSlots slots walks
+// the cycle below, starting at its own phase: first one step per batch,
+// then two, ..., then six, so every ordered pair of ops (a 50-item scan
+// followed by a 3-item one, a refusal after a scan, ...) occurs in some
+// slot of some batch. Two services in lockstep run the same batches, one through
+// a reused response vector and one through a fresh vector per batch; every
+// field must match. In durable mode both fail-stop at the same fsync, so the
+// later batches also cover refused mutations next to served reads.
+void CheckReusedResponses(const ServiceOptions& reused_opt,
+                          const ServiceOptions& fresh_opt,
+                          durability::FaultPlan* reused_plan,
+                          durability::FaultPlan* fresh_plan) {
+  const ShardRouter router({"k200", "k400"});
+  Service reused_svc(reused_opt, router);
+  Service fresh_svc(fresh_opt, router);
+  std::vector<Request> batch;
+  std::vector<Response> reused;
+  for (int i = 0; i < 600; i++) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%03d", i);
+    batch.push_back(Request{Op::kPut, key, std::string(40, 'a' + i % 26), 0});
+  }
+  reused_svc.Execute(batch, &reused);
+  fresh_svc.Execute(batch, &reused);
+  if (reused_plan != nullptr) {
+    // Two mutating batches commit on every shard they touch, then fsyncs
+    // fail and the shards go fail-stop one by one.
+    reused_plan->FailFsyncAfter(5);
+    fresh_plan->FailFsyncAfter(5);
+  }
+
+  const std::string oversize(kMaxKeyBytes + 1, 'k');
+  constexpr int kSteps = 7;
+  constexpr int kSlots = 21;
+  const auto make = [&](int step, int slot, int round) {
+    const std::string base = "k" + std::to_string(100 + 10 * slot + round);
+    switch (step) {
+      case 0:
+        return Request{Op::kScan, base, "", 50};
+      case 1:
+        return Request{Op::kGet, base + "-missing", "", 0};
+      case 2:
+        return Request{Op::kScanRev, base, "", 3};
+      case 3:
+        return Request{Op::kPut, base + "-put",
+                       std::string(30, 'p') + std::to_string(round), 0};
+      case 4:
+        return Request{Op::kScan, oversize, "", 50};  // refused
+      case 5:
+        return Request{Op::kScan, base, "", 0};
+      default:
+        return Request{Op::kDelete, base, "", 0};
+    }
+  };
+  int applied = 0;  // mutations acknowledged / refused
+  int refused = 0;
+  const auto step_of = [&](int slot, int round) {
+    const int stride = 1 + round / kSteps;
+    return (slot + stride * round) % kSteps;
+  };
+  for (int round = 0; round < (kSteps - 1) * kSteps; round++) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    batch.clear();
+    for (int slot = 0; slot < kSlots; slot++) {
+      batch.push_back(make(step_of(slot, round), slot, round));
+    }
+    reused_svc.Execute(batch, &reused);
+    std::vector<Response> fresh;
+    fresh_svc.Execute(batch, &fresh);
+    ASSERT_EQ(reused.size(), batch.size());
+    ASSERT_EQ(fresh.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); i++) {
+      SCOPED_TRACE("slot " + std::to_string(i));
+      EXPECT_EQ(reused[i].found, fresh[i].found);
+      EXPECT_EQ(reused[i].ok, fresh[i].ok);
+      EXPECT_EQ(reused[i].value, fresh[i].value);
+      EXPECT_EQ(reused[i].items, fresh[i].items);
+    }
+    // Reads are served in every mode, with the items asked for; only the
+    // oversize request and, after fail-stop, the mutations are refused.
+    for (int slot = 0; slot < kSlots; slot++) {
+      const int step = step_of(slot, round);
+      const Response& r = reused[static_cast<size_t>(slot)];
+      const bool mutation = step == 3 || step == 6;
+      if (mutation) {
+        (r.ok ? applied : refused)++;
+      } else {
+        EXPECT_EQ(r.ok, step != 4);
+      }
+      EXPECT_EQ(r.items.size(), step == 0 ? 50u : (step == 2 ? 3u : 0u));
+    }
+  }
+  if (reused_plan == nullptr) {
+    EXPECT_EQ(refused, 0);
+  } else {
+    EXPECT_GT(applied, 0);
+    EXPECT_GT(refused, 0);
+    EXPECT_FALSE(reused_svc.durability_status().ok());
+  }
+}
+
+TEST(Service, ReusedResponsesMatchFreshWalOff) {
+  CheckReusedResponses(ServiceOptions{}, ServiceOptions{}, nullptr, nullptr);
+}
+
+TEST(Service, ReusedResponsesMatchFreshDurableFailStop) {
+  durability::Fs* fs = durability::Fs::Default();
+  const std::string dir = "/tmp/wh_service_reuse." +
+                          std::to_string(static_cast<long>(::getpid()));
+  ASSERT_TRUE(fs->RemoveAll(dir).ok());
+  durability::FaultPlan reused_plan;
+  durability::FaultPlan fresh_plan;
+  durability::Fs reused_fs(&reused_plan);
+  durability::Fs fresh_fs(&fresh_plan);
+  ServiceOptions reused_opt;
+  reused_opt.durability.enabled = true;
+  reused_opt.durability.dir = dir + "/reused";
+  reused_opt.durability.fs = &reused_fs;
+  ServiceOptions fresh_opt = reused_opt;
+  fresh_opt.durability.dir = dir + "/fresh";
+  fresh_opt.durability.fs = &fresh_fs;
+  CheckReusedResponses(reused_opt, fresh_opt, &reused_plan, &fresh_plan);
+  EXPECT_TRUE(fs->RemoveAll(dir).ok());
 }
 
 // Input bounds (service.h): a key of kMaxKeyBytes and a value of
