@@ -186,7 +186,7 @@ run_lint() {
 }
 
 run_bench_smoke() {
-  stage_begin "bench-smoke: tiny-scale snapshot + JSON validation, svcbench verify"
+  stage_begin "bench-smoke: tiny-scale snapshot + JSON validation, fig11, svcbench verify"
   # Exercises the whole snapshot path (bench builds, --json emission,
   # aggregation) at a scale that finishes in seconds; the JSON must parse, so
   # a bench that crashes or emits garbage fails the stage. The temp outfile
@@ -209,6 +209,15 @@ run_bench_smoke() {
   rm -rf "$outdir"
   if [[ "$ok" != 1 ]]; then
     echo "bench_snapshot.sh failed" >&2
+    exit 1
+  fi
+  # fig11 is the one bench that drives WormholeUnsafe through every ablation
+  # Options combination (--extra adds the split heuristic); it runs at the
+  # environment of its ctest smoke test (CMakeLists WH_BENCH_SMOKE_ENV).
+  cmake --build build -j "$JOBS" --target fig11_ablation >/dev/null
+  if ! WH_BENCH_SCALE=0.01 WH_BENCH_SECONDS=0.05 WH_BENCH_THREADS=2 \
+    build/fig11_ablation --extra >/dev/null; then
+    echo "fig11_ablation failed" >&2
     exit 1
   fi
   # Correctness smoke of the end-to-end Service path: short svcbench runs

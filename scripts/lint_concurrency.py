@@ -145,8 +145,8 @@ ATOMIC_DECL_RE = re.compile(
 # a++ / a-- / a += x / a -= x / a |= x / a &= x / a ^= x / a = x on a known
 # atomic name (assignment through the atomic's operator= is seq_cst). Only
 # direct uses: a receiver reached through `.`/`->` has a type this text-level
-# lint cannot resolve (WormholeUnsafe and Wormhole deliberately share member
-# names with different atomicity), so those are left to the method-call check.
+# lint cannot resolve (a file may hold unrelated structs that share a member
+# name with different atomicity), so those are left to the method-call check.
 def compound_atomic_re(name):
     return re.compile(
         r"(?<![\w.>])" + re.escape(name) +
@@ -318,10 +318,10 @@ class Linter:
                         f".{call}() without an explicit std::memory_order "
                         "(implicit seq_cst)")
         # Operator forms on members declared std::atomic in this file. A name
-        # also declared non-atomic anywhere in the file (WormholeUnsafe and
-        # Wormhole share member names like `next`) is ambiguous to a
-        # text-level lint and skipped — the method-call check above is the
-        # load/store enforcement either way.
+        # also declared non-atomic anywhere in the file (an atomic member
+        # `next` beside a local `Leaf* next`) is ambiguous to a text-level
+        # lint and skipped — the method-call check above is the load/store
+        # enforcement either way.
         atomic_names = set()
         for m in ATOMIC_DECL_RE.finditer(code):
             atomic_names.add(m.group(1))

@@ -47,12 +47,11 @@
 //   SetScanLimitHint(n) tells the cursor the caller expects to consume about
 //   n items per positioning (0 = unbounded, the default). It is purely an
 //   optimization hint — visible semantics NEVER change — and it is sticky
-//   across repositionings until overwritten. The concurrent Wormhole bounds
-//   its window fills by it (copy only the n items the caller will read
-//   instead of the whole leaf window; see wormhole.h); WormholeUnsafe's
-//   emit-in-place cursor uses it to skip the neighbor-leaf prefetch when the
-//   hinted scan provably fits the current leaf. A caller that walks past the
-//   hinted count stays correct but may pay a re-route per overstep.
+//   across repositionings until overwritten. Wormhole (both sync policies)
+//   bounds its window fills by it: copy only the n items the caller will
+//   read instead of the whole leaf window (see wormhole.h). A caller that
+//   walks past the hinted count stays correct but may pay a re-route per
+//   overstep.
 //
 // Lifetime: a cursor must not outlive its index (nor, for the concurrent
 // Wormhole, the thread's QSBR registration — destroy cursors before

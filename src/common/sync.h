@@ -158,16 +158,31 @@ class CAPABILITY("shared_mutex") SharedMutex {
   std::shared_mutex mu_;
 };
 
-// RAII exclusive lock on a Mutex (the std::lock_guard replacement).
+// The lock of a single-threaded policy (WormholeUnsafe): a capability
+// whose every method is empty, so code written against the lock interface
+// compiles to the same code without the locks, and TSA still checks it.
+class CAPABILITY("mutex") NullMutex {
+ public:
+  void lock() ACQUIRE() {}
+  void unlock() RELEASE() {}
+  void lock_shared() ACQUIRE_SHARED() {}
+  void unlock_shared() RELEASE_SHARED() {}
+  void AssertHeld() const ASSERT_CAPABILITY(this) {}
+  void AssertReaderHeld() const ASSERT_SHARED_CAPABILITY(this) {}
+};
+
+// RAII exclusive lock (the std::lock_guard replacement) on a Mutex, or on
+// any lock type with the same interface (NullMutex).
+template <typename M>
 class SCOPED_CAPABILITY ScopedLock {
  public:
-  explicit ScopedLock(Mutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  explicit ScopedLock(M& mu) ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
   ~ScopedLock() RELEASE() { mu_.unlock(); }
   ScopedLock(const ScopedLock&) = delete;
   ScopedLock& operator=(const ScopedLock&) = delete;
 
  private:
-  Mutex& mu_;
+  M& mu_;
 };
 
 // RAII exclusive lock on a SharedMutex (writer side).
@@ -184,10 +199,11 @@ class SCOPED_CAPABILITY ScopedWriteLock {
   SharedMutex& mu_;
 };
 
-// RAII shared lock on a SharedMutex (reader side).
+// RAII shared lock on a SharedMutex, or NullMutex (reader side).
+template <typename M>
 class SCOPED_CAPABILITY ScopedReadLock {
  public:
-  explicit ScopedReadLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
+  explicit ScopedReadLock(M& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
     mu_.lock_shared();
   }
   ~ScopedReadLock() RELEASE() { mu_.unlock_shared(); }
@@ -195,7 +211,7 @@ class SCOPED_CAPABILITY ScopedReadLock {
   ScopedReadLock& operator=(const ScopedReadLock&) = delete;
 
  private:
-  SharedMutex& mu_;
+  M& mu_;
 };
 
 }  // namespace wh

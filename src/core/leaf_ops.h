@@ -1,5 +1,5 @@
-// Internal: slab-backed in-leaf KV storage shared by WormholeUnsafe and the
-// concurrent Wormhole. A leaf's items live in one contiguous LeafStore:
+// Internal: slab-backed in-leaf KV storage of the Wormhole core (both of its
+// sync policies). A leaf's items live in one contiguous LeafStore:
 //
 //   slots    fixed 24-byte records at stable ids (append on insert,
 //            swap-with-last on erase)
@@ -16,14 +16,15 @@
 // in `dead` and reclaimed by Compact once they dominate the slab.
 //
 // Concurrency model (the seqlock read path). Mutators require the caller to
-// hold the leaf's exclusive lock. The concurrent index reads a leaf through
-// exactly two extractors — SpecProbe (point reads: SpecFind runs it in one
-// go, MultiGet steps a group of them round-robin) and SpecFillWindow (cursor
-// window fills) — bracketed by SeqlockReadBegin / SeqlockReadValidate on the
-// leaf's version counter, with NO lock on the fast path; its fallback runs
-// the same extractor under the leaf's shared lock, where validation cannot
-// fail. The plain-load helpers (FindSlot, LowerBoundRank, Key/Value) serve
-// writers under the exclusive lock and the single-threaded WormholeUnsafe.
+// hold the leaf's exclusive lock. The index reads a leaf through exactly two
+// extractors — SpecProbe (point reads: SpecFind runs it in one go, MultiGet
+// steps a group of them round-robin) and SpecFillWindow (cursor window fills) —
+// bracketed by SeqlockReadBegin / SeqlockReadValidate on the leaf's version
+// counter, with NO lock on the fast path; its fallback runs the same extractor
+// under the leaf's shared lock, where validation cannot fail. The plain-load
+// helpers (FindSlot, Key/Value) serve writers under the exclusive lock, and the
+// NoSync policy's point reads (no writer can overlap them); its window fills
+// and MultiGet run the extractors, which then always validate.
 //
 // To make the speculative reads defined behavior, each container is a
 // SpecVec: a heap block whose capacity is embedded in its own header, so a
@@ -630,11 +631,9 @@ struct LeafStore {
     return s.vlen <= kInlineValue ? std::string_view{s.vinl, s.vlen}
                                   : std::string_view{slab.data() + s.voff, s.vlen};
   }
-  // Key / value at key-ordered position `rank`. Ranks 0..size()-1 walk the
-  // leaf in ascending key order; walking them backwards is descending order —
-  // the in-leaf half of cursor iteration (src/common/cursor.h).
+  // Key at key-ordered position `rank` (ranks 0..size()-1 walk the leaf in
+  // ascending key order): what split-point selection compares.
   std::string_view KeyAt(size_t rank) const { return Key(by_key[rank]); }
-  std::string_view ValueAt(size_t rank) const { return Value(by_key[rank]); }
   // by_hash order: does slot a sort strictly before slot b by (hash, key)?
   bool HashOrderLess(uint16_t a, uint16_t b) const {
     const uint32_t ha = slots[a].hash;
@@ -679,19 +678,6 @@ struct FlatWindow {
     return {buf.data() + e.voff, e.vlen};
   }
 };
-
-// Rank of the first key > bound (strict) or >= bound, in [0, size()]. The
-// floor rank (last key < / <= bound) is this minus one, with 0 meaning "all
-// keys are above the bound" — cursors then hop to the previous leaf.
-// hot-path: cursor seek rank
-inline size_t LowerBoundRank(const LeafStore& s, std::string_view bound,
-                             bool strict) {
-  auto it = std::lower_bound(s.by_key.begin(), s.by_key.end(), bound,
-                             [&](uint16_t id, std::string_view k) {
-                               return strict ? s.Key(id) <= k : s.Key(id) < k;
-                             });
-  return static_cast<size_t>(it - s.by_key.begin());
-}
 
 // Appends a record without touching the ordered indexes (bulk-build path;
 // callers rebuild indexes afterwards or splice via Insert instead).
@@ -846,8 +832,8 @@ struct SpecProbe {
   Phase phase = Phase::kDone;
   bool direct_pos = false;
   // Set by FindSlot, whose callers exclude writers: keys compare with a
-  // plain, vectorized memcmp. SpecKeyCompare's relaxed word loop cost
-  // WormholeUnsafe lookups ~20% on fig. 11's K10 (1 KB keys).
+  // plain, vectorized memcmp. SpecKeyCompare's relaxed word loop cost the
+  // then single-threaded index's lookups ~20% on fig. 11's K10 (1 KB keys).
   bool plain = false;
   bool hit = false;
   bool bad = false;  // a bound check failed: Finish reports kInconsistent
@@ -1072,8 +1058,8 @@ struct SpecWindow {
 
 // SpecFind's discipline applied to a whole window, and the only window
 // extractor: fill `win` with a key-ordered rank range — forward:
-// [LowerBoundRank(bound, strict), +budget); backward: ranks below that
-// bound, the last `budget` of them — through AcquireView + relaxed loads
+// [rank of the first key (strict ? > : >=) bound, +budget); backward: ranks
+// below that bound, the last `budget` of them — through AcquireView + relaxed loads
 // only, clamping every id and offset to the capacity of the block it was
 // loaded from. Under the leaf's shared lock the same code simply never
 // trips a bound. `has_bound == false` skips the rank search (hop fills: rank 0
@@ -1097,7 +1083,7 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
     n = idx.cap;  // stale size; clamp — validation will reject the attempt
   }
   // Racy lower_bound over the key-ordered index: rank of the first key
-  // (strict ? > : >=) bound, exactly LowerBoundRank's verdict.
+  // (strict ? > : >=) bound.
   size_t rank = 0;
   if (has_bound) {
     size_t cnt = n;

@@ -1,5 +1,5 @@
-// Internal: cache-line MetaTrieHT hash buckets shared by WormholeUnsafe and
-// the concurrent Wormhole. A bucket is a chain of fixed 8-entry lines:
+// Internal: cache-line MetaTrieHT hash buckets of the Wormhole core. A bucket
+// is a chain of fixed 8-entry lines:
 //
 //   struct alignas(64) BucketLine { tags[8]; count; nodes[8]; next; }
 //
@@ -17,10 +17,9 @@
 // The chain invariant is "every line full except the last" and, with
 // `sorted`, ascending tag order across the whole chain (equal tags keep
 // insertion order), which gives lookups an early exit at the first greater
-// tag. Mutating helpers (Insert/Remove) are for exclusive owners — the
-// single-threaded core, or a structural writer building a new chain; the
-// concurrent read path only ever sees immutable chains published by pointer
-// swap (CopyChain/CopyChainExcept build the replacement).
+// tag. The one mutating helper (Insert) is for a structural writer building
+// a new, unpublished chain; readers only ever see immutable chains published
+// by pointer swap (CopyChain/CopyChainExcept build the replacement).
 #ifndef WH_SRC_CORE_META_BUCKET_H_
 #define WH_SRC_CORE_META_BUCKET_H_
 
@@ -64,10 +63,10 @@ NodeT* Find(const BucketLine<NodeT>* line, uint16_t tag, bool tag_matching,
   return nullptr;
 }
 
-// Inserts into a mutable chain rooted at `line` (never null; the head line
-// may be embedded in the table array). With `sorted`, the entry lands after
-// all equal tags and displaced entries ripple into later lines; otherwise it
-// appends. Allocates a tail line when the chain is full.
+// Inserts into an unpublished chain rooted at `line` (never null). With
+// `sorted`, the entry lands after all equal tags and displaced entries ripple
+// into later lines; otherwise it appends. Allocates a tail line when the
+// chain is full.
 template <typename NodeT>
 void Insert(BucketLine<NodeT>* line, uint16_t tag, NodeT* node, bool sorted) {
   int idx;
@@ -138,54 +137,6 @@ void Insert(BucketLine<NodeT>* line, uint16_t tag, NodeT* node, bool sorted) {
   }
 }
 
-// Removes `node` from a mutable chain rooted at `head` (never null),
-// restoring the all-full-but-last invariant and freeing an emptied overflow
-// tail. Returns false when the node is not present.
-template <typename NodeT>
-bool Remove(BucketLine<NodeT>* head, const NodeT* node) {
-  BucketLine<NodeT>* line = head;
-  int idx = -1;
-  for (; line != nullptr; line = line->next) {
-    for (int i = 0; i < line->count; i++) {
-      if (line->nodes[i] == node) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx >= 0) {
-      break;
-    }
-  }
-  if (idx < 0) {
-    return false;
-  }
-  while (true) {
-    for (int i = idx; i + 1 < line->count; i++) {
-      line->tags[i] = line->tags[i + 1];
-      line->nodes[i] = line->nodes[i + 1];
-    }
-    line->count--;
-    BucketLine<NodeT>* nx = line->next;
-    if (nx == nullptr || nx->count == 0) {
-      break;
-    }
-    // Pull the next line's first entry back so this line stays full.
-    line->tags[line->count] = nx->tags[0];
-    line->nodes[line->count] = nx->nodes[0];
-    line->count++;
-    line = nx;
-    idx = 0;
-  }
-  for (BucketLine<NodeT>* l = head; l->next != nullptr; l = l->next) {
-    if (l->next->count == 0) {
-      delete l->next;
-      l->next = nullptr;
-      break;
-    }
-  }
-  return true;
-}
-
 template <typename NodeT, typename Fn>
 void ForEach(const BucketLine<NodeT>* line, const Fn& fn) {
   for (; line != nullptr; line = line->next) {
@@ -251,14 +202,6 @@ void FreeChain(BucketLine<NodeT>* head) {
     delete head;
     head = nx;
   }
-}
-
-// Frees the overflow lines of a chain whose head is embedded in the table.
-template <typename NodeT>
-void FreeOverflow(BucketLine<NodeT>* head) {
-  FreeChain(head->next);
-  head->next = nullptr;
-  head->count = 0;
 }
 
 template <typename NodeT>

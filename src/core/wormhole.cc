@@ -19,16 +19,6 @@ uint32_t HashPrefix(std::string_view prefix) {
 
 uint16_t TagOf(uint32_t hash) { return static_cast<uint16_t>(hash >> 16); }
 
-// Registers the calling thread with the index's QSBR domain before any shared
-// pointer is loaded (so concurrent reclaimers account for it) and reports a
-// quiescent state on the way out of the operation.
-struct QsbrOp {
-  Qsbr* qsbr;
-  Qsbr::Slot* slot;
-  explicit QsbrOp(Qsbr* q) : qsbr(q), slot(q->CurrentSlot()) {}
-  ~QsbrOp() { qsbr->Quiesce(slot); }
-};
-
 // Full-key CRC32C for the DirectPos in-leaf search, derived from the LPM's
 // saved prefix state: `state` hashes key[0, lo), and extending a raw CRC32C
 // state over the tail equals hashing the whole key from byte 0. Returns 0
@@ -54,504 +44,90 @@ inline void PrefetchRead(const void* p) {
 #endif
 }
 
+// Replaced SpecVec blocks from a published leaf store go through QSBR: a
+// lock-free reader's op-scoped epoch (or a cursor's pin) may still be
+// loading from the old block when the writer swaps in a replacement.
+void FreeStoreBlock(void* block) { ::operator delete(block); }
+
+void RetireStoreBlock(void* ctx, void* block) {
+  static_cast<Qsbr*>(ctx)->Retire(block, &FreeStoreBlock);
+}
+
 }  // namespace
 
-// One MetaTrieHT node: a distinct prefix of some anchor. lmost/rmost bound the
-// contiguous run of leaves whose anchors carry this prefix; child_bits marks
-// which next bytes extend it to a longer anchor prefix; has_terminal marks that
-// a leaf's anchor equals the prefix exactly (that leaf is then lmost).
-struct WormholeUnsafe::Node {
-  std::string prefix;
-  Leaf* lmost;
-  Leaf* rmost;
-  bool has_terminal = false;
-  uint64_t child_bits[4] = {0, 0, 0, 0};
+// --- synchronization policies ----------------------------------------------
 
-  void SetChild(uint8_t b) { child_bits[b >> 6] |= 1ull << (b & 63); }
-  void ClearChild(uint8_t b) { child_bits[b >> 6] &= ~(1ull << (b & 63)); }
-
-  // Largest child byte <= t, or -1.
-  int LargestChildLE(uint8_t t) const {
-    int w = t >> 6;
-    const int bit = t & 63;
-    uint64_t bits = child_bits[w] & (bit == 63 ? ~0ull : (2ull << bit) - 1);
-    while (true) {
-      if (bits != 0) {
-        return (w << 6) + 63 - __builtin_clzll(bits);
-      }
-      if (--w < 0) {
-        return -1;
-      }
-      bits = child_bits[w];
-    }
-  }
-};
-
-WormholeUnsafe::WormholeUnsafe(const Options& opt) : opt_(opt) {
-  // Slot ids in the leaf indexes are uint16_t; keep a safety margin.
-  if (opt_.leaf_capacity < 4) {
-    opt_.leaf_capacity = 4;
-  } else if (opt_.leaf_capacity > kMaxLeafCapacity) {
-    opt_.leaf_capacity = kMaxLeafCapacity;
-  }
-  buckets_.resize(256);
-  bucket_mask_ = buckets_.size() - 1;
-  head_ = new Leaf;  // anchor "" — covers everything until the first split
-  root_ = new Node;
-  root_->lmost = root_->rmost = head_;
-  root_->has_terminal = true;
-  InsertEntry(HashPrefix({}), root_);
-  node_count_ = 1;
-}
-
-WormholeUnsafe::~WormholeUnsafe() {
-  for (Leaf* l = head_; l != nullptr;) {
-    Leaf* next = l->next;
-    delete l;  // lint:allow(qsbr-free): single-threaded class, no readers
-    l = next;
-  }
-  for (Bucket& b : buckets_) {
-    // lint:allow(qsbr-free): single-threaded class, no readers
-    metabucket::ForEach(&b, [](uint16_t, Node* nd) { delete nd; });
-    metabucket::FreeOverflow(&b);
-  }
-}
-
-// --- MetaTrieHT hash table -------------------------------------------------
-
-WormholeUnsafe::Node* WormholeUnsafe::LookupNode(uint32_t hash,
-                                                 std::string_view prefix) const {
-  return metabucket::Find(
-      &buckets_[hash & bucket_mask_], TagOf(hash), opt_.tag_matching,
-      opt_.sort_by_tag, [&](const Node* nd) { return nd->prefix == prefix; });
-}
-
-WormholeUnsafe::Node* WormholeUnsafe::LookupChild(uint32_t hash,
-                                                  std::string_view prefix,
-                                                  char extra) const {
-  const size_t len = prefix.size() + 1;
-  return metabucket::Find(&buckets_[hash & bucket_mask_], TagOf(hash),
-                          opt_.tag_matching, opt_.sort_by_tag,
-                          [&](const Node* nd) {
-                            const std::string& p = nd->prefix;
-                            return p.size() == len && p.back() == extra &&
-                                   std::memcmp(p.data(), prefix.data(),
-                                               prefix.size()) == 0;
-                          });
-}
-
-void WormholeUnsafe::InsertEntry(uint32_t hash, Node* node) {
-  metabucket::Insert(&buckets_[hash & bucket_mask_], TagOf(hash), node,
-                     opt_.sort_by_tag);
-}
-
-void WormholeUnsafe::RemoveEntry(uint32_t hash, Node* node) {
-  const bool removed = metabucket::Remove(&buckets_[hash & bucket_mask_], node);
-  (void)removed;
-  assert(removed && "MetaTrieHT entry missing on removal");
-}
-
-void WormholeUnsafe::MaybeGrowTable() {
-  if (node_count_ <= buckets_.size() * 2) {
-    return;
-  }
-  std::vector<Bucket> old = std::move(buckets_);
-  buckets_.clear();
-  buckets_.resize(old.size() * 2);
-  bucket_mask_ = buckets_.size() - 1;
-  for (Bucket& b : old) {
-    // Entries carry only the 16-bit tag; the full hash is recomputed from the
-    // node's immutable prefix (growth is rare and already O(nodes)).
-    metabucket::ForEach(
-        &b, [&](uint16_t, Node* nd) { InsertEntry(HashPrefix(nd->prefix), nd); });
-    metabucket::FreeOverflow(&b);
-  }
-}
-
-// --- lookup ----------------------------------------------------------------
-
-WormholeUnsafe::Node* WormholeUnsafe::Lpm(std::string_view key,
-                                          uint32_t* state_out) {
-  // All prefixes of every anchor are present, so "prefix length m is a node"
-  // is monotone in m and binary search applies: O(log L) probes.
-  size_t lo = 0;
-  size_t hi = std::min(key.size(), max_anchor_len_);
-  uint32_t lo_state = kCrc32cInit;
-  Node* best = root_;
-  uint64_t probes = 0;
-  while (lo < hi) {
-    const size_t m = (lo + hi + 1) / 2;
-    const uint32_t st = opt_.inc_hashing
-                            ? Crc32cExtend(lo_state, key.data() + lo, m - lo)
-                            : Crc32cExtend(kCrc32cInit, key.data(), m);
-    probes++;
-    Node* n = LookupNode(st, key.substr(0, m));
-    if (n != nullptr) {
-      best = n;
-      lo = m;
-      lo_state = st;
-    } else {
-      hi = m - 1;
-    }
-  }
-  if (opt_.count_probes) {
-    probes_.fetch_add(probes, std::memory_order_relaxed);
-  }
-  *state_out = lo_state;
-  return best;
-}
-
-WormholeUnsafe::Leaf* WormholeUnsafe::FindLeafHashed(std::string_view key,
-                                                     uint32_t* kv_hash) {
-  if (opt_.count_probes) {
-    lookups_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint32_t state;
-  Node* n = Lpm(key, &state);
-  const size_t m = n->prefix.size();
-  // The LPM left behind the CRC32C state of key[0, m): extending it over the
-  // tail yields the full-key hash DirectPos needs, with no second pass over
-  // the prefix bytes.
-  *kv_hash = ExtendKvHash(opt_.direct_pos, state, key, m);
-  if (m == key.size()) {
-    // The key itself is an anchor prefix. If it is exactly an anchor, that
-    // leaf covers it; otherwise every anchor below n is longer, hence greater.
-    return n->has_terminal ? n->lmost : n->lmost->prev;
-  }
-  const uint8_t t = static_cast<uint8_t>(key[m]);
-  // A child equal to t cannot exist (it would extend the longest match), so c
-  // is the largest child strictly below the key's next byte.
-  const int c = n->LargestChildLE(t);
-  if (c < 0) {
-    return n->has_terminal ? n->lmost : n->lmost->prev;
-  }
-  const char cb = static_cast<char>(c);
-  const uint32_t child_hash = Crc32cExtend(state, &cb, 1);
-  if (opt_.count_probes) {
-    probes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  Node* child = LookupChild(child_hash, n->prefix, cb);
-  assert(child != nullptr);
-  // Everything under the child sorts below the key; its rightmost leaf is the
-  // one with the largest anchor <= key.
-  return child->rmost;
-}
-
-WormholeUnsafe::Leaf* WormholeUnsafe::FindLeaf(std::string_view key) {
-  uint32_t kv_hash;
-  return FindLeafHashed(key, &kv_hash);
-}
-
-// --- public single-threaded API --------------------------------------------
-
-bool WormholeUnsafe::Get(std::string_view key, std::string* value) {
-  uint32_t h;
-  Leaf* leaf = FindLeafHashed(key, &h);
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  if (slot < 0) {
-    return false;
-  }
-  if (value != nullptr) {
-    value->assign(leaf->store.Value(static_cast<uint16_t>(slot)));
-  }
-  return true;
-}
-
-void WormholeUnsafe::Put(std::string_view key, std::string_view value) {
-  uint32_t h;
-  Leaf* leaf = FindLeafHashed(key, &h);
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  if (slot >= 0) {
-    leafops::UpdateValue(&leaf->store, static_cast<uint16_t>(slot), value);
-    return;
-  }
-  leafops::Insert(&leaf->store, opt_.direct_pos, key, value, h);
-  item_count_.fetch_add(1, std::memory_order_relaxed);
-  if (leaf->store.size() > opt_.leaf_capacity) {
-    SplitLeaf(leaf);
-  }
-}
-
-bool WormholeUnsafe::Delete(std::string_view key) {
-  uint32_t h;
-  Leaf* leaf = FindLeafHashed(key, &h);
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  if (slot < 0) {
-    return false;
-  }
-  leafops::Erase(&leaf->store, opt_.direct_pos, static_cast<uint16_t>(slot));
-  item_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (leaf->store.size() == 0 && leaf != head_) {
-    RemoveLeaf(leaf);
-  }
-  return true;
-}
-
-// Single-threaded emit-in-place cursor: a (leaf, rank) position straight
-// into the live structure — rank iteration off the leaf slab, no copies, no
-// locks. Any mutation of the index invalidates it (contract in cursor.h).
-// Whenever the cursor enters a leaf it prefetches the NEXT hop target —
-// header, rank index, slot array, and first slab lines, exactly what the
-// first KeyAt after a hop touches — so a drain streams leaves with the
-// memory system one leaf ahead. SetScanLimitHint turns short scans into a
-// pure single-leaf fast path: when the hinted length fits the current leaf,
-// the neighbor prefetch is skipped and the scan touches nothing outside the
-// leaf it seeked into. The concurrent cursor's speculative fills issue a
-// comparable deep neighbor prefetch through SpecVec::AcquireView (see
-// PrefetchNeighborData there).
-class WormholeUnsafe::CursorImpl final : public Cursor {
+// Registers the calling thread with the index's QSBR domain before any shared
+// pointer is loaded (so concurrent reclaimers account for it) and reports a
+// quiescent state on the way out of the operation.
+class Concurrent::Op {
  public:
-  explicit CursorImpl(WormholeUnsafe* wh) : wh_(wh) {}
-
-  void Seek(std::string_view target) override {
-    leaf_ = wh_->FindLeaf(target);
-    rank_ = leafops::LowerBoundRank(leaf_->store, target, /*strict=*/false);
-    SkipForward();
-    // Short scans that fit the current leaf never touch the neighbor: this
-    // cursor is already emit-in-place (key()/value() are views into the
-    // slab), so with the hop excluded the whole scan is copy-free and
-    // single-leaf. Only warm the next leaf when the drain will reach it.
-    if (valid_ && !HintFitsLeafForward()) {
-      PrefetchLeaf(leaf_->next);  // a forward drain is the common follow-up
-    }
-  }
-
-  void SeekForPrev(std::string_view target) override {
-    leaf_ = wh_->FindLeaf(target);
-    // First rank > target; StepBack lands on the floor (last key <= target).
-    rank_ = leafops::LowerBoundRank(leaf_->store, target, /*strict=*/true);
-    StepBack();
-    if (valid_ && !HintFitsLeafBackward()) {
-      PrefetchLeaf(leaf_->prev);
-    }
-  }
-
-  void SetScanLimitHint(size_t count) override { hint_ = count; }
-
-  bool Valid() const override { return valid_; }
-
-  void Next() override {
-    if (!valid_) {
-      return;
-    }
-    rank_++;
-    SkipForward();
-  }
-
-  void Prev() override {
-    if (!valid_) {
-      return;
-    }
-    StepBack();
-  }
-
-  std::string_view key() const override { return leaf_->store.KeyAt(rank_); }
-  std::string_view value() const override { return leaf_->store.ValueAt(rank_); }
+  explicit Op(Qsbr* q) : qsbr_(q), slot_(q->CurrentSlot()) {}
+  ~Op() { qsbr_->Quiesce(slot_); }
 
  private:
-  // True when a hinted scan of hint_ items is guaranteed to drain inside the
-  // current leaf, so the neighbor prefetch would warm lines the scan never
-  // reads. hint_ == 0 means "unknown length": assume the drain crosses.
-  bool HintFitsLeafForward() const {
-    return hint_ != 0 && rank_ + hint_ <= leaf_->store.size();
-  }
-  bool HintFitsLeafBackward() const { return hint_ != 0 && hint_ <= rank_ + 1; }
-
-  static void PrefetchLeaf(const Leaf* l) {
-    if (l == nullptr) {
-      return;
-    }
-    PrefetchRead(l);
-    PrefetchRead(l->store.by_key.data());
-    PrefetchRead(l->store.slots.data());
-    PrefetchRead(l->store.slab.data());
-  }
-
-  // rank_ may equal the leaf's size: advance to the next nonempty leaf (only
-  // the head leaf can be empty, but the loop is general). On a hop, warm the
-  // leaf after the new one while this one drains.
-  void SkipForward() {
-    bool hopped = false;
-    while (leaf_ != nullptr && rank_ >= leaf_->store.size()) {
-      leaf_ = leaf_->next;
-      rank_ = 0;
-      hopped = true;
-    }
-    valid_ = leaf_ != nullptr;
-    if (valid_ && hopped) {
-      PrefetchLeaf(leaf_->next);
-    }
-  }
-
-  // Positions at the item just before rank_, hopping to earlier leaves when
-  // rank_ is 0; invalidates at the front of the index.
-  void StepBack() {
-    bool hopped = false;
-    while (rank_ == 0) {
-      leaf_ = leaf_->prev;
-      if (leaf_ == nullptr) {
-        valid_ = false;
-        return;
-      }
-      rank_ = leaf_->store.size();
-      hopped = true;
-    }
-    rank_--;
-    valid_ = true;
-    if (hopped) {
-      PrefetchLeaf(leaf_->prev);
-    }
-  }
-
-  WormholeUnsafe* wh_;
-  Leaf* leaf_ = nullptr;
-  size_t rank_ = 0;
-  size_t hint_ = 0;  // expected remaining items, 0 = unknown
-  bool valid_ = false;
+  Qsbr* qsbr_;
+  Qsbr::Slot* slot_;
 };
 
-std::unique_ptr<Cursor> WormholeUnsafe::NewCursor() {
-  return std::make_unique<CursorImpl>(this);
+// Freezes the thread's epoch for a cursor's lifetime, so the leaf it
+// remembers between calls stays dereferenceable even after the leaf is
+// unlinked and retired.
+class Concurrent::Pin {
+ public:
+  explicit Pin(Qsbr* q) : qsbr_(q), slot_(q->CurrentSlot()) {
+    qsbr_->Pin(slot_);
+  }
+  ~Pin() {
+    qsbr_->Unpin(slot_);
+    qsbr_->Quiesce(slot_);
+  }
+
+ private:
+  Qsbr* qsbr_;
+  Qsbr::Slot* slot_;
+};
+
+template <typename T>
+void Concurrent::Retire(Qsbr* qsbr, T* p) {
+  qsbr->Retire(p);
 }
 
-size_t WormholeUnsafe::Scan(std::string_view start, size_t count, const ScanFn& fn) {
-  CursorImpl c(this);
-  return ScanViaCursor(&c, start, count, fn);
+leafops::BlockRelease Concurrent::StoreRelease(Qsbr* qsbr) {
+  return {&RetireStoreBlock, qsbr};
 }
 
-// --- structural changes ----------------------------------------------------
-
-void WormholeUnsafe::SplitLeaf(Leaf* left) {
-  const size_t n = left->store.size();
-  assert(n >= 2);
-  (void)n;
-  const size_t si =
-      leafops::ChooseSplitIndex(left->store, opt_.split_shortest_anchor);
-  const std::string_view right_min = left->store.KeyAt(si);
-  // Copy the anchor bytes out before SplitTail rewrites the slab under them.
-  std::string anchor(right_min.substr(
-      0, leafops::SeparatorLen(left->store.KeyAt(si - 1), right_min)));
-
-  Leaf* right = new Leaf;
-  right->anchor = std::move(anchor);
-  leafops::SplitTail(&left->store, &right->store, si, opt_.direct_pos);
-
-  right->next = left->next;
-  right->prev = left;
-  if (right->next != nullptr) {
-    right->next->prev = right;
+void Concurrent::Drain(Qsbr* qsbr) {
+  qsbr->Quiesce(qsbr->CurrentSlot());
+  // Bounded drain: reclaim while making progress. With this index's threads
+  // quiesced (the destructor's contract), everything it retired is freed
+  // here; what stays blocked belongs to other indexes sharing the domain or
+  // to stale registrants, and spinning on it (Qsbr::Drain) could hang on
+  // state this index does not own. Later reclaims or ~Qsbr free it.
+  while (qsbr->TryReclaim() > 0) {
   }
-  left->next = right;
-
-  InsertAnchor(right->anchor, right);
 }
 
-void WormholeUnsafe::InsertAnchor(const std::string& anchor, Leaf* leaf) {
-  uint32_t state = kCrc32cInit;
-  Node* parent = nullptr;
-  for (size_t d = 0; d <= anchor.size(); d++) {
-    if (d > 0) {
-      state = Crc32cExtend(state, anchor.data() + d - 1, 1);
-    }
-    const std::string_view prefix(anchor.data(), d);
-    Node* n = LookupNode(state, prefix);
-    if (n == nullptr) {
-      n = new Node;
-      n->prefix.assign(prefix);
-      n->lmost = n->rmost = leaf;
-      InsertEntry(state, n);
-      node_count_++;
-      parent->SetChild(static_cast<uint8_t>(anchor[d - 1]));  // d >= 1: root pre-exists
-    } else {
-      if (anchor < n->lmost->anchor) {
-        n->lmost = leaf;
-      }
-      if (anchor > n->rmost->anchor) {
-        n->rmost = leaf;
-      }
-    }
-    if (d == anchor.size()) {
-      n->has_terminal = true;
-    }
-    parent = n;
-  }
-  if (anchor.size() > max_anchor_len_) {
-    max_anchor_len_ = anchor.size();
-  }
-  MaybeGrowTable();
+struct NoSync::Op {
+  explicit Op(Qsbr*) {}
+};
+
+struct NoSync::Pin {
+  explicit Pin(Qsbr*) {}
+};
+
+template <typename T>
+void NoSync::Retire(Qsbr*, T* p) {
+  delete p;  // lint:allow(qsbr-free): NoSync is single-threaded, no readers
 }
 
-void WormholeUnsafe::RemoveLeaf(Leaf* leaf) {
-  assert(leaf != head_ && leaf->store.size() == 0);
-  const std::string& a = leaf->anchor;
-  // Prefix hash states, so each node lookup is O(1) after this O(L) pass.
-  std::vector<uint32_t> states(a.size() + 1);
-  states[0] = kCrc32cInit;
-  for (size_t d = 1; d <= a.size(); d++) {
-    states[d] = Crc32cExtend(states[d - 1], a.data() + d - 1, 1);
-  }
-  // Deepest-first: delete nodes whose subtree held only this leaf, repoint
-  // survivors' leaf bounds past it.
-  for (size_t d = a.size();; d--) {
-    Node* n = LookupNode(states[d], std::string_view(a.data(), d));
-    assert(n != nullptr);
-    if (n->lmost == leaf && n->rmost == leaf) {
-      // d >= 1 here: the root spans head_, which is never removed.
-      RemoveEntry(states[d], n);
-      node_count_--;
-      Node* parent = LookupNode(states[d - 1], std::string_view(a.data(), d - 1));
-      parent->ClearChild(static_cast<uint8_t>(a[d - 1]));
-      delete n;  // lint:allow(qsbr-free): WormholeUnsafe is single-threaded
-    } else {
-      if (d == a.size()) {
-        n->has_terminal = false;
-      }
-      // Anchors sharing a prefix are contiguous in the leaf list, so the
-      // neighbor is the new boundary.
-      if (n->lmost == leaf) {
-        n->lmost = leaf->next;
-      }
-      if (n->rmost == leaf) {
-        n->rmost = leaf->prev;
-      }
-    }
-    if (d == 0) {
-      break;
-    }
-  }
-  leaf->prev->next = leaf->next;
-  if (leaf->next != nullptr) {
-    leaf->next->prev = leaf->prev;
-  }
-  delete leaf;  // lint:allow(qsbr-free): WormholeUnsafe is single-threaded
+leafops::BlockRelease NoSync::StoreRelease(Qsbr*) {
+  return {};  // null hook: replaced blocks are freed at once
 }
 
-// --- accounting ------------------------------------------------------------
+void NoSync::Drain(Qsbr*) {}
 
-uint64_t WormholeUnsafe::MemoryBytes() const {
-  uint64_t total = sizeof(*this);
-  for (const Leaf* l = head_; l != nullptr; l = l->next) {
-    total += sizeof(Leaf) + StrHeapBytes(l->anchor);
-    total += leafops::MemoryBytes(l->store, opt_.direct_pos);
-  }
-  total += buckets_.capacity() * sizeof(Bucket);
-  for (const Bucket& b : buckets_) {
-    total += (metabucket::LineCount(&b) - 1) * sizeof(Bucket);  // overflow lines
-    metabucket::ForEach(&b, [&](uint16_t, const Node* nd) {
-      total += sizeof(Node) + StrHeapBytes(nd->prefix);
-    });
-  }
-  return total;
-}
-
-WormholeStats WormholeUnsafe::stats() const {
-  WormholeStats s;
-  s.lookups = lookups_.load(std::memory_order_relaxed);
-  s.probes = probes_.load(std::memory_order_relaxed);
-  return s;
-}
-
-// --- concurrent Wormhole ----------------------------------------------------
+// --- the index -------------------------------------------------------------
 //
 // Invariants (see wormhole.h for the model):
 //   - Anchors, node prefixes and list membership order are immutable; only
@@ -559,14 +135,16 @@ WormholeStats WormholeUnsafe::stats() const {
 //   - All structural mutation (split / removal / table growth) happens under
 //     meta_mu_, so there is at most one structural writer; readers see any
 //     interleaving of its atomic stores and rely on leaf validation + retry.
-//   - Unlinked leaves / nodes / bucket lines are retired to QSBR, never
-//     freed inline: a lock-free reader routed through stale state must be
-//     able to dereference it, fail validation, and retry safely.
+//   - Unlinked leaves / nodes / bucket lines are retired (Sync::Retire),
+//     never freed inline: under Concurrent a lock-free reader routed through
+//     stale state must be able to dereference it, fail validation, and retry
+//     safely.
 
 // Trie node with lock-free-readable fields. Pre-publication initialization
 // uses relaxed stores (the bucket pointer swap that publishes the node is a
 // release store); all later in-place updates are release stores.
-struct Wormhole::Node {
+template <typename Sync>
+struct BasicWormhole<Sync>::Node {
   const std::string prefix;
   std::atomic<Leaf*> lmost{nullptr};
   std::atomic<Leaf*> rmost{nullptr};
@@ -604,13 +182,14 @@ struct Wormhole::Node {
   }
 };
 
-struct Wormhole::Leaf {
+template <typename Sync>
+struct BasicWormhole<Sync>::Leaf {
   const std::string anchor;
   std::atomic<Leaf*> prev{nullptr};
   std::atomic<Leaf*> next{nullptr};
   // Per-leaf reader-writer lock; below meta_mu_ in the hierarchy (a thread
   // holding `lock` never acquires meta_mu_, and never a second leaf's lock).
-  mutable SharedMutex lock;
+  mutable typename Sync::LeafMutex lock;
   // Seqlock write counter (protocol helpers in leaf_ops.h): odd exactly while
   // a locked writer is inside a SeqlockWriteSection — every in-leaf mutation,
   // the split's store swap + linkage update, and removal — and a net +2 per
@@ -633,20 +212,8 @@ struct Wormhole::Leaf {
   }
 };
 
-namespace {
-
-// Replaced SpecVec blocks from a published leaf store go through QSBR: a
-// lock-free reader's op-scoped epoch (or a cursor's pin) may still be
-// loading from the old block when the writer swaps in a replacement.
-void FreeStoreBlock(void* block) { ::operator delete(block); }
-
-void RetireStoreBlock(void* ctx, void* block) {
-  static_cast<Qsbr*>(ctx)->Retire(block, &FreeStoreBlock);
-}
-
-}  // namespace
-
-struct Wormhole::Table {
+template <typename Sync>
+struct BasicWormhole<Sync>::Table {
   const size_t mask;
   std::vector<std::atomic<Bucket*>> buckets;  // immutable COW chains
 
@@ -657,14 +224,16 @@ struct Wormhole::Table {
   }
 };
 
-Wormhole::Wormhole(const Options& opt, Qsbr* qsbr) : opt_(opt), qsbr_(qsbr) {
+template <typename Sync>
+BasicWormhole<Sync>::BasicWormhole(const Options& opt, Qsbr* qsbr)
+    : opt_(opt), qsbr_(qsbr) {
   if (opt_.leaf_capacity < 4) {
     opt_.leaf_capacity = 4;
   } else if (opt_.leaf_capacity > kMaxLeafCapacity) {
     opt_.leaf_capacity = kMaxLeafCapacity;
   }
   head_ = new Leaf("");  // anchor "" — covers everything until the first split
-  head_->store.release = {&RetireStoreBlock, qsbr_};
+  head_->store.release = Sync::StoreRelease(qsbr_);
   root_ = new Node("");
   root_->lmost.store(head_, std::memory_order_relaxed);
   root_->rmost.store(head_, std::memory_order_relaxed);
@@ -680,7 +249,8 @@ Wormhole::Wormhole(const Options& opt, Qsbr* qsbr) : opt_(opt), qsbr_(qsbr) {
   node_count_ = 1;
 }
 
-Wormhole::~Wormhole() {
+template <typename Sync>
+BasicWormhole<Sync>::~BasicWormhole() {
   // Contract: no concurrent operations; every other thread has quiesced or
   // exited. Free the live structure, then drain whatever this index retired.
   Table* t = table_.load(std::memory_order_acquire);
@@ -696,30 +266,24 @@ Wormhole::~Wormhole() {
     delete l;  // lint:allow(qsbr-free): destructor contract — all threads quiesced
     l = next;
   }
-  qsbr_->Quiesce(qsbr_->CurrentSlot());
-  // Bounded drain of the domain: reclaim while making progress. With this
-  // index's threads quiesced (the contract), everything it retired is freed
-  // here; anything still blocked belongs to *other* indexes sharing the
-  // domain or to stale registrants, and spinning on it (Qsbr::Drain) could
-  // hang this destructor on state it does not own. Leftovers are freed by
-  // later reclaims or by ~Qsbr.
-  while (qsbr_->TryReclaim() > 0) {
-  }
+  Sync::Drain(qsbr_);
 }
 
 // --- lock-free read path ---------------------------------------------------
 
 // hot-path: one LPM probe's line-chain walk
-Wormhole::Node* Wormhole::FindNodeInChain(const Bucket* b, uint32_t hash,
-                                          std::string_view prefix) const {
+template <typename Sync>
+auto BasicWormhole<Sync>::FindNodeInChain(const Bucket* b, uint32_t hash,
+                                          std::string_view prefix) const -> Node* {
   return metabucket::Find(b, TagOf(hash), opt_.tag_matching, opt_.sort_by_tag,
                           [&](const Node* nd) { return nd->prefix == prefix; });
 }
 
 // hot-path: child-descent probe
-Wormhole::Node* Wormhole::FindChildInChain(const Bucket* b, uint32_t hash,
+template <typename Sync>
+auto BasicWormhole<Sync>::FindChildInChain(const Bucket* b, uint32_t hash,
                                            std::string_view prefix,
-                                           char extra) const {
+                                           char extra) const -> Node* {
   const size_t len = prefix.size() + 1;
   return metabucket::Find(b, TagOf(hash), opt_.tag_matching, opt_.sort_by_tag,
                           [&](const Node* nd) {
@@ -731,23 +295,27 @@ Wormhole::Node* Wormhole::FindChildInChain(const Bucket* b, uint32_t hash,
 }
 
 // hot-path: per-probe bucket dispatch
-Wormhole::Node* Wormhole::LookupNode(const Table* t, uint32_t hash,
-                                     std::string_view prefix) const {
+template <typename Sync>
+auto BasicWormhole<Sync>::LookupNode(const Table* t, uint32_t hash,
+                                     std::string_view prefix) const -> Node* {
   return FindNodeInChain(
       t->buckets[hash & t->mask].load(std::memory_order_acquire), hash, prefix);
 }
 
 // hot-path: per-probe bucket dispatch
-Wormhole::Node* Wormhole::LookupChild(const Table* t, uint32_t hash,
-                                      std::string_view prefix, char extra) const {
+template <typename Sync>
+auto BasicWormhole<Sync>::LookupChild(const Table* t, uint32_t hash,
+                                      std::string_view prefix,
+                                      char extra) const -> Node* {
   return FindChildInChain(
       t->buckets[hash & t->mask].load(std::memory_order_acquire), hash, prefix,
       extra);
 }
 
 // hot-path: the O(log L) binary search itself
-Wormhole::Node* Wormhole::Lpm(const Table* t, std::string_view key,
-                              uint32_t* state_out) const {
+template <typename Sync>
+auto BasicWormhole<Sync>::Lpm(const Table* t, std::string_view key,
+                              uint32_t* state_out) const -> Node* {
   size_t lo = 0;
   size_t hi = std::min(key.size(), max_anchor_len_.load(std::memory_order_relaxed));
   uint32_t lo_state = kCrc32cInit;
@@ -776,8 +344,9 @@ Wormhole::Node* Wormhole::Lpm(const Table* t, std::string_view key,
 }
 
 // hot-path: every lookup routes through here
-Wormhole::Leaf* Wormhole::RouteToLeaf(std::string_view key,
-                                      uint32_t* kv_hash) const {
+template <typename Sync>
+auto BasicWormhole<Sync>::RouteToLeaf(std::string_view key,
+                                      uint32_t* kv_hash) const -> Leaf* {
   if (opt_.count_probes) {
     lookups_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -821,7 +390,8 @@ Wormhole::Leaf* Wormhole::RouteToLeaf(std::string_view key,
 }
 
 // hot-path: per-acquire validation
-bool Wormhole::Covers(const Leaf* leaf, std::string_view key) {
+template <typename Sync>
+bool BasicWormhole<Sync>::Covers(const Leaf* leaf, std::string_view key) {
   // Locked callers hold leaf->lock (either mode): the leaf's own range only
   // changes under that lock held exclusively; a *successor's* removal can
   // swing leaf->next concurrently, but that only grows the true range, so a
@@ -846,12 +416,14 @@ bool Wormhole::Covers(const Leaf* leaf, std::string_view key) {
 // the version re-read, so an unchanged version on a still-live leaf means no
 // write section overlapped the copy — the snapshot is consistent.
 // hot-path: optimistic read bracket
-bool Wormhole::SpecBegin(const Leaf* leaf, uint64_t* begin) {
+template <typename Sync>
+bool BasicWormhole<Sync>::SpecBegin(const Leaf* leaf, uint64_t* begin) {
   *begin = leafops::SeqlockReadBegin(leaf->version);
   return (*begin & 1) == 0;
 }
 
-bool Wormhole::SpecEnd(const Leaf* leaf, uint64_t begin) {
+template <typename Sync>
+bool BasicWormhole<Sync>::SpecEnd(const Leaf* leaf, uint64_t begin) {
   return leafops::SeqlockReadValidate(leaf->version, begin) && !leaf->retired();
 }
 
@@ -860,8 +432,9 @@ bool Wormhole::SpecEnd(const Leaf* leaf, uint64_t begin) {
 // coverage (Covers) anywhere inside the bracket: Get before the search, so
 // its loads overlap the search; MultiGet after it, once the next leaf's
 // anchor it prefetched has landed.
-Wormhole::SpecOutcome Wormhole::PointVerdict(const Leaf* leaf, uint64_t begin,
-                                             leafops::SpecRead r) {
+template <typename Sync>
+auto BasicWormhole<Sync>::PointVerdict(const Leaf* leaf, uint64_t begin,
+                                       leafops::SpecRead r) -> SpecOutcome {
   if (r == leafops::SpecRead::kInconsistent || !SpecEnd(leaf, begin)) {
     return SpecOutcome::kRetry;
   }
@@ -869,10 +442,23 @@ Wormhole::SpecOutcome Wormhole::PointVerdict(const Leaf* leaf, uint64_t begin,
 }
 
 // hot-path: the lock-free point read (one attempt)
-Wormhole::SpecOutcome Wormhole::OptimisticLeafGet(Leaf* leaf,
-                                                  std::string_view key,
-                                                  uint32_t kv_hash,
-                                                  std::string* value) const {
+template <typename Sync>
+auto BasicWormhole<Sync>::OptimisticLeafGet(Leaf* leaf, std::string_view key,
+                                            uint32_t kv_hash,
+                                            std::string* value) const -> SpecOutcome {
+  if constexpr (Sync::kPlainReads) {
+    // No writer runs beside the read and the route is exact: the writers'
+    // plain lookup (vectorized key compares, no seqlock bracket, no
+    // coverage check) serves it, measured faster than the speculative read.
+    const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, kv_hash);
+    if (slot < 0) {
+      return SpecOutcome::kMiss;
+    }
+    if (value != nullptr) {
+      value->assign(leaf->store.Value(static_cast<uint16_t>(slot)));
+    }
+    return SpecOutcome::kHit;
+  }
   uint64_t begin;
   if (!SpecBegin(leaf, &begin) || !Covers(leaf, key)) {
     return SpecOutcome::kRetry;  // writer mid-section, or a stale route
@@ -884,7 +470,8 @@ Wormhole::SpecOutcome Wormhole::OptimisticLeafGet(Leaf* leaf,
 
 // Round 1 of a pipelined point read (MultiGet stage 3): warm the next leaf
 // (Covers reads its anchor) and the block headers Start's views load.
-void Wormhole::WarmLeafRead(const Leaf* leaf) const {
+template <typename Sync>
+void BasicWormhole<Sync>::WarmLeafRead(const Leaf* leaf) const {
   PrefetchRead(leaf->next.load(std::memory_order_relaxed));
   if (opt_.direct_pos) {
     leaf->store.by_hash.Prefetch();
@@ -897,14 +484,16 @@ void Wormhole::WarmLeafRead(const Leaf* leaf) const {
 
 // Round 2: acquire the block views; for a by_key bisection, warm the index
 // lines its first levels read (DirectPos's one line is the probe's Prime).
-void Wormhole::StartLeafRead(const Leaf* leaf, uint32_t kv_hash,
-                             leafops::SpecProbe* p) const {
+template <typename Sync>
+void BasicWormhole<Sync>::StartLeafRead(const Leaf* leaf, uint32_t kv_hash,
+                                        leafops::SpecProbe* p) const {
   p->Start(leaf->store, opt_.direct_pos, kv_hash);
   p->WarmIndex();
 }
 
-Wormhole::Leaf* Wormhole::AcquireLeaf(std::string_view key, Mode mode,
-                                      uint32_t* kv_hash) {
+template <typename Sync>
+auto BasicWormhole<Sync>::AcquireLeaf(std::string_view key, Mode mode,
+                                      uint32_t* kv_hash) -> Leaf* {
   for (int attempt = 0; attempt < 64; attempt++) {
     Leaf* leaf = RouteToLeaf(key, kv_hash);
     if (leaf == nullptr) {
@@ -939,18 +528,20 @@ Wormhole::Leaf* Wormhole::AcquireLeaf(std::string_view key, Mode mode,
   return leaf;
 }
 
-// --- public concurrent API -------------------------------------------------
+// --- public API ------------------------------------------------------------
 
-bool Wormhole::Get(std::string_view key, std::string* value) {
-  QsbrOp op(qsbr_);
+template <typename Sync>
+bool BasicWormhole<Sync>::Get(std::string_view key, std::string* value) {
+  typename Sync::Op op(qsbr_);
   return GetFrom(0, key, value);
 }
 
-bool Wormhole::GetFrom(uint32_t first, std::string_view key,
-                       std::string* value) {
+template <typename Sync>
+bool BasicWormhole<Sync>::GetFrom(uint32_t first, std::string_view key,
+                                  std::string* value) {
   uint32_t h;
   // Fast path: route lock-free, then one seqlock-validated speculative read
-  // per attempt. The caller's QsbrOp is what makes the lockless dereferences
+  // per attempt. The caller's Sync::Op is what makes the lockless dereferences
   // safe — this thread's epoch stays pinned for the whole operation, so a
   // leaf (or a store block) retired mid-read cannot be freed under us.
   for (uint32_t attempt = first; attempt < opt_.optimistic_retries;
@@ -969,8 +560,9 @@ bool Wormhole::GetFrom(uint32_t first, std::string_view key,
   return LockedLeafGet(key, &h, value);
 }
 
-bool Wormhole::LockedLeafGet(std::string_view key, uint32_t* kv_hash,
-                             std::string* value) {
+template <typename Sync>
+bool BasicWormhole<Sync>::LockedLeafGet(std::string_view key, uint32_t* kv_hash,
+                                        std::string* value) {
   // AcquireLeaf retries a stale route under the lock and serializes with
   // structural writers in the limit, so the leaf it hands over covers key.
   Leaf* leaf = AcquireLeaf(key, Mode::kShared, kv_hash);
@@ -983,16 +575,17 @@ bool Wormhole::LockedLeafGet(std::string_view key, uint32_t* kv_hash,
   return oc == SpecOutcome::kHit;
 }
 
-size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
-                          std::vector<std::string>* values,
-                          std::vector<uint8_t>* hits) {
+template <typename Sync>
+size_t BasicWormhole<Sync>::MultiGet(const std::vector<std::string_view>& keys,
+                                     std::vector<std::string>* values,
+                                     std::vector<uint8_t>* hits) {
   const size_t n = keys.size();
   values->resize(n);
   hits->assign(n, 0);
   if (n == 0) {
     return 0;
   }
-  QsbrOp op(qsbr_);
+  typename Sync::Op op(qsbr_);
   size_t found = 0;
 
   // The batch runs as a staged pipeline over groups of kGroup keys: every
@@ -1203,9 +796,10 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
   return found;
 }
 
-void Wormhole::MultiPut(
+template <typename Sync>
+void BasicWormhole<Sync>::MultiPut(
     const std::vector<std::pair<std::string_view, std::string_view>>& items) {
-  QsbrOp op(qsbr_);
+  typename Sync::Op op(qsbr_);
   Leaf* leaf = nullptr;  // held exclusively while non-null
   uint32_t h = 0;
   for (const auto& [key, value] : items) {
@@ -1219,18 +813,7 @@ void Wormhole::MultiPut(
       }
       leaf = AcquireLeaf(key, Mode::kExclusive, &h);
     }
-    const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-    if (slot >= 0) {
-      leafops::SeqlockWriteSection ws(&leaf->version);
-      leafops::UpdateValue(&leaf->store, static_cast<uint16_t>(slot), value);
-      continue;
-    }
-    if (leaf->store.size() < opt_.leaf_capacity) {
-      {
-        leafops::SeqlockWriteSection ws(&leaf->version);
-        leafops::Insert(&leaf->store, opt_.direct_pos, key, value, h);
-      }
-      item_count_.fetch_add(1, std::memory_order_relaxed);
+    if (PutInLeaf(leaf, key, value, h)) {
       continue;
     }
     // Full leaf: drop the cached lock (PutSlow serializes on meta_mu_ and
@@ -1244,34 +827,41 @@ void Wormhole::MultiPut(
   }
 }
 
-void Wormhole::Put(std::string_view key, std::string_view value) {
-  QsbrOp op(qsbr_);
+template <typename Sync>
+bool BasicWormhole<Sync>::PutInLeaf(Leaf* leaf, std::string_view key,
+                                    std::string_view value, uint32_t kv_hash) {
+  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, kv_hash);
+  if (slot >= 0) {
+    leafops::SeqlockWriteSection ws(&leaf->version);
+    leafops::UpdateValue(&leaf->store, static_cast<uint16_t>(slot), value);
+    return true;
+  }
+  if (leaf->store.size() >= opt_.leaf_capacity) {
+    return false;
+  }
+  {
+    leafops::SeqlockWriteSection ws(&leaf->version);
+    leafops::Insert(&leaf->store, opt_.direct_pos, key, value, kv_hash);
+  }
+  item_count_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+template <typename Sync>
+void BasicWormhole<Sync>::Put(std::string_view key, std::string_view value) {
+  typename Sync::Op op(qsbr_);
   uint32_t h;
   Leaf* leaf = AcquireLeaf(key, Mode::kExclusive, &h);
   leaf->lock.AssertHeld();  // handed over by AcquireLeaf (NO_TSA)
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  if (slot >= 0) {
-    {
-      leafops::SeqlockWriteSection ws(&leaf->version);
-      leafops::UpdateValue(&leaf->store, static_cast<uint16_t>(slot), value);
-    }
-    leaf->lock.unlock();
-    return;
-  }
-  if (leaf->store.size() < opt_.leaf_capacity) {
-    {
-      leafops::SeqlockWriteSection ws(&leaf->version);
-      leafops::Insert(&leaf->store, opt_.direct_pos, key, value, h);
-    }
-    item_count_.fetch_add(1, std::memory_order_relaxed);
-    leaf->lock.unlock();
-    return;
-  }
+  const bool done = PutInLeaf(leaf, key, value, h);
   leaf->lock.unlock();
-  PutSlow(key, value);
+  if (!done) {
+    PutSlow(key, value);
+  }
 }
 
-void Wormhole::PutSlow(std::string_view key, std::string_view value) {
+template <typename Sync>
+void BasicWormhole<Sync>::PutSlow(std::string_view key, std::string_view value) {
   ScopedLock g(meta_mu_);
   // Re-resolve the leaf: between the fast path dropping its lock and this
   // point, a concurrent writer may have split (or emptied and removed) the
@@ -1279,30 +869,16 @@ void Wormhole::PutSlow(std::string_view key, std::string_view value) {
   uint32_t h;
   Leaf* leaf = RouteToLeaf(key, &h);
   leaf->lock.lock();
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  if (slot >= 0) {
-    {
-      leafops::SeqlockWriteSection ws(&leaf->version);
-      leafops::UpdateValue(&leaf->store, static_cast<uint16_t>(slot), value);
-    }
-    leaf->lock.unlock();
-    return;
+  // PutInLeaf succeeds when a concurrent split made room.
+  if (!PutInLeaf(leaf, key, value, h)) {
+    SplitAndInsert(leaf, key, value, h);  // `leaf` stays the covering left half
   }
-  if (leaf->store.size() < opt_.leaf_capacity) {  // a concurrent split made room
-    {
-      leafops::SeqlockWriteSection ws(&leaf->version);
-      leafops::Insert(&leaf->store, opt_.direct_pos, key, value, h);
-    }
-    item_count_.fetch_add(1, std::memory_order_relaxed);
-    leaf->lock.unlock();
-    return;
-  }
-  SplitAndInsert(leaf, key, value, h);
-  leaf->lock.unlock();  // `leaf` is the split's left half, still covered
+  leaf->lock.unlock();
 }
 
-bool Wormhole::Delete(std::string_view key) {
-  QsbrOp op(qsbr_);
+template <typename Sync>
+bool BasicWormhole<Sync>::Delete(std::string_view key) {
+  typename Sync::Op op(qsbr_);
   uint32_t h;
   Leaf* leaf = AcquireLeaf(key, Mode::kExclusive, &h);
   leaf->lock.AssertHeld();  // handed over by AcquireLeaf (NO_TSA)
@@ -1326,7 +902,8 @@ bool Wormhole::Delete(std::string_view key) {
   return DeleteSlow(key);
 }
 
-bool Wormhole::DeleteSlow(std::string_view key) {
+template <typename Sync>
+bool BasicWormhole<Sync>::DeleteSlow(std::string_view key) {
   ScopedLock g(meta_mu_);
   uint32_t h;
   Leaf* leaf = RouteToLeaf(key, &h);  // re-resolve, as in PutSlow
@@ -1425,19 +1002,14 @@ void GiveBackWindow(leafops::FlatWindow&& w) {
 // per-item allocation, recycled from cursor to cursor by the thread's window
 // free list — and compute the seek rank against the same snapshot they
 // copy, so the items a positioning skips are never copied.
-class Wormhole::CursorImpl final : public Cursor {
+template <typename Sync>
+class BasicWormhole<Sync>::CursorImpl final : public Cursor {
  public:
-  explicit CursorImpl(Wormhole* wh)
-      : wh_(wh), slot_(wh->qsbr_->CurrentSlot()), win_(TakeWindow()) {
-    // The pin freezes this thread's epoch: leaf_ stays dereferenceable across
-    // calls even after the leaf is unlinked and retired.
-    wh_->qsbr_->Pin(slot_);
-  }
-  ~CursorImpl() override {
-    wh_->qsbr_->Unpin(slot_);
-    wh_->qsbr_->Quiesce(slot_);
-    GiveBackWindow(std::move(win_));
-  }
+  // The pin freezes this thread's epoch: leaf_ stays dereferenceable across
+  // calls even after the leaf is unlinked and retired.
+  explicit CursorImpl(BasicWormhole* wh)
+      : wh_(wh), pin_(wh->qsbr_), win_(TakeWindow()) {}
+  ~CursorImpl() override { GiveBackWindow(std::move(win_)); }
 
   void Seek(std::string_view target) override {
     bound_.assign(target);
@@ -1775,8 +1347,8 @@ class Wormhole::CursorImpl final : public Cursor {
     }
   }
 
-  Wormhole* wh_;
-  Qsbr::Slot* slot_;
+  BasicWormhole* wh_;
+  typename Sync::Pin pin_;
   Leaf* leaf_ = nullptr;  // leaf win_ was filled from (pin keeps it alive)
   uint64_t leaf_version_ = 0;
   leafops::FlatWindow win_;  // flat buffers reused across refills
@@ -1791,22 +1363,25 @@ class Wormhole::CursorImpl final : public Cursor {
   Pending pending_ = Pending::kNone;  // deferred boundary step (see Advance)
 };
 
-std::unique_ptr<Cursor> Wormhole::NewCursor() {
+template <typename Sync>
+std::unique_ptr<Cursor> BasicWormhole<Sync>::NewCursor() {
   return std::make_unique<CursorImpl>(this);
 }
 
-size_t Wormhole::Scan(std::string_view start, size_t count, const ScanFn& fn) {
+template <typename Sync>
+size_t BasicWormhole<Sync>::Scan(std::string_view start, size_t count, const ScanFn& fn) {
   if (count == 0) {
     return 0;  // skip the cursor's pin/route round-trip entirely
   }
-  QsbrOp op(qsbr_);
+  typename Sync::Op op(qsbr_);
   CursorImpl c(this);
   return ScanViaCursor(&c, start, count, fn);
 }
 
 // --- structural writers (meta_mu_ held) ------------------------------------
 
-void Wormhole::InsertEntry(uint32_t hash, Node* node) {
+template <typename Sync>
+void BasicWormhole<Sync>::InsertEntry(uint32_t hash, Node* node) {
   Table* t = table_.load(std::memory_order_relaxed);
   std::atomic<Bucket*>& slot = t->buckets[hash & t->mask];
   Bucket* old = slot.load(std::memory_order_relaxed);
@@ -1815,12 +1390,13 @@ void Wormhole::InsertEntry(uint32_t hash, Node* node) {
   slot.store(nb, std::memory_order_release);
   for (Bucket* l = old; l != nullptr;) {
     Bucket* nx = l->next;  // immutable under meta_mu_; Retire only defers free
-    qsbr_->Retire(l);
+    Sync::Retire(qsbr_, l);
     l = nx;
   }
 }
 
-void Wormhole::RemoveEntry(uint32_t hash, Node* node) {
+template <typename Sync>
+void BasicWormhole<Sync>::RemoveEntry(uint32_t hash, Node* node) {
   Table* t = table_.load(std::memory_order_relaxed);
   std::atomic<Bucket*>& slot = t->buckets[hash & t->mask];
   Bucket* old = slot.load(std::memory_order_relaxed);
@@ -1831,12 +1407,13 @@ void Wormhole::RemoveEntry(uint32_t hash, Node* node) {
   slot.store(nb, std::memory_order_release);  // nb may be null: bucket emptied
   for (Bucket* l = old; l != nullptr;) {
     Bucket* nx = l->next;
-    qsbr_->Retire(l);
+    Sync::Retire(qsbr_, l);
     l = nx;
   }
 }
 
-void Wormhole::MaybeGrowTable() {
+template <typename Sync>
+void BasicWormhole<Sync>::MaybeGrowTable() {
   Table* t = table_.load(std::memory_order_relaxed);
   if (node_count_ <= t->buckets.size() * 2) {
     return;
@@ -1861,14 +1438,15 @@ void Wormhole::MaybeGrowTable() {
   for (auto& bp : t->buckets) {
     for (Bucket* l = bp.load(std::memory_order_relaxed); l != nullptr;) {
       Bucket* nx = l->next;
-      qsbr_->Retire(l);
+      Sync::Retire(qsbr_, l);
       l = nx;
     }
   }
-  qsbr_->Retire(t);
+  Sync::Retire(qsbr_, t);
 }
 
-void Wormhole::InsertAnchor(const std::string& anchor, Leaf* leaf) {
+template <typename Sync>
+void BasicWormhole<Sync>::InsertAnchor(const std::string& anchor, Leaf* leaf) {
   uint32_t state = kCrc32cInit;
   Node* parent = nullptr;
   const Table* t = table_.load(std::memory_order_relaxed);
@@ -1910,8 +1488,9 @@ void Wormhole::InsertAnchor(const std::string& anchor, Leaf* leaf) {
   }
 }
 
-void Wormhole::SplitAndInsert(Leaf* left, std::string_view key,
-                              std::string_view value, uint32_t kv_hash) {
+template <typename Sync>
+void BasicWormhole<Sync>::SplitAndInsert(Leaf* left, std::string_view key,
+                                         std::string_view value, uint32_t kv_hash) {
   // Preconditions: meta_mu_ and left->lock (exclusive) held; left is full and
   // does not contain key. The caller releases left->lock after this returns.
   const size_t n = left->store.size();
@@ -1960,7 +1539,8 @@ void Wormhole::SplitAndInsert(Leaf* left, std::string_view key,
   MaybeGrowTable();
 }
 
-void Wormhole::RemoveLeafLocked(Leaf* leaf) {
+template <typename Sync>
+void BasicWormhole<Sync>::RemoveLeafLocked(Leaf* leaf) {
   // Preconditions: meta_mu_ and leaf->lock (exclusive) held; leaf is empty
   // and is not head_.
   assert(leaf != head_ && leaf->store.size() == 0);
@@ -1993,7 +1573,7 @@ void Wormhole::RemoveLeafLocked(Leaf* leaf) {
       node_count_--;
       Node* parent = LookupNode(t, states[d - 1], std::string_view(a.data(), d - 1));
       parent->ClearChild(static_cast<uint8_t>(a[d - 1]));
-      qsbr_->Retire(n);
+      Sync::Retire(qsbr_, n);
     } else {
       if (d == a.size()) {
         n->has_terminal.store(false, std::memory_order_release);
@@ -2017,12 +1597,13 @@ void Wormhole::RemoveLeafLocked(Leaf* leaf) {
   // see the dead flag (or the advanced version) and retry. Freed after the
   // grace period (the caller's own quiescent report comes after it releases
   // leaf->lock).
-  qsbr_->Retire(leaf);
+  Sync::Retire(qsbr_, leaf);
 }
 
 // --- accounting ------------------------------------------------------------
 
-uint64_t Wormhole::MemoryBytes() const {
+template <typename Sync>
+uint64_t BasicWormhole<Sync>::MemoryBytes() const {
   ScopedLock g(meta_mu_);  // structure is stable underneath
   uint64_t total = sizeof(*this);
   for (Leaf* l = head_; l != nullptr; l = l->next.load(std::memory_order_relaxed)) {
@@ -2042,11 +1623,15 @@ uint64_t Wormhole::MemoryBytes() const {
   return total;
 }
 
-WormholeStats Wormhole::stats() const {
+template <typename Sync>
+WormholeStats BasicWormhole<Sync>::stats() const {
   WormholeStats s;
   s.lookups = lookups_.load(std::memory_order_relaxed);
   s.probes = probes_.load(std::memory_order_relaxed);
   return s;
 }
+
+template class BasicWormhole<Concurrent>;
+template class BasicWormhole<NoSync>;
 
 }  // namespace wh

@@ -36,13 +36,20 @@
 //                 interpolated position and reads one index line, one slot
 //                 and one key instead of binary-searching full keys
 //
-// Concurrency (class Wormhole; the paper's section 4 design):
+// One core, two synchronization policies. BasicWormhole<Sync> is the whole
+// index; the policy supplies only synchronization (see Concurrent / NoSync
+// below). Wormhole = BasicWormhole<Concurrent> is the thread-safe index
+// described next; WormholeUnsafe = BasicWormhole<NoSync> runs the very same
+// trie, leaf path, split rule and cursor with no-op locks, no QSBR guard or
+// pin, immediate frees, and point reads through plain loads instead of the
+// seqlock-validated copy — the thread-unsafe variant of the paper's
+// Figs. 9–10, used by the Fig. 11 ablation configurations.
 //
-// An earlier revision wrapped the single-threaded core in one global
-// std::shared_mutex. That was a scalability bug, not a simplification: every
-// reader bounces the mutex's reader-count cache line between cores, so
-// aggregate Get throughput flatlines as threads grow — the exact collapse the
-// paper's Fig. 9 exists to rule out. The wrapper is gone. Instead:
+// Concurrency (Wormhole; the paper's section 4 design):
+//
+// No global lock: one shared_mutex would bounce its reader-count cache line
+// between cores and flatten Get throughput as threads grow — the collapse
+// the paper's Fig. 9 rules out. Instead:
 //
 //   - Point reads are LOCK-FREE on the fast path (seqlock-style optimistic
 //     validation; the paper's QSBR-reader claim made real). A lookup walks
@@ -84,13 +91,9 @@
 //     after every thread passes a quiescent state, so lock-free readers can
 //     keep dereferencing what they already found.
 //
-// Ordered cursors (src/common/cursor.h): both classes expose NewCursor() for
-// bidirectional Seek/Next/Prev iteration; Scan() is a thin wrapper over it.
-// WormholeUnsafe's cursor is emit-in-place: a bare (leaf, rank) position that
-// reads keys and values straight off the live leaf slab — zero copies — and
-// prefetches the next hop target (header + index + slab lines) while the
-// current leaf drains (skipped when a SetScanLimitHint proves the scan fits
-// the current leaf). The concurrent cursor's protocol, mirroring Get:
+// Ordered cursors (src/common/cursor.h): NewCursor() gives bidirectional
+// Seek/Next/Prev iteration; Scan() is a thin wrapper over it. The cursor
+// emits from a window copied out of one leaf; its protocol, mirroring Get:
 //   - The cursor holds a QSBR *epoch pin* (Qsbr::Pin) for its lifetime, so
 //     the leaf pointer it remembers between calls stays dereferenceable even
 //     after the leaf is unlinked — exactly the guarantee lock-free lookups
@@ -137,9 +140,9 @@
 // threads have quiesced or exited. A live cursor pins its thread's epoch —
 // destroy cursors promptly (and always before the index / QsbrThreadScope).
 //
-// WormholeUnsafe is the single-threaded core (no locks, no atomic publication)
-// used by the Fig. 11 ablation configurations and as the differential-test
-// reference.
+// WormholeUnsafe is not safe for any concurrent use, and any mutation
+// invalidates its outstanding cursors: with no epoch pin, a leaf a cursor
+// remembers may be freed by the next Delete.
 #ifndef WH_SRC_CORE_WORMHOLE_H_
 #define WH_SRC_CORE_WORMHOLE_H_
 
@@ -177,11 +180,11 @@ struct Options {
   bool count_probes = false;
   // Clamped to [4, kMaxLeafCapacity].
   size_t leaf_capacity = 128;
-  // Class Wormhole only: lock-free seqlock-validated attempts per Get /
-  // MultiGet key and per cursor window fill before the read runs the same
-  // extractor under the leaf's shared lock. 0 means every read and fill
-  // takes the shared lock — the forced-fallback tests pin it there to
-  // exercise the locked attempt deterministically.
+  // Lock-free seqlock-validated attempts per Get / MultiGet key and per
+  // cursor window fill before the read runs the same extractor under the
+  // leaf's shared lock. 0 means every read and fill takes the shared lock —
+  // the forced-fallback tests pin it there to exercise the locked attempt
+  // deterministically. Under NoSync the first attempt always validates.
   uint32_t optimistic_retries = 3;
 };
 
@@ -194,94 +197,55 @@ struct WormholeStats {
   }
 };
 
-// Single-threaded Wormhole core. Not safe for any concurrent use.
-class WormholeUnsafe {
- public:
-  // Leaf items live in a slab-backed LeafStore (see leaf_ops.h): fixed slots
-  // at stable ids, `by_key` in key order, `by_hash` (hash tag, slot id)
-  // entries in (hash, key) order (DirectPos only), all key/value bytes in
-  // one contiguous slab.
-  struct Leaf {
-    std::string anchor;
-    Leaf* prev = nullptr;
-    Leaf* next = nullptr;
-    leafops::LeafStore store;
-  };
-
-  WormholeUnsafe() : WormholeUnsafe(Options()) {}
-  explicit WormholeUnsafe(const Options& opt);
-  ~WormholeUnsafe();
-  WormholeUnsafe(const WormholeUnsafe&) = delete;
-  WormholeUnsafe& operator=(const WormholeUnsafe&) = delete;
-
-  bool Get(std::string_view key, std::string* value);
-  void Put(std::string_view key, std::string_view value);
-  bool Delete(std::string_view key);
-  // Visits items with key >= start in key order, at most `count`, stopping
-  // early when fn returns false. Returns the number of fn invocations.
-  // (A thin wrapper over NewCursor — see src/common/cursor.h.)
-  size_t Scan(std::string_view start, size_t count, const ScanFn& fn);
-  // Bidirectional cursor over the leaf list (contract in cursor.h). Any
-  // mutation of the index invalidates outstanding cursors.
-  std::unique_ptr<Cursor> NewCursor();
-
-  uint64_t MemoryBytes() const;
-  size_t size() const { return item_count_.load(std::memory_order_relaxed); }
-  WormholeStats stats() const;
-  const Options& options() const { return opt_; }
-
-  // The unique leaf with anchor <= key < next-anchor. Only reads the trie.
-  Leaf* FindLeaf(std::string_view key);
-
- private:
-  struct Node;
-  class CursorImpl;
-  using Bucket = metabucket::BucketLine<Node>;
-
-  Node* LookupNode(uint32_t hash, std::string_view prefix) const;
-  // Node for prefix+extra (the child-descent step, avoiding concatenation).
-  Node* LookupChild(uint32_t hash, std::string_view prefix, char extra) const;
-  void InsertEntry(uint32_t hash, Node* node);
-  void RemoveEntry(uint32_t hash, Node* node);
-  void MaybeGrowTable();
-
-  // Longest prefix of `key` present in the trie; *state_out receives the raw
-  // CRC32C state of that prefix.
-  Node* Lpm(std::string_view key, uint32_t* state_out);
-  // FindLeaf plus the full-key hash (the LPM prefix state extended over the
-  // key's tail) when DirectPos is on; *kv_hash is 0 otherwise.
-  Leaf* FindLeafHashed(std::string_view key, uint32_t* kv_hash);
-
-  void SplitLeaf(Leaf* leaf);
-  void InsertAnchor(const std::string& anchor, Leaf* leaf);
-  void RemoveLeaf(Leaf* leaf);
-
-  Options opt_;
-  std::vector<Bucket> buckets_;  // line heads embedded in the table array
-  size_t bucket_mask_ = 0;
-  size_t node_count_ = 0;
-  Leaf* head_ = nullptr;
-  Node* root_ = nullptr;
-  size_t max_anchor_len_ = 0;
-  std::atomic<size_t> item_count_{0};
-  mutable std::atomic<uint64_t> probes_{0};
-  mutable std::atomic<uint64_t> lookups_{0};
+// Synchronization policies of BasicWormhole. A policy carries the lock
+// types, whether a point read may use plain loads (kPlainReads: no writer
+// can overlap it), the per-operation QSBR guard (Op), the cursor's epoch pin
+// (Pin) and retirement (Retire, plus the leaf stores' block-release hook);
+// everything else is one shared implementation. The members are defined in
+// wormhole.cc, their only user.
+struct Concurrent {
+  using LeafMutex = SharedMutex;
+  using MetaMutex = Mutex;
+  static constexpr bool kPlainReads = false;
+  class Op;   // registers with the domain, quiesces when the op ends
+  class Pin;  // a cursor's epoch pin for its lifetime
+  template <typename T>
+  static void Retire(Qsbr* qsbr, T* p);  // freed after the grace period
+  static leafops::BlockRelease StoreRelease(Qsbr* qsbr);
+  static void Drain(Qsbr* qsbr);  // reclaim what the destroyed index retired
 };
 
-// Thread-safe Wormhole: lock-free lookups through the MetaTrieHT, per-leaf
+// Single-threaded: no-op locks, guard and pin; retirement frees at once.
+struct NoSync {
+  using LeafMutex = NullMutex;
+  using MetaMutex = NullMutex;
+  static constexpr bool kPlainReads = true;
+  struct Op;
+  struct Pin;
+  template <typename T>
+  static void Retire(Qsbr* qsbr, T* p);
+  static leafops::BlockRelease StoreRelease(Qsbr* qsbr);
+  static void Drain(Qsbr* qsbr);
+};
+
+// The Wormhole index: lock-free lookups through the MetaTrieHT, per-leaf
 // reader-writer locks for item access, QSBR reclamation for structural
-// changes. See the header comment for the full concurrency model.
-class Wormhole {
+// changes — each a no-op under NoSync. See the header comment for the full
+// concurrency model. Instantiated for Concurrent and NoSync only.
+template <typename Sync>
+class BasicWormhole {
  public:
-  Wormhole() : Wormhole(Options()) {}
+  struct Leaf;
+
+  BasicWormhole() : BasicWormhole(Options()) {}
   // `qsbr` is the reclamation domain this index retires into; all threads
   // operating on the index participate in it. The default is the process-wide
   // domain; a sharded deployment (src/server) gives each shard its own so one
-  // shard's slow readers never stall another's reclamation.
-  explicit Wormhole(const Options& opt, Qsbr* qsbr = &Qsbr::Default());
-  ~Wormhole();
-  Wormhole(const Wormhole&) = delete;
-  Wormhole& operator=(const Wormhole&) = delete;
+  // shard's slow readers never stall another's reclamation. NoSync ignores it.
+  explicit BasicWormhole(const Options& opt, Qsbr* qsbr = &Qsbr::Default());
+  ~BasicWormhole();
+  BasicWormhole(const BasicWormhole&) = delete;
+  BasicWormhole& operator=(const BasicWormhole&) = delete;
 
   // The EXCLUDES(meta_mu_) on the public API is the threading contract: the
   // caller must not hold the structural mutex (each operation may acquire it
@@ -312,18 +276,12 @@ class Wormhole {
 
   // Batched point lookups. values and hits are resized to keys.size(); on a
   // miss the value slot is cleared and the hit byte is 0. The whole batch
-  // runs under one quiescent-state report. Keys run through a
-  // prefetch-interleaved pipeline in groups of 8, so the batch overlaps the
-  // memory latencies a serial loop would pay back-to-back: each round of
-  // stage 1 issues one LPM hash probe per in-flight key and prefetches the
-  // next bucket line while the other keys' probes execute; stage 2 resolves
-  // leaves and prefetches their headers; each round of stage 3 advances
-  // every key's in-leaf read by one step (version snapshot, block views,
-  // index line, slot and key, finish + validate — OptimisticLeafGet cut at
-  // its cache misses, over the same SpecBegin / PointVerdict bracket and
-  // leafops::SpecProbe extractor). That pipelined read is attempt 0; a key
-  // that loses it runs Get's remaining attempts and locked fallback, so the
-  // batch fast path touches no leaf lock at all. Returns the hit count.
+  // runs under one quiescent-state report, through a prefetch-interleaved
+  // pipeline over groups of 8 keys that overlaps the memory latencies a
+  // serial loop pays back-to-back (stages in wormhole.cc): the LPM probes,
+  // the leaf resolution, then the in-leaf reads step by step — the
+  // speculative read, as attempt 0. A key that loses it runs Get's
+  // remaining attempts and locked fallback. Returns the hit count.
   size_t MultiGet(const std::vector<std::string_view>& keys,
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
       EXCLUDES(meta_mu_);
@@ -342,9 +300,15 @@ class Wormhole {
   WormholeStats stats() const;
   const Options& options() const { return opt_; }
 
+  // RouteToLeaf's leaf for key: exact under NoSync, best-effort (maybe stale
+  // or null) under Concurrent. Reads only the trie (svcbench times it).
+  Leaf* FindLeaf(std::string_view key) const {
+    uint32_t kv_hash;
+    return RouteToLeaf(key, &kv_hash);
+  }
+
  private:
   struct Node;
-  struct Leaf;
   class CursorImpl;
   // Immutable once published: updates build a copy of the line chain and
   // swing the bucket head pointer; the old lines are retired via QSBR.
@@ -395,7 +359,7 @@ class Wormhole {
   // seqlock-validated verdicts; kRetry means the snapshot was unusable —
   // odd/changed version, dead leaf, key outside the anchor range, or an
   // internally impossible store snapshot. On kMiss/kRetry *value may hold
-  // scribbled bytes.
+  // scribbled bytes. Under kPlainReads it is leafops::FindSlot instead.
   // NO_TSA (here and on the two MultiGet round helpers below): the
   // seqlock-reader shape (sync.h usage rules) — reads GUARDED_BY(leaf->lock)
   // data with no lock and discards the result unless the version validates;
@@ -413,7 +377,7 @@ class Wormhole {
   // Attempts [first, optimistic_retries) of a point read — re-route, then
   // one OptimisticLeafGet each — and then LockedLeafGet. Get runs them all;
   // a MultiGet key whose pipelined attempt 0 lost runs the rest. The caller
-  // holds a QsbrOp.
+  // holds a Sync::Op.
   bool GetFrom(uint32_t first, std::string_view key, std::string* value)
       EXCLUDES(meta_mu_);
   // The point-read fallback shared by Get and MultiGet: AcquireLeaf, then
@@ -439,6 +403,12 @@ class Wormhole {
   // NO_TSA: same caller-held leaf->lock precondition as SplitAndInsert.
   void RemoveLeafLocked(Leaf* leaf) REQUIRES(meta_mu_)
       NO_THREAD_SAFETY_ANALYSIS;
+  // The in-leaf half of every Put: update key in place, or insert it when
+  // the leaf has room; false when the leaf is full and lacks key (the caller
+  // splits). NO_TSA: same caller-held leaf->lock precondition as
+  // SplitAndInsert.
+  bool PutInLeaf(Leaf* leaf, std::string_view key, std::string_view value,
+                 uint32_t kv_hash) NO_THREAD_SAFETY_ANALYSIS;
   void PutSlow(std::string_view key, std::string_view value)
       EXCLUDES(meta_mu_);
   bool DeleteSlow(std::string_view key) EXCLUDES(meta_mu_);
@@ -453,12 +423,17 @@ class Wormhole {
   // writes). Lookups and in-leaf writes never touch it outside the bounded
   // retry fallback. Top of the lock hierarchy: meta_mu_ > Leaf::lock (a
   // thread holding a leaf lock never acquires meta_mu_).
-  mutable Mutex meta_mu_;
+  mutable typename Sync::MetaMutex meta_mu_;
   size_t node_count_ GUARDED_BY(meta_mu_) = 0;
   std::atomic<size_t> item_count_{0};
   mutable std::atomic<uint64_t> probes_{0};
   mutable std::atomic<uint64_t> lookups_{0};
 };
+
+using Wormhole = BasicWormhole<Concurrent>;
+using WormholeUnsafe = BasicWormhole<NoSync>;
+extern template class BasicWormhole<Concurrent>;
+extern template class BasicWormhole<NoSync>;
 
 }  // namespace wh
 

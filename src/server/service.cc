@@ -220,15 +220,25 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
     }
     switch (op) {
       case Op::kGet: {
+        // Lend each response's value buffer to MultiGet, which assigns into
+        // the strings it is given, and take it back filled: a caller that
+        // reuses its responses gets Get values copied with no allocation.
+        // The scratch is sized for the whole batch at its first Get run, so
+        // no later run regrows it.
+        scratch->keys.reserve(batch.size());
+        scratch->values.reserve(batch.size());
+        scratch->hits.reserve(batch.size());
         scratch->keys.clear();
+        scratch->values.resize(j - i);
         for (size_t k = i; k < j; k++) {
           scratch->keys.push_back(batch[idx[k]].key);
+          scratch->values[k - i].swap((*responses)[idx[k]].value);
         }
         index->MultiGet(scratch->keys, &scratch->values, &scratch->hits);
         for (size_t k = i; k < j; k++) {
           Response& r = (*responses)[idx[k]];
           r.found = scratch->hits[k - i] != 0;
-          r.value = std::move(scratch->values[k - i]);
+          r.value.swap(scratch->values[k - i]);
         }
         break;
       }

@@ -331,6 +331,64 @@ TEST(IndexCorrectness, ProbeCountersAreGatedByOption) {
   EXPECT_GT(safe_on.stats().probes, 0u);
 }
 
+// One core: Wormhole driven by a single thread and WormholeUnsafe run the
+// same code under different sync policies, so they must be
+// indistinguishable down to the probe statistics — same split moments, same
+// routes, same leaf reads. Two separate implementations drift apart here
+// first (different split rules show up as different probe counts).
+template <typename Index>
+Pairs CollectScan(Index* index, const std::string& start, size_t count) {
+  Pairs out;
+  index->Scan(start, count, [&](std::string_view k, std::string_view v) {
+    out.emplace_back(std::string(k), std::string(v));
+    return true;
+  });
+  return out;
+}
+
+TEST(IndexCorrectness, SingleThreadedWormholeMatchesWormholeUnsafe) {
+  const auto pool = GenerateKeyset({KeysetId::kUrl, 3000, 11});
+  for (const size_t capacity : {4u, 128u}) {
+    SCOPED_TRACE("leaf_capacity=" + std::to_string(capacity));
+    Options opt;
+    opt.count_probes = true;
+    opt.leaf_capacity = capacity;
+    Wormhole safe(opt);
+    WormholeUnsafe unsafe(opt);
+    Rng rng(0x0c0e + capacity);
+    for (int op = 0; op < 20000; op++) {
+      const std::string& key = pool[rng.NextBounded(pool.size())];
+      const uint64_t roll = rng.NextBounded(100);
+      if (roll < 45) {
+        const std::string value = "value-" + std::to_string(op);
+        safe.Put(key, value);
+        unsafe.Put(key, value);
+      } else if (roll < 65) {
+        ASSERT_EQ(safe.Delete(key), unsafe.Delete(key)) << "op " << op;
+      } else if (roll < 90) {
+        std::string a;
+        std::string b;
+        const bool found = safe.Get(key, &a);
+        ASSERT_EQ(found, unsafe.Get(key, &b)) << "op " << op;
+        if (found) {
+          ASSERT_EQ(a, b) << "op " << op;
+        }
+      } else {
+        const size_t count = 1 + rng.NextBounded(40);
+        ASSERT_EQ(CollectScan(&safe, key, count),
+                  CollectScan(&unsafe, key, count))
+            << "op " << op;
+      }
+      ASSERT_EQ(safe.size(), unsafe.size()) << "op " << op;
+    }
+    EXPECT_EQ(CollectScan(&safe, "", pool.size()),
+              CollectScan(&unsafe, "", pool.size()));
+    EXPECT_GT(safe.stats().lookups, 0u);
+    EXPECT_EQ(safe.stats().lookups, unsafe.stats().lookups);
+    EXPECT_EQ(safe.stats().probes, unsafe.stats().probes);
+  }
+}
+
 TEST(IndexCorrectness, MemoryBytesIsPlausible) {
   const auto pool = GenerateKeyset({KeysetId::kK4, 2000, 3});
   uint64_t key_bytes = 0;

@@ -10,6 +10,10 @@
 // per key or value) or a cursor that allocates its window buffers afresh
 // shows up as a count that grows with the items or the shards.
 //
+// Batches of Gets are held to the same bound: Execute lends each response's
+// value buffer to MultiGet, so repeating a batch copies the values into
+// buffers already grown to them instead of allocating one per value.
+//
 // Also here: a cursor destroyed during thread exit, after the thread's
 // window free list is gone, frees its window without touching the list.
 #include <gtest/gtest.h>
@@ -123,6 +127,17 @@ struct Fixture {
     return batch;
   }
 
+  // `n` Gets of loaded keys from seeded picks.
+  std::vector<Request> GetBatch(size_t n) const {
+    Rng rng(0x6e7);
+    std::vector<Request> batch;
+    for (size_t i = 0; i < n; i++) {
+      batch.push_back(
+          Request{Op::kGet, keys[rng.NextBounded(keys.size())], "", 0});
+    }
+    return batch;
+  }
+
   // Allocations made by one Execute of `batch`, after kWarmups repeats of it
   // through the same response vector.
   uint64_t SteadyAllocs(const std::vector<Request>& batch,
@@ -157,6 +172,22 @@ TEST(ScanAlloc, RepeatedScanBatchAllocatesAConstant) {
   EXPECT_LE(long_allocs, 5 + 2 * kShards) << "1600-item batch";
   // Ten times the items, the same allocations.
   EXPECT_EQ(long_allocs, short_allocs);
+}
+
+// Values are 24 bytes, past the small-string buffer: a Get that hands back
+// a freshly allocated value string costs one allocation per hit.
+TEST(ScanAlloc, RepeatedGetBatchAllocatesAConstant) {
+  Fixture f;
+  for (const size_t n : {32, 128}) {
+    std::vector<Response> responses;
+    const uint64_t allocs = f.SteadyAllocs(f.GetBatch(n), &responses);
+    ASSERT_EQ(responses.size(), n);
+    for (const Response& r : responses) {
+      ASSERT_TRUE(r.found);
+      ASSERT_EQ(r.value.size(), 24u);
+    }
+    EXPECT_LE(allocs, 5 + 2 * kShards) << n << " Gets";
+  }
 }
 
 // Holds a cursor in a thread_local that is constructed before the thread's
