@@ -278,10 +278,11 @@ class BasicWormhole {
   // miss the value slot is cleared and the hit byte is 0. The whole batch
   // runs under one quiescent-state report, through a prefetch-interleaved
   // pipeline over groups of 8 keys that overlaps the memory latencies a
-  // serial loop pays back-to-back (stages in wormhole.cc): the LPM probes,
-  // the leaf resolution, then the in-leaf reads step by step — the
-  // speculative read, as attempt 0. A key that loses it runs Get's
-  // remaining attempts and locked fallback. Returns the hit count.
+  // serial loop pays back-to-back (stages in wormhole.cc): the routes, one
+  // probe line per key per round — the same Route serial Get runs — then
+  // the in-leaf reads step by step — the speculative read, as attempt 0. A
+  // key that loses it runs Get's remaining attempts and locked fallback,
+  // each route counted like Get's. Returns the hit count.
   size_t MultiGet(const std::vector<std::string_view>& keys,
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
       EXCLUDES(meta_mu_);
@@ -320,12 +321,12 @@ class BasicWormhole {
   // Lock-free read path.
   Node* FindNodeInChain(const Bucket* b, uint32_t hash,
                         std::string_view prefix) const;
-  Node* FindChildInChain(const Bucket* b, uint32_t hash, std::string_view prefix,
-                         char extra) const;
   Node* LookupNode(const Table* t, uint32_t hash, std::string_view prefix) const;
-  Node* LookupChild(const Table* t, uint32_t hash, std::string_view prefix,
-                    char extra) const;
-  Node* Lpm(const Table* t, std::string_view key, uint32_t* state_out) const;
+  // The resumable trie walk of one key — the LPM binary search, then the
+  // leaf resolution — stepped one probe line at a time: RouteToLeaf runs it
+  // in one go, MultiGet interleaves a key group's. It alone counts the
+  // probe statistics.
+  struct Route;
   // Best-effort route to the covering leaf; may return nullptr or a stale
   // leaf during a concurrent structural change (callers validate + retry).
   // When DirectPos is on and the route succeeds, *kv_hash receives the

@@ -5,6 +5,7 @@
 // callback behavior; the unordered cuckoo table is checked on point ops only.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -319,6 +320,14 @@ TEST(IndexCorrectness, ProbeCountersAreGatedByOption) {
     safe_off.Get(k, &value);
     safe_on.Get(k, &value);
   }
+  // The batched and the cursor routes are gated the same way.
+  const std::vector<std::string_view> batch(pool.begin(), pool.end());
+  std::vector<std::string> values;
+  std::vector<uint8_t> hits;
+  unsafe_off.MultiGet(batch, &values, &hits);
+  safe_off.MultiGet(batch, &values, &hits);
+  unsafe_off.NewCursor()->Seek(pool[0]);
+  safe_off.NewCursor()->Seek(pool[0]);
 
   EXPECT_EQ(unsafe_off.stats().lookups, 0u);
   EXPECT_EQ(unsafe_off.stats().probes, 0u);
@@ -335,7 +344,10 @@ TEST(IndexCorrectness, ProbeCountersAreGatedByOption) {
 // same code under different sync policies, so they must be
 // indistinguishable down to the probe statistics — same split moments, same
 // routes, same leaf reads. Two separate implementations drift apart here
-// first (different split rules show up as different probe counts).
+// first (different split rules show up as different probe counts). Batched
+// reads alternate sides: one index answers with MultiGet, the other with
+// serial Gets, so the final stats() equality also proves that MultiGet's
+// pipelined routes count exactly what serial routes count.
 template <typename Index>
 Pairs CollectScan(Index* index, const std::string& start, size_t count) {
   Pairs out;
@@ -356,6 +368,7 @@ TEST(IndexCorrectness, SingleThreadedWormholeMatchesWormholeUnsafe) {
     Wormhole safe(opt);
     WormholeUnsafe unsafe(opt);
     Rng rng(0x0c0e + capacity);
+    uint64_t batches = 0;
     for (int op = 0; op < 20000; op++) {
       const std::string& key = pool[rng.NextBounded(pool.size())];
       const uint64_t roll = rng.NextBounded(100);
@@ -365,7 +378,7 @@ TEST(IndexCorrectness, SingleThreadedWormholeMatchesWormholeUnsafe) {
         unsafe.Put(key, value);
       } else if (roll < 65) {
         ASSERT_EQ(safe.Delete(key), unsafe.Delete(key)) << "op " << op;
-      } else if (roll < 90) {
+      } else if (roll < 80) {
         std::string a;
         std::string b;
         const bool found = safe.Get(key, &a);
@@ -373,6 +386,26 @@ TEST(IndexCorrectness, SingleThreadedWormholeMatchesWormholeUnsafe) {
         if (found) {
           ASSERT_EQ(a, b) << "op " << op;
         }
+      } else if (roll < 90) {
+        std::vector<std::string_view> batch(1, key);
+        for (uint64_t i = rng.NextBounded(20); i > 0; i--) {
+          batch.push_back(pool[rng.NextBounded(pool.size())]);
+        }
+        std::vector<std::string> values;
+        std::vector<uint8_t> hits;
+        const size_t found = ++batches % 2 == 0
+                                 ? safe.MultiGet(batch, &values, &hits)
+                                 : unsafe.MultiGet(batch, &values, &hits);
+        size_t serial_found = 0;
+        for (size_t i = 0; i < batch.size(); i++) {
+          std::string v;
+          const bool hit = batches % 2 == 0 ? unsafe.Get(batch[i], &v)
+                                            : safe.Get(batch[i], &v);
+          serial_found += hit ? 1 : 0;
+          ASSERT_EQ(hits[i] != 0, hit) << "op " << op << " key " << batch[i];
+          ASSERT_EQ(values[i], hit ? v : "") << "op " << op;
+        }
+        ASSERT_EQ(found, serial_found) << "op " << op;
       } else {
         const size_t count = 1 + rng.NextBounded(40);
         ASSERT_EQ(CollectScan(&safe, key, count),
@@ -386,6 +419,59 @@ TEST(IndexCorrectness, SingleThreadedWormholeMatchesWormholeUnsafe) {
     EXPECT_GT(safe.stats().lookups, 0u);
     EXPECT_EQ(safe.stats().lookups, unsafe.stats().lookups);
     EXPECT_EQ(safe.stats().probes, unsafe.stats().probes);
+  }
+}
+
+// The paper's central claim, exactly: a lookup binary-searches the prefix
+// lengths 1..L of an L-byte key, at most ceil(log2(L + 1)) probes, then
+// makes at most one child probe — whatever N is and whether anchors are
+// long (zero-filled keys share all but their last 4 bytes) or short
+// (random keys). Every Get counts one lookup, and a MultiGet batch counts
+// one per key and at most its keys' bounds. Present and absent keys alike.
+template <typename Index>
+void CheckProbeBound(size_t len, bool zero_filled) {
+  SCOPED_TRACE(testing::Message() << "L=" << len << " zero_filled=" << zero_filled);
+  const auto keys = GenerateFixedLenKeyset(4000, len, zero_filled, 9);
+  Options opt;
+  opt.count_probes = true;
+  Index index(opt);
+  for (size_t i = 0; i < keys.size(); i += 2) {  // odd keys stay absent
+    index.Put(keys[i], "v");
+  }
+  uint64_t log2_ceil = 0;
+  while ((uint64_t{1} << log2_ceil) < len + 1) {
+    log2_ceil++;
+  }
+  const uint64_t bound = log2_ceil + 1;
+  std::string value;
+  for (const auto& k : keys) {
+    const WormholeStats before = index.stats();
+    index.Get(k, &value);
+    const WormholeStats after = index.stats();
+    ASSERT_EQ(after.lookups - before.lookups, 1u) << "key " << k;
+    ASSERT_LE(after.probes - before.probes, bound) << "key " << k;
+  }
+  std::vector<std::string> values;
+  std::vector<uint8_t> hits;
+  for (size_t base = 0; base < keys.size(); base += 37) {
+    const size_t end = std::min(keys.size(), base + 37);
+    const std::vector<std::string_view> batch(keys.begin() + base,
+                                              keys.begin() + end);
+    const WormholeStats before = index.stats();
+    index.MultiGet(batch, &values, &hits);
+    const WormholeStats after = index.stats();
+    ASSERT_EQ(after.lookups - before.lookups, batch.size()) << "batch " << base;
+    ASSERT_LE(after.probes - before.probes, bound * batch.size())
+        << "batch " << base;
+  }
+}
+
+TEST(IndexCorrectness, LookupProbesAreBoundedByLogKeyLength) {
+  for (const size_t len : {8u, 64u, 512u}) {
+    for (const bool zero_filled : {true, false}) {
+      CheckProbeBound<Wormhole>(len, zero_filled);
+      CheckProbeBound<WormholeUnsafe>(len, zero_filled);
+    }
   }
 }
 

@@ -157,99 +157,125 @@ TEST(WormholeBatch, MultiGetMatchesGet) {
 // present, absent-from-pool, and structurally-adversarial (prefix/extension)
 // probe keys mixed in. The index configurations cover both in-leaf search
 // orders (direct_pos on and off), small leaves (deep trie, many leaves) and
-// one big leaf (a multi-line index, a deep in-leaf binary search), and the
-// forced locked read (optimistic_retries 0); every fourth value is longer
-// than the inline cutoff, so the slab value copy runs too.
+// one big leaf (a multi-line index, a deep in-leaf binary search), the
+// forced locked read (optimistic_retries 0), and the trie route's ablations:
+// prefixes hashed from byte 0 (inc_hashing off) and the Fig. 11 base (no
+// tag filter, unsorted buckets); every fourth value is longer than the
+// inline cutoff, so the slab value copy runs too. Both sync policies run
+// the same pipeline.
+template <typename Index>
+void CheckMultiGetMatchesSerial(const Options& opt, KeysetId id) {
+  const auto pool = GenerateKeyset({id, 600, 17});
+  Index index(opt);
+  std::map<std::string, std::string> oracle;
+  for (size_t i = 0; i < pool.size(); i++) {
+    if (i % 3 != 0) {  // every third pool key stays absent
+      const std::string v = i % 4 == 0
+                                ? "long-value-" + std::to_string(i) + "-" +
+                                      std::string(i % 40, 'x')
+                                : "v" + std::to_string(i % 1000);
+      index.Put(pool[i], v);
+      oracle[pool[i]] = v;
+    }
+  }
+
+  // Probe set: the whole pool plus prefix/extension mutants (they exercise
+  // the anchor-boundary routing paths the pipeline must get right).
+  std::vector<std::string> probes;
+  for (const auto& k : pool) {
+    probes.push_back(k);
+  }
+  for (size_t i = 0; i < pool.size(); i += 5) {
+    probes.push_back(pool[i].substr(0, pool[i].size() / 2 + 1));
+    probes.push_back(pool[i] + "~");
+  }
+  Rng rng(0x5eed ^ static_cast<uint64_t>(id));
+  for (size_t i = probes.size(); i > 1; i--) {  // shuffle
+    std::swap(probes[i - 1], probes[rng.NextBounded(i)]);
+  }
+
+  std::vector<std::string> values;
+  std::vector<uint8_t> hits;
+  const auto check_batch = [&](const std::vector<std::string_view>& batch) {
+    const size_t found = index.MultiGet(batch, &values, &hits);
+    ASSERT_EQ(values.size(), batch.size());
+    size_t expect_found = 0;
+    for (size_t i = 0; i < batch.size(); i++) {
+      std::string want;
+      const bool want_hit = index.Get(batch[i], &want);
+      const auto it = oracle.find(std::string(batch[i]));
+      ASSERT_EQ(want_hit, it != oracle.end()) << "key " << batch[i];
+      expect_found += want_hit ? 1 : 0;
+      ASSERT_EQ(hits[i] != 0, want_hit) << "key " << batch[i];
+      if (want_hit) {
+        ASSERT_EQ(want, it->second) << "key " << batch[i];
+        ASSERT_EQ(values[i], want) << "key " << batch[i];
+      } else {
+        ASSERT_TRUE(values[i].empty()) << "key " << batch[i];
+      }
+    }
+    ASSERT_EQ(found, expect_found);
+  };
+
+  // Batch sizes one key, just under / at / just over the pipeline group
+  // size, and several groups with a partial tail, over shuffled probes.
+  const size_t kSizes[] = {1, 7, 8, 9, 33};
+  size_t pos = 0;
+  for (size_t b = 0; pos < probes.size(); b++) {
+    const size_t bsize = kSizes[b % std::size(kSizes)];
+    std::vector<std::string_view> batch;
+    for (size_t i = 0; i < bsize && pos < probes.size(); i++, pos++) {
+      batch.push_back(probes[pos]);
+    }
+    check_batch(batch);
+  }
+  // One sorted full-pool batch: neighboring keys share leaves.
+  std::vector<std::string_view> sorted_batch(pool.begin(), pool.end());
+  std::sort(sorted_batch.begin(), sorted_batch.end());
+  check_batch(sorted_batch);
+}
+
 TEST(WormholeBatch, MultiGetInterleavedMatchesSerialOnAllKeysets) {
-  struct Config {
-    bool direct_pos;
-    size_t leaf_capacity;
-    uint32_t optimistic_retries;
+  const auto config = [](bool direct_pos, size_t leaf_capacity,
+                         uint32_t optimistic_retries) {
+    Options opt;
+    opt.direct_pos = direct_pos;
+    opt.leaf_capacity = leaf_capacity;
+    opt.optimistic_retries = optimistic_retries;
+    return opt;
   };
-  const Config kConfigs[] = {
-      {true, 16, 3}, {false, 16, 3}, {true, 1024, 3}, {false, 1024, 3},
-      {true, 16, 0},
+  Options no_inc_hashing = config(true, 16, 3);
+  no_inc_hashing.inc_hashing = false;
+  Options fig11_base = config(false, 16, 3);
+  fig11_base.tag_matching = false;
+  fig11_base.inc_hashing = false;
+  fig11_base.sort_by_tag = false;
+  const Options kConfigs[] = {
+      config(true, 16, 3),   config(false, 16, 3), config(true, 1024, 3),
+      config(false, 1024, 3), config(true, 16, 0), no_inc_hashing,
+      fig11_base,
   };
-  for (const Config& cfg : kConfigs) {
+  for (const Options& opt : kConfigs) {
     SCOPED_TRACE(testing::Message()
-                 << "direct_pos=" << cfg.direct_pos
-                 << " leaf_capacity=" << cfg.leaf_capacity
-                 << " optimistic_retries=" << cfg.optimistic_retries);
+                 << "tag_matching=" << opt.tag_matching
+                 << " inc_hashing=" << opt.inc_hashing
+                 << " sort_by_tag=" << opt.sort_by_tag
+                 << " direct_pos=" << opt.direct_pos
+                 << " leaf_capacity=" << opt.leaf_capacity
+                 << " optimistic_retries=" << opt.optimistic_retries);
     for (const KeysetId id : kAllKeysets) {
       SCOPED_TRACE(std::string("keyset=") + KeysetName(id));
-      const auto pool = GenerateKeyset({id, 600, 17});
-      Options opt;
-      opt.direct_pos = cfg.direct_pos;
-      opt.leaf_capacity = cfg.leaf_capacity;
-      opt.optimistic_retries = cfg.optimistic_retries;
-      Wormhole index(opt);
-      std::map<std::string, std::string> oracle;
-      for (size_t i = 0; i < pool.size(); i++) {
-        if (i % 3 != 0) {  // every third pool key stays absent
-          const std::string v = i % 4 == 0
-                                    ? "long-value-" + std::to_string(i) + "-" +
-                                          std::string(i % 40, 'x')
-                                    : "v" + std::to_string(i % 1000);
-          index.Put(pool[i], v);
-          oracle[pool[i]] = v;
-        }
+      {
+        SCOPED_TRACE("class=Wormhole");
+        CheckMultiGetMatchesSerial<Wormhole>(opt, id);
       }
-
-      // Probe set: the whole pool plus prefix/extension mutants (they
-      // exercise the anchor-boundary routing paths the pipeline must get
-      // right).
-      std::vector<std::string> probes;
-      for (const auto& k : pool) {
-        probes.push_back(k);
+      {
+        SCOPED_TRACE("class=WormholeUnsafe");
+        CheckMultiGetMatchesSerial<WormholeUnsafe>(opt, id);
       }
-      for (size_t i = 0; i < pool.size(); i += 5) {
-        probes.push_back(pool[i].substr(0, pool[i].size() / 2 + 1));
-        probes.push_back(pool[i] + "~");
+      if (testing::Test::HasFatalFailure()) {
+        return;
       }
-      Rng rng(0x5eed ^ static_cast<uint64_t>(id));
-      for (size_t i = probes.size(); i > 1; i--) {  // shuffle
-        std::swap(probes[i - 1], probes[rng.NextBounded(i)]);
-      }
-
-      std::vector<std::string> values;
-      std::vector<uint8_t> hits;
-      const auto check_batch = [&](const std::vector<std::string_view>& batch) {
-        const size_t found = index.MultiGet(batch, &values, &hits);
-        ASSERT_EQ(values.size(), batch.size());
-        size_t expect_found = 0;
-        for (size_t i = 0; i < batch.size(); i++) {
-          std::string want;
-          const bool want_hit = index.Get(batch[i], &want);
-          const auto it = oracle.find(std::string(batch[i]));
-          ASSERT_EQ(want_hit, it != oracle.end()) << "key " << batch[i];
-          expect_found += want_hit ? 1 : 0;
-          ASSERT_EQ(hits[i] != 0, want_hit) << "key " << batch[i];
-          if (want_hit) {
-            ASSERT_EQ(want, it->second) << "key " << batch[i];
-            ASSERT_EQ(values[i], want) << "key " << batch[i];
-          } else {
-            ASSERT_TRUE(values[i].empty()) << "key " << batch[i];
-          }
-        }
-        ASSERT_EQ(found, expect_found);
-      };
-
-      // Batch sizes one key, just under / at / just over the pipeline group
-      // size, and several groups with a partial tail, over shuffled probes.
-      const size_t kSizes[] = {1, 7, 8, 9, 33};
-      size_t pos = 0;
-      for (size_t b = 0; pos < probes.size(); b++) {
-        const size_t bsize = kSizes[b % std::size(kSizes)];
-        std::vector<std::string_view> batch;
-        for (size_t i = 0; i < bsize && pos < probes.size(); i++, pos++) {
-          batch.push_back(probes[pos]);
-        }
-        check_batch(batch);
-      }
-      // One sorted full-pool batch: neighboring keys share leaves.
-      std::vector<std::string_view> sorted_batch(pool.begin(), pool.end());
-      std::sort(sorted_batch.begin(), sorted_batch.end());
-      check_batch(sorted_batch);
     }
   }
 }
