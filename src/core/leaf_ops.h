@@ -18,13 +18,13 @@
 // Concurrency model (the seqlock read path). Mutators require the caller to
 // hold the leaf's exclusive lock. The index reads a leaf through exactly two
 // extractors — SpecProbe (point reads: SpecFind runs it in one go, MultiGet
-// steps a group of them round-robin) and SpecFillWindow (cursor window fills) —
-// bracketed by SeqlockReadBegin / SeqlockReadValidate on the leaf's version
-// counter, with NO lock on the fast path; its fallback runs the same extractor
-// under the leaf's shared lock, where validation cannot fail. The plain-load
-// helpers (FindSlot, Key/Value) serve writers under the exclusive lock, and the
-// NoSync policy's point reads (no writer can overlap them); its window fills
-// and MultiGet run the extractors, which then always validate.
+// steps a group of them round-robin) and SpecFillWindow (cursor window fills,
+// whose rank search is a SpecProbe too) — bracketed by SeqlockReadBegin /
+// SeqlockReadValidate on the leaf's version counter, with NO lock on the fast
+// path; its fallback runs the same extractor under the leaf's shared lock,
+// where validation cannot fail. Writers under the exclusive lock (FindSlot,
+// Insert) and the NoSync policy's point reads run SpecProbe in its plain
+// compare mode; Key/Value are plain-load accessors for writers.
 //
 // To make the speculative reads defined behavior, each container is a
 // SpecVec: a heap block whose capacity is embedded in its own header, so a
@@ -69,9 +69,6 @@ inline constexpr uint32_t kInlineValue = 8;
 // ---------------------------------------------------------------------------
 
 #if defined(__GNUC__) || defined(__clang__)
-inline char RelaxedLoad8(const char* p) {
-  return __atomic_load_n(p, __ATOMIC_RELAXED);
-}
 inline void RelaxedStore8(char* p, char v) {
   __atomic_store_n(p, v, __ATOMIC_RELAXED);
 }
@@ -98,6 +95,9 @@ inline void RelaxedStore64(uint64_t* p, uint64_t v) {
 // there is no plain-access build: plain loads racing writers would be UB.
 #error "leaf_ops.h requires the GNU __atomic builtins (GCC or Clang)"
 #endif
+// The word-wise speculative reads below assemble byte 0 into a word's LSB.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "leaf_ops.h requires a little-endian target");
 
 // Byte-range copies where exactly one side is a published block. The
 // published side is accessed in 8-byte relaxed chunks once aligned (block
@@ -119,16 +119,6 @@ inline void RelaxedCopyIn(char* dst, const char* src, size_t n) {
   }
 }
 
-// Word-wise speculative reads need a little-endian target (the shift
-// composition below assembles byte 0 into the LSB); big-endian targets fall
-// back to per-byte loops.
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define WH_SPEC_WORDWISE 1
-#else
-#define WH_SPEC_WORDWISE 0
-#endif
-
-#if WH_SPEC_WORDWISE
 // 8 bytes starting at arbitrary `p`, assembled from the one or two ALIGNED
 // words that contain them. `p` must point into a SpecVec block payload:
 // payloads are 16-aligned and padded to an 8-byte multiple (AllocBlock), so
@@ -165,11 +155,9 @@ inline uint64_t SpecLoadTail(const char* p, size_t n) {
   }
   return v & ((uint64_t{1} << (n * 8)) - 1);
 }
-#endif
 
 // hot-path: speculative value copy-out
 inline void RelaxedCopyOut(char* dst, const char* src, size_t n) {
-#if WH_SPEC_WORDWISE
   // Leaf window fills copy hundreds of short strings per scan; a per-byte
   // loop here halves scan throughput. Streams ALIGNED
   // words, carrying the previous word in a register so a misaligned source
@@ -208,20 +196,6 @@ inline void RelaxedCopyOut(char* dst, const char* src, size_t n) {
       w >>= 8;
     }
   }
-#else
-  size_t i = 0;
-  while (i < n && (reinterpret_cast<uintptr_t>(src + i) & 7) != 0) {
-    dst[i] = RelaxedLoad8(src + i);
-    i++;
-  }
-  for (; i + 8 <= n; i += 8) {
-    const uint64_t w = RelaxedLoad64(reinterpret_cast<const uint64_t*>(src + i));
-    std::memcpy(dst + i, &w, 8);
-  }
-  for (; i < n; i++) {
-    dst[i] = RelaxedLoad8(src + i);
-  }
-#endif
 }
 
 // Lexicographic compare of a speculative key [p, p+len) against a private
@@ -231,7 +205,6 @@ inline void RelaxedCopyOut(char* dst, const char* src, size_t n) {
 // hot-path: speculative key compare
 inline int SpecKeyCompare(const char* p, size_t len, std::string_view b) {
   const size_t common = len < b.size() ? len : b.size();
-#if WH_SPEC_WORDWISE
   // Streams aligned words like RelaxedCopyOut: hierarchical keysets share
   // long prefixes, so the equal-word loop is the whole cost of a probe and
   // must run at one load per 8 bytes.
@@ -287,17 +260,6 @@ inline int SpecKeyCompare(const char* p, size_t len, std::string_view b) {
     }
   }
   return 0;
-#else
-  for (size_t i = 0; i < common; i++) {
-    const int d = static_cast<int>(static_cast<unsigned char>(
-                      RelaxedLoad8(p + i))) -
-                  static_cast<int>(static_cast<unsigned char>(b[i]));
-    if (d != 0) {
-      return d;
-    }
-  }
-  return 0;
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -551,12 +513,8 @@ inline LeafSlotKey SlotLoadKey(const LeafSlot* src) {
   return out;
 }
 
-// Warms the two slots a binary search can probe NEXT while the current
-// probe's key compare is still in flight. A probe is a serial id -> slot ->
-// key-bytes dependency chain, so on a cold leaf every level is a full miss;
-// issuing both candidate slot lines one level early overlaps that latency.
-// The loads are ordinary in-bounds index reads (left/right stay inside
-// [lo, lo + cnt)); a stale id is clamped exactly like the real probe's.
+// Warms the cache line holding p. A prefetch is no access in the memory
+// model, so a speculative reader may warm any address.
 // hot-path: speculative probe prefetch
 inline void SpecPrefetchLine(const void* p) {
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
@@ -567,23 +525,6 @@ inline void SpecPrefetchRange(const void* p, size_t bytes) {
   for (uintptr_t a = first & ~uintptr_t{63}; p != nullptr && a < first + bytes;
        a += 64) {
     SpecPrefetchLine(reinterpret_cast<const void*>(a));
-  }
-}
-// by_key bisections only: the cursor's rank search and the point reads of
-// the direct_pos = false ablation (DirectPos probes one tag run instead).
-inline void SpecPrefetchProbes(const uint16_t* idx, size_t lo, size_t cnt,
-                               const LeafSlot* slots, size_t slots_cap) {
-  const size_t half = cnt / 2;
-  const uint16_t a = RelaxedLoad16(idx + lo + half / 2);
-  if (a < slots_cap) {
-    SpecPrefetchLine(slots + a);
-  }
-  if (cnt > half + 1) {
-    const size_t rest = cnt - half - 1;
-    const uint16_t b = RelaxedLoad16(idx + lo + half + 1 + rest / 2);
-    if (b < slots_cap) {
-      SpecPrefetchLine(slots + b);
-    }
   }
 }
 
@@ -634,12 +575,6 @@ struct LeafStore {
   // Key at key-ordered position `rank` (ranks 0..size()-1 walk the leaf in
   // ascending key order): what split-point selection compares.
   std::string_view KeyAt(size_t rank) const { return Key(by_key[rank]); }
-  // by_hash order: does slot a sort strictly before slot b by (hash, key)?
-  bool HashOrderLess(uint16_t a, uint16_t b) const {
-    const uint32_t ha = slots[a].hash;
-    const uint32_t hb = slots[b].hash;
-    return ha != hb ? ha < hb : Key(a) < Key(b);
-  }
 };
 
 // A cursor's detached copy of one contiguous key-ordered rank range of a
@@ -776,18 +711,9 @@ enum class SpecRead {
   kInconsistent,  // internally impossible snapshot — retry without validating
 };
 
-// Racy byte comparison of `key` against slab[koff, koff+klen). Bounds are the
-// caller's to enforce.
-// hot-path: speculative key compare
-inline bool SpecKeyEquals(const char* slab, uint32_t koff, uint32_t klen,
-                          std::string_view key) {
-  if (klen != key.size()) {
-    return false;
-  }
-  return SpecKeyCompare(slab + koff, klen, key) == 0;
-}
-
-// Lockless point lookup + value copy-out, and FindSlot's DirectPos search.
+// The one search over a leaf's ordered indexes. Point reads run it (SpecFind
+// in one go, MultiGet stepping a group round-robin), and so do FindSlot, the
+// cursor's rank search (SpecFillWindow) and Insert's two splice positions.
 // Every cell is loaded through the relaxed accessors and every id and offset
 // is clamped to the capacity of the block it came from. On garbage data the
 // search still terminates (every walk is monotone and bounded by n) and at
@@ -801,21 +727,28 @@ inline bool SpecKeyEquals(const char* slab, uint32_t koff, uint32_t klen,
 // that index line; each kSlot step checks one run entry's slot hash, and a
 // kKey step its key bytes. A hit costs one index line, one slot and one key.
 // The key gets its own step so that a pipelined caller can warm it first:
-// comparing it in the slot's step measured ~5% slower batched Gets.
+// comparing it in the slot's step measured ~5% slower batched Gets. Once
+// done, lo is the key's (hash, key) lower bound: Insert's splice position.
 // Worst case: the run is walked entry by entry, and an equal-hash run (in
 // key order) key by key up to the first key not below the probe's. CRC32C
 // is unkeyed, so keys crafted to share a hash make a probe O(run length)
 // slot loads and key compares, where the by_key bisection is O(log n): on a
 // 128-item leaf of 8 KiB keys, up to ~1 MiB of key bytes per read.
-// Without DirectPos (the fig. 11 ablation) each kBisect step is one level
-// of a lower_bound over by_key.
+// Without DirectPos (the fig. 11 ablation, and every rank search) each
+// kBisect step is one level of a lower bound over by_key: the first key >=
+// the probe's (> when `strict`), whose rank is lo once done. A level that
+// compares equal records the hit, so a point read needs no final compare.
+//
+// A `plain` probe's caller excludes writers (the leaf's exclusive lock, or
+// NoSync): keys compare with a vectorized memcmp, and Finish copies with
+// assign. The relaxed word loops cost a single-threaded Get 10-24%.
 //
 // A resumable probe, so a batch can overlap the dependent misses of several
 // reads (Wormhole::MultiGet steps a group round-robin): Start acquires the
 // views and clamps the stale size, Step advances one phase, Finish copies
 // the value out. Prefetching is the caller's: a pipelined caller warms the
-// index (WarmIndex), then before each Step what it loads (Prime); serial
-// SpecFind warms both slots the next bisection level may probe.
+// index (WarmIndex), then before each Step what it loads (Prime); the
+// serial Run warms both slots the next bisection level may probe.
 // hot-path: optimistic point read
 struct SpecProbe {
   enum class Phase : uint8_t { kBisect, kScan, kSlot, kKey, kDone };
@@ -828,18 +761,19 @@ struct SpecProbe {
   size_t cnt = 0;
   uint32_t koff = 0;  // kKey: slot id's key bytes
   uint32_t klen = 0;
-  uint16_t id = 0;  // by_hash: the slot under test, the hit once found
+  uint16_t id = 0;  // the slot under test, the hit once found
   Phase phase = Phase::kDone;
   bool direct_pos = false;
-  // Set by FindSlot, whose callers exclude writers: keys compare with a
-  // plain, vectorized memcmp. SpecKeyCompare's relaxed word loop cost the
-  // then single-threaded index's lookups ~20% on fig. 11's K10 (1 KB keys).
   bool plain = false;
+  bool strict = false;
   bool hit = false;
   bool bad = false;  // a bound check failed: Finish reports kInconsistent
 
-  void Start(const LeafStore& s, bool dp, uint32_t hash) {
+  void Start(const LeafStore& s, bool dp, uint32_t hash, bool plain_mode,
+             bool strict_bound = false) {
     direct_pos = dp;
+    plain = plain_mode;
+    strict = strict_bound;
     slots = s.slots.AcquireView();
     slab = s.slab.AcquireView();
     if (dp) {
@@ -872,12 +806,8 @@ struct SpecProbe {
     } else if (phase == Phase::kKey) {
       SpecPrefetchRange(slab.p + koff, klen);
     } else if (phase == Phase::kSlot || phase == Phase::kBisect) {
-      const uint16_t i = phase == Phase::kSlot
-                             ? EntryId(RelaxedLoad32(tagged.p + lo))
-                             : RelaxedLoad16(idx.p + lo + cnt / 2);
-      if (i < slots.cap) {
-        SpecPrefetchLine(slots.p + i);
-      }
+      PrefetchSlot(phase == Phase::kSlot ? EntryId(RelaxedLoad32(tagged.p + lo))
+                                         : RelaxedLoad16(idx.p + lo + cnt / 2));
     }
   }
 
@@ -936,31 +866,40 @@ struct SpecProbe {
                 : Phase::kDone;
   }
 
-  SpecRead Finish(std::string_view key, std::string* value) const {
+  // Steps the probe to its end. Each by_key level first warms both slots
+  // the next level can probe, while this level's key compare is in flight:
+  // a level is a serial id -> slot -> key-bytes dependency chain, so on a
+  // cold leaf every level is a full miss.
+  void Run(std::string_view key, uint32_t hash) {
+    while (!done()) {
+      if (phase == Phase::kBisect) {
+        const size_t half = cnt / 2;
+        PrefetchSlot(RelaxedLoad16(idx.p + lo + half / 2));
+        if (cnt > half + 1) {
+          const size_t rest = cnt - half - 1;
+          PrefetchSlot(RelaxedLoad16(idx.p + lo + half + 1 + rest / 2));
+        }
+      }
+      Step(key, hash);
+    }
+  }
+
+  SpecRead Finish(std::string* value) const {
     if (bad) {
       return SpecRead::kInconsistent;
     }
-    if (direct_pos ? !hit : lo >= n) {
-      return SpecRead::kAbsent;
-    }
-    const uint16_t i = direct_pos ? id : RelaxedLoad16(idx.p + lo);
-    if (i >= slots.cap) {
-      return SpecRead::kInconsistent;
-    }
-    const LeafSlot sl = SlotLoad(slots.p + i);
-    if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
-      return SpecRead::kInconsistent;
-    }
-    if (!direct_pos && !SpecKeyEquals(slab.p, sl.koff, sl.klen, key)) {
+    if (!hit) {
       return SpecRead::kAbsent;
     }
     if (value != nullptr) {
+      const LeafSlot sl = SlotLoad(slots.p + id);  // Step bounded id
       if (sl.vlen <= kInlineValue) {
         value->assign(sl.vinl, sl.vlen);  // sl is a local snapshot already
+      } else if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap) {
+        return SpecRead::kInconsistent;
+      } else if (plain) {
+        value->assign(slab.p + sl.voff, sl.vlen);
       } else {
-        if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap) {
-          return SpecRead::kInconsistent;
-        }
         value->resize(sl.vlen);
         RelaxedCopyOut(value->data(), slab.p + sl.voff, sl.vlen);
       }
@@ -969,7 +908,13 @@ struct SpecProbe {
   }
 
  private:
-  // One level of the hand-rolled lower_bound over the by_key ids.
+  // An id read from a stale index is clamped like a probe's.
+  void PrefetchSlot(uint16_t i) const {
+    if (i < slots.cap) {
+      SpecPrefetchLine(slots.p + i);
+    }
+  }
+  // One level of the lower bound over the by_key ids.
   void Bisect(std::string_view key) {
     const size_t half = cnt / 2;
     const size_t mid = lo + half;
@@ -983,7 +928,12 @@ struct SpecProbe {
       bad = true;
       return;
     }
-    if (Compare(sl.koff, sl.klen, key) < 0) {
+    const int cmp = Compare(sl.koff, sl.klen, key);
+    if (cmp == 0) {
+      hit = true;
+      id = i;
+    }
+    if (strict ? cmp <= 0 : cmp < 0) {
       lo = mid + 1;
       cnt -= half + 1;
     } else {
@@ -1006,42 +956,25 @@ struct SpecProbe {
 // hot-path: optimistic point read
 inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
                          std::string_view key, uint32_t hash,
-                         std::string* value) {
+                         std::string* value, bool plain) {
   SpecProbe p;
-  p.Start(s, direct_pos, hash);
-  while (!p.done()) {
-    if (!direct_pos) {
-      SpecPrefetchProbes(p.idx.p, p.lo, p.cnt, p.slots.p, p.slots.cap);
-    }
-    p.Step(key, hash);
-  }
-  return p.Finish(key, value);
+  p.Start(s, direct_pos, hash, plain);
+  p.Run(key, hash);
+  return p.Finish(value);
 }
 
-// Slot id of `key`, or -1. `hash` is the precomputed full-key CRC32C raw
-// state — lookup paths extend the LPM's incremental prefix state instead of
-// rehashing the key from byte 0; ignored unless direct_pos. The DirectPos
-// search is SpecProbe's, run where no bound check can trip: under the leaf
-// lock, or single-threaded.
+// Slot id of `key`, or -1: the probe's plain mode, for callers that exclude
+// writers (under the leaf's exclusive lock, or single-threaded). `hash` is
+// the precomputed full-key CRC32C raw state — lookup paths extend the LPM's
+// incremental prefix state instead of rehashing the key from byte 0;
+// ignored unless direct_pos.
 // hot-path: every point op's in-leaf search
 inline int FindSlot(const LeafStore& s, bool direct_pos, std::string_view key,
                     uint32_t hash) {
-  if (direct_pos) {
-    SpecProbe p;
-    p.plain = true;
-    p.Start(s, true, hash);
-    while (!p.done()) {
-      p.Step(key, hash);
-    }
-    return p.hit ? p.id : -1;
-  }
-  auto it = std::lower_bound(
-      s.by_key.begin(), s.by_key.end(), key,
-      [&](uint16_t id, std::string_view k) { return s.Key(id) < k; });
-  if (it != s.by_key.end() && s.Key(*it) == key) {
-    return *it;
-  }
-  return -1;
+  SpecProbe p;
+  p.Start(s, direct_pos, hash, /*plain_mode=*/true);
+  p.Run(key, hash);
+  return p.hit ? p.id : -1;
 }
 
 // Result of one speculative whole-window fill. `ok == false` means an
@@ -1065,55 +998,31 @@ struct SpecWindow {
 // trips a bound. `has_bound == false` skips the rank search (hop fills: rank 0
 // forward, the leaf end backward). budget == 0 means unbounded.
 //
-// The rank search runs on possibly-garbage keys like SpecFind's: it still
-// terminates and at worst lands on a wrong rank, which the caller's version
-// check rejects. Each slot is loaded exactly once and both its offsets and
+// The rank search is SpecProbe's by_key bisection with the `strict` bound:
+// on possibly-garbage keys it still terminates and at worst lands on a
+// wrong rank, which the caller's version check rejects. The copy reads the
+// probe's views. Each slot is loaded exactly once and both its offsets and
 // its copy derive from that single snapshot, so a torn slot can never write
 // outside the bounds its own lengths were checked against.
 // hot-path: speculative cursor window fill
 inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
                                  bool has_bound, std::string_view bound,
                                  bool strict, size_t budget, FlatWindow* win) {
-  SpecWindow out;
-  const auto idx = s.by_key.AcquireView();
-  const auto slots = s.slots.AcquireView();
-  const auto slab = s.slab.AcquireView();
-  size_t n = s.size();
-  if (n > idx.cap) {
-    n = idx.cap;  // stale size; clamp — validation will reject the attempt
-  }
-  // Racy lower_bound over the key-ordered index: rank of the first key
-  // (strict ? > : >=) bound.
-  size_t rank = 0;
+  // The rank search, whose views the copy below reads too.
+  SpecProbe p;
+  p.Start(s, /*dp=*/false, 0, /*plain_mode=*/false, strict);
+  size_t rank = forward ? 0 : p.n;
   if (has_bound) {
-    size_t cnt = n;
-    while (cnt > 0) {
-      const size_t half = cnt / 2;
-      const size_t mid = rank + half;
-      const uint16_t id = RelaxedLoad16(idx.p + mid);
-      if (id >= slots.cap) {
-        return out;
-      }
-      SpecPrefetchProbes(idx.p, rank, cnt, slots.p, slots.cap);
-      const LeafSlotKey sl = SlotLoadKey(slots.p + id);
-      if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
-        return out;
-      }
-      const int cmp = SpecKeyCompare(slab.p + sl.koff, sl.klen, bound);
-      const bool skip =  // slot orders (strict ? <= : <) bound
-          cmp != 0 ? cmp < 0
-                   : (strict ? sl.klen <= bound.size()
-                             : sl.klen < bound.size());
-      if (skip) {
-        rank = mid + 1;
-        cnt -= half + 1;
-      } else {
-        cnt = half;
-      }
+    p.Run(bound, 0);
+    if (p.bad) {
+      return {};
     }
-  } else if (!forward) {
-    rank = n;
+    rank = p.lo;
   }
+  const auto& idx = p.idx;
+  const auto& slots = p.slots;
+  const auto& slab = p.slab;
+  const size_t n = p.n;
   size_t lo, hi;
   if (forward) {
     lo = rank;
@@ -1122,13 +1031,10 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
     hi = rank;
     lo = (budget == 0 || hi <= budget) ? 0 : hi - budget;
   }
+  const SpecWindow filled{true, lo, hi, n};
   win->entries.clear();
   if (lo >= hi) {
-    out.ok = true;
-    out.lo = lo;
-    out.hi = hi;
-    out.n = n;
-    return out;
+    return filled;
   }
   // Two passes: pass one lays out entry offsets while prefetching ahead
   // (rank order is random over the slots array and slab, so on a cold leaf
@@ -1181,12 +1087,12 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
     }
     const uint16_t id = RelaxedLoad16(idx.p + r);
     if (id >= slots.cap) {
-      return out;
+      return {};
     }
     const LeafSlot sl = SlotLoad(slots.p + id);
     if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap ||
         bytes + sl.klen + kInlineValue > max_bytes) {
-      return out;
+      return {};
     }
     SpecPrefetchLine(slab.p + sl.koff);  // key bytes for pass two
     const size_t i = r - lo;
@@ -1205,7 +1111,7 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
     } else {
       if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap ||
           bytes + sl.vlen > max_bytes) {
-        return out;
+        return {};
       }
       SpecPrefetchLine(slab.p + sl.voff);
       // Never collides with the inline marker: out-of-line means vlen > 8.
@@ -1225,11 +1131,7 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
                      static_cast<uint32_t>(vs[i] >> 32));
     }
   }
-  out.ok = true;
-  out.lo = lo;
-  out.hi = hi;
-  out.n = n;
-  return out;
+  return filled;
 }
 
 // Appends a new item and splices its slot id into the ordered indexes.
@@ -1237,6 +1139,17 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
 // otherwise).
 inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
                    std::string_view value, uint32_t hash) {
+  // Both splice positions are the probe's final lo: the key's by_key rank,
+  // and under DirectPos its (hash, key) position in by_hash. They are taken
+  // before AppendRaw, which grows the slot count the probe is sized from.
+  const auto position = [&](bool dp) {
+    SpecProbe p;
+    p.Start(*s, dp, hash, /*plain_mode=*/true);
+    p.Run(key, hash);
+    return p.lo;
+  };
+  const size_t kpos = position(false);
+  const size_t hpos = direct_pos ? position(true) : 0;
   const uint16_t id = AppendRaw(s, key, value, direct_pos ? hash : 0);
   // The splice shifts the ordered tail one position right; every displaced
   // cell is rewritten through a relaxed store because the block is published.
@@ -1252,19 +1165,8 @@ inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
     RelaxedStoreEntry(p + pos, entry);
     index->SetSize(old_n + 1);
   };
-  const auto kpos = static_cast<size_t>(
-      std::lower_bound(
-          s->by_key.begin(), s->by_key.end(), key,
-          [&](uint16_t a, std::string_view k) { return s->Key(a) < k; }) -
-      s->by_key.begin());
   splice(&s->by_key, kpos, id);
   if (direct_pos) {
-    const auto hpos = static_cast<size_t>(
-        std::lower_bound(s->by_hash.begin(), s->by_hash.end(), id,
-                         [&](uint32_t e, uint16_t b) {
-                           return s->HashOrderLess(EntryId(e), b);
-                         }) -
-        s->by_hash.begin());
     splice(&s->by_hash, hpos, HashEntry(hash, id));
   }
 }
@@ -1368,8 +1270,10 @@ inline void RebuildIndexes(LeafStore* s, bool direct_pos) {
     for (size_t i = 0; i < n; i++) {
       bh[i] = HashEntry(s->slots[bk[i]].hash, bk[i]);
     }
-    std::sort(bh, bh + n, [&](uint32_t a, uint32_t b) {
-      return s->HashOrderLess(EntryId(a), EntryId(b));
+    std::sort(bh, bh + n, [&](uint32_t a, uint32_t b) {  // (hash, key) order
+      const uint32_t ha = s->slots[EntryId(a)].hash;
+      const uint32_t hb = s->slots[EntryId(b)].hash;
+      return ha != hb ? ha < hb : s->Key(EntryId(a)) < s->Key(EntryId(b));
     });
   } else {
     s->by_hash.SetSize(0);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -30,6 +32,25 @@ uint32_t ExtendKvHash(bool direct_pos, uint32_t state, std::string_view key,
   }
   return key.size() > lo ? Crc32cExtend(state, key.data() + lo, key.size() - lo)
                          : state;
+}
+
+// Reports a serialized route that missed `key` (anchor: the leaf it reached,
+// if any) and aborts. Bytes print as hex, since keys are binary.
+[[noreturn]] void DieMisrouted(std::string_view key, const std::string* anchor) {
+  const auto hex = [](std::string_view s) {
+    std::string out;
+    for (const unsigned char c : s) {
+      out += "0123456789abcdef"[c >> 4];
+      out += "0123456789abcdef"[c & 15];
+    }
+    return out;
+  };
+  std::fprintf(stderr, "wormhole: serialized route of key [%s] reached %s\n",
+               hex(key).c_str(),
+               anchor == nullptr
+                   ? "no leaf"
+                   : ("the leaf anchored at [" + hex(*anchor) + "]").c_str());
+  std::abort();
 }
 
 // Replaced SpecVec blocks from a published leaf store go through QSBR: a
@@ -442,14 +463,16 @@ bool BasicWormhole<Sync>::SpecEnd(const Leaf* leaf, uint64_t begin) {
 }
 
 // The end half of a point read: the extractor's answer stands only on an
-// internally consistent snapshot that SpecEnd validates. The caller checks
-// coverage (Covers) anywhere inside the bracket: Get before the search, so
-// its loads overlap the search; MultiGet after it, once the next leaf's
-// anchor it prefetched has landed.
+// internally consistent snapshot that SpecEnd validates (NoSync has no
+// writer to validate against). The caller checks coverage (Covers) anywhere
+// inside the bracket: Get before the search, so its loads overlap the
+// search; MultiGet after it, once the next leaf's anchor it prefetched has
+// landed.
 template <typename Sync>
 auto BasicWormhole<Sync>::PointVerdict(const Leaf* leaf, uint64_t begin,
                                        leafops::SpecRead r) -> SpecOutcome {
-  if (r == leafops::SpecRead::kInconsistent || !SpecEnd(leaf, begin)) {
+  if (r == leafops::SpecRead::kInconsistent ||
+      (!Sync::kPlainReads && !SpecEnd(leaf, begin))) {
     return SpecOutcome::kRetry;
   }
   return r == leafops::SpecRead::kFound ? SpecOutcome::kHit : SpecOutcome::kMiss;
@@ -460,26 +483,18 @@ template <typename Sync>
 auto BasicWormhole<Sync>::OptimisticLeafGet(Leaf* leaf, std::string_view key,
                                             uint32_t kv_hash,
                                             std::string* value) const -> SpecOutcome {
-  if constexpr (Sync::kPlainReads) {
-    // No writer runs beside the read and the route is exact: the writers'
-    // plain lookup (vectorized key compares, no seqlock bracket, no
-    // coverage check) serves it, measured faster than the speculative read.
-    const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, kv_hash);
-    if (slot < 0) {
-      return SpecOutcome::kMiss;
+  // Under NoSync no writer can overlap the read and the route is exact, so
+  // the bracket is skipped: its loads of the leaf's version line cost a
+  // NoSync Get on a 2M-key index ~15-25%, where Covers alone cost little.
+  uint64_t begin = 0;
+  if constexpr (!Sync::kPlainReads) {
+    if (!SpecBegin(leaf, &begin) || !Covers(leaf, key)) {
+      return SpecOutcome::kRetry;  // writer mid-section, or a stale route
     }
-    if (value != nullptr) {
-      value->assign(leaf->store.Value(static_cast<uint16_t>(slot)));
-    }
-    return SpecOutcome::kHit;
   }
-  uint64_t begin;
-  if (!SpecBegin(leaf, &begin) || !Covers(leaf, key)) {
-    return SpecOutcome::kRetry;  // writer mid-section, or a stale route
-  }
-  return PointVerdict(
-      leaf, begin,
-      leafops::SpecFind(leaf->store, opt_.direct_pos, key, kv_hash, value));
+  return PointVerdict(leaf, begin,
+                      leafops::SpecFind(leaf->store, opt_.direct_pos, key,
+                                        kv_hash, value, Sync::kPlainReads));
 }
 
 // Round 1 of a pipelined point read (MultiGet stage 2): warm the next leaf
@@ -501,7 +516,7 @@ void BasicWormhole<Sync>::WarmLeafRead(const Leaf* leaf) const {
 template <typename Sync>
 void BasicWormhole<Sync>::StartLeafRead(const Leaf* leaf, uint32_t kv_hash,
                                         leafops::SpecProbe* p) const {
-  p->Start(leaf->store, opt_.direct_pos, kv_hash);
+  p->Start(leaf->store, opt_.direct_pos, kv_hash, Sync::kPlainReads);
   p->WarmIndex();
 }
 
@@ -529,16 +544,19 @@ auto BasicWormhole<Sync>::AcquireLeaf(std::string_view key, Mode mode,
     }
   }
   // Structural churn outran optimistic routing; serialize with the writers —
-  // under meta_mu_ the trie is stable, so the route is exact.
+  // under meta_mu_ the trie and every leaf's range are stable, so the route
+  // is exact. A miss is a routing bug, checked in every build: handed back,
+  // the leaf would send the cursor's re-route loop around forever.
   ScopedLock g(meta_mu_);
   Leaf* leaf = RouteToLeaf(key, kv_hash);
-  assert(leaf != nullptr);
+  if (leaf == nullptr || !Covers(leaf, key)) {
+    DieMisrouted(key, leaf == nullptr ? nullptr : &leaf->anchor);
+  }
   if (mode == Mode::kShared) {
     leaf->lock.lock_shared();
   } else {
     leaf->lock.lock();
   }
-  assert(Covers(leaf, key));
   return leaf;
 }
 
@@ -601,6 +619,22 @@ size_t BasicWormhole<Sync>::MultiGet(const std::vector<std::string_view>& keys,
   }
   typename Sync::Op op(qsbr_);
   size_t found = 0;
+  const auto settle = [&](size_t i, bool hit) {
+    if (hit) {
+      (*hits)[i] = 1;
+      found++;
+    } else {
+      (*values)[i].clear();
+    }
+  };
+  if (opt_.optimistic_retries == 0) {
+    // Every read starts locked, and LockedLeafGet routes the key itself: a
+    // pipelined route would only be walked twice.
+    for (size_t i = 0; i < n; i++) {
+      settle(i, GetFrom(0, keys[i], &(*values)[i]));
+    }
+    return found;
+  }
 
   // The batch runs as a staged pipeline over groups of kGroup keys: every
   // round each in-flight key takes one step of its work, consuming the cache
@@ -668,8 +702,7 @@ size_t BasicWormhole<Sync>::MultiGet(const std::vector<std::string_view>& keys,
     for (size_t i = 0; i < g; i++) {
       Read& r = rd[i];
       Leaf* leaf = r.route.leaf;
-      r.reading = opt_.optimistic_retries > 0 && leaf != nullptr &&
-                  SpecBegin(leaf, &r.begin);
+      r.reading = leaf != nullptr && SpecBegin(leaf, &r.begin);
       if (r.reading) {
         WarmLeafRead(leaf);
       }
@@ -701,17 +734,10 @@ size_t BasicWormhole<Sync>::MultiGet(const std::vector<std::string_view>& keys,
       std::string* out = &(*values)[base + i];
       SpecOutcome oc = SpecOutcome::kRetry;
       if (r.reading && Covers(r.route.leaf, key)) {
-        oc = PointVerdict(r.route.leaf, r.begin, r.probe.Finish(key, out));
+        oc = PointVerdict(r.route.leaf, r.begin, r.probe.Finish(out));
       }
-      if (oc == SpecOutcome::kRetry) {
-        oc = GetFrom(1, key, out) ? SpecOutcome::kHit : SpecOutcome::kMiss;
-      }
-      if (oc == SpecOutcome::kHit) {
-        (*hits)[base + i] = 1;
-        found++;
-      } else {
-        out->clear();
-      }
+      settle(base + i, oc == SpecOutcome::kRetry ? GetFrom(1, key, out)
+                                                 : oc == SpecOutcome::kHit);
     }
   }
   return found;

@@ -40,9 +40,9 @@
 // index; the policy supplies only synchronization (see Concurrent / NoSync
 // below). Wormhole = BasicWormhole<Concurrent> is the thread-safe index
 // described next; WormholeUnsafe = BasicWormhole<NoSync> runs the very same
-// trie, leaf path, split rule and cursor with no-op locks, no QSBR guard or
-// pin, immediate frees, and point reads through plain loads instead of the
-// seqlock-validated copy — the thread-unsafe variant of the paper's
+// trie, leaf path, point read, split rule and cursor with no-op locks, no
+// QSBR guard or pin, immediate frees, and plain key compares and value
+// copies in the in-leaf search — the thread-unsafe variant of the paper's
 // Figs. 9–10, used by the Fig. 11 ablation configurations.
 //
 // Concurrency (Wormhole; the paper's section 4 design):
@@ -198,9 +198,10 @@ struct WormholeStats {
 };
 
 // Synchronization policies of BasicWormhole. A policy carries the lock
-// types, whether a point read may use plain loads (kPlainReads: no writer
-// can overlap it), the per-operation QSBR guard (Op), the cursor's epoch pin
-// (Pin) and retirement (Retire, plus the leaf stores' block-release hook);
+// types, the compare mode of point reads (kPlainReads: no writer can overlap
+// one, so the in-leaf search compares keys and copies the value with plain
+// loads), the per-operation QSBR guard (Op), the cursor's epoch pin (Pin)
+// and retirement (Retire, plus the leaf stores' block-release hook);
 // everything else is one shared implementation. The members are defined in
 // wormhole.cc, their only user.
 struct Concurrent {
@@ -282,7 +283,8 @@ class BasicWormhole {
   // probe line per key per round — the same Route serial Get runs — then
   // the in-leaf reads step by step — the speculative read, as attempt 0. A
   // key that loses it runs Get's remaining attempts and locked fallback,
-  // each route counted like Get's. Returns the hit count.
+  // each route counted like Get's (at optimistic_retries 0 every key goes
+  // straight to that fallback). Returns the hit count.
   size_t MultiGet(const std::vector<std::string_view>& keys,
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
       EXCLUDES(meta_mu_);
@@ -360,7 +362,8 @@ class BasicWormhole {
   // seqlock-validated verdicts; kRetry means the snapshot was unusable —
   // odd/changed version, dead leaf, key outside the anchor range, or an
   // internally impossible store snapshot. On kMiss/kRetry *value may hold
-  // scribbled bytes. Under kPlainReads it is leafops::FindSlot instead.
+  // scribbled bytes. Both policies run this body; Sync::kPlainReads only
+  // picks the search's compare and copy mode.
   // NO_TSA (here and on the two MultiGet round helpers below): the
   // seqlock-reader shape (sync.h usage rules) — reads GUARDED_BY(leaf->lock)
   // data with no lock and discards the result unless the version validates;

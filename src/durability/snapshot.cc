@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/common/crc32c.h"
+#include "src/durability/byte_order.h"
 
 namespace wh::durability {
 
@@ -14,30 +15,6 @@ constexpr char kManifestName[] = "MANIFEST";
 // magic + seq + count + crc: the smallest (empty) snapshot.
 constexpr uint64_t kMinSnapshotBytes = 8 + 8 + 8 + 4;
 constexpr size_t kFlushBytes = 64 << 10;
-
-void PutU32(std::string* b, uint32_t v) {
-  b->push_back(static_cast<char>(v & 0xff));
-  b->push_back(static_cast<char>((v >> 8) & 0xff));
-  b->push_back(static_cast<char>((v >> 16) & 0xff));
-  b->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void PutU64(std::string* b, uint64_t v) {
-  PutU32(b, static_cast<uint32_t>(v & 0xffffffffu));
-  PutU32(b, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-         (static_cast<uint32_t>(b[2]) << 16) |
-         (static_cast<uint32_t>(b[3]) << 24);
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
 
 std::string SnapshotName(uint64_t seq) {
   char buf[40];

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/crc32c.h"
+#include "src/durability/byte_order.h"
 
 namespace wh::durability {
 
@@ -12,37 +13,6 @@ namespace {
 constexpr uint64_t kHeaderBytes = 8;    // len u32 + crc u32
 constexpr uint64_t kMinPayload = 13;    // seq u64 + op u8 + klen u32
 constexpr uint64_t kMaxRecordLen = 1ull << 28;
-
-void PutU32(std::string* b, uint32_t v) {
-  b->push_back(static_cast<char>(v & 0xff));
-  b->push_back(static_cast<char>((v >> 8) & 0xff));
-  b->push_back(static_cast<char>((v >> 16) & 0xff));
-  b->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void PutU64(std::string* b, uint64_t v) {
-  PutU32(b, static_cast<uint32_t>(v & 0xffffffffu));
-  PutU32(b, static_cast<uint32_t>(v >> 32));
-}
-
-void PatchU32(std::string* b, size_t pos, uint32_t v) {
-  (*b)[pos] = static_cast<char>(v & 0xff);
-  (*b)[pos + 1] = static_cast<char>((v >> 8) & 0xff);
-  (*b)[pos + 2] = static_cast<char>((v >> 16) & 0xff);
-  (*b)[pos + 3] = static_cast<char>((v >> 24) & 0xff);
-}
-
-uint32_t GetU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-         (static_cast<uint32_t>(b[2]) << 16) |
-         (static_cast<uint32_t>(b[3]) << 24);
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
 
 std::string SegmentName(uint64_t first_seq) {
   char buf[32];

@@ -78,9 +78,6 @@ void Service::RecoverShardFromDisk(Shard* shard, size_t shard_index) {
 
 void Service::Execute(const std::vector<Request>& batch,
                       std::vector<Response>* responses) {
-  // Uncontended in today's fixed-topology service; pins the shard set for
-  // the whole batch once live resharding takes the exclusive side.
-  ScopedReadLock topo(topo_mu_);
   // The caller's Response objects are kept (contract in service.h): every
   // field is reset below, and a scan refills its items in place.
   responses->resize(batch.size());
@@ -348,7 +345,6 @@ void Service::ExecuteScan(size_t first_shard, const Request& req,
 }
 
 durability::Status Service::Checkpoint() {
-  ScopedReadLock topo(topo_mu_);
   if (!dur_.enabled) {
     return durability::Status::Error("Checkpoint: durability not enabled");
   }
@@ -386,7 +382,6 @@ durability::Status Service::Checkpoint() {
 }
 
 durability::Status Service::durability_status() const {
-  ScopedReadLock topo(topo_mu_);
   for (const auto& shard : shards_) {
     if (shard->failed.load(std::memory_order_acquire)) {
       ScopedLock g(shard->wal_mu);
@@ -397,7 +392,6 @@ durability::Status Service::durability_status() const {
 }
 
 size_t Service::size() const {
-  ScopedReadLock topo(topo_mu_);
   size_t total = 0;
   for (const auto& s : shards_) {
     total += s->index->size();
@@ -406,7 +400,6 @@ size_t Service::size() const {
 }
 
 uint64_t Service::MemoryBytes() const {
-  ScopedReadLock topo(topo_mu_);
   uint64_t total = sizeof(*this);
   for (const auto& s : shards_) {
     total += sizeof(Shard) + sizeof(Qsbr) + s->index->MemoryBytes();

@@ -155,29 +155,27 @@ class Service {
   // strings already in `items`, keeping their capacity, so a client that
   // reuses one vector across batches stops allocating for scan results once
   // they reach their high-water sizes. A caller that wants the memory back
-  // passes a fresh vector. EXCLUDES(topo_mu_) is the annotated
-  // form of the threading contract above: any number of client threads may
-  // call concurrently (each takes topo_mu_ shared itself), but never from a
-  // context already holding the topology lock.
+  // passes a fresh vector. Any number of client threads may call
+  // concurrently.
   void Execute(const std::vector<Request>& batch,
-               std::vector<Response>* responses) EXCLUDES(topo_mu_);
+               std::vector<Response>* responses);
 
-  // Equal to shards_.size() by construction, without touching guarded state.
+  // Equal to shards_.size() by construction.
   size_t shard_count() const { return router_.shard_count(); }
   const ShardRouter& router() const { return router_; }
 
   // Total item count / footprint across shards (not atomic across them).
-  size_t size() const EXCLUDES(topo_mu_);
-  uint64_t MemoryBytes() const EXCLUDES(topo_mu_);
+  size_t size() const;
+  uint64_t MemoryBytes() const;
 
   // Durable mode: snapshots every shard (epoch-pinned cursor sweep; writers
   // stay live) and truncates each WAL at its snapshot floor. Returns the
   // first error; an error from shard i leaves shards 0..i-1 checkpointed.
-  durability::Status Checkpoint() EXCLUDES(topo_mu_);
+  durability::Status Checkpoint();
 
   // First durability error across shards (recovery failure or a failed
   // append/fsync that tripped fail-stop); ok when everything is healthy.
-  durability::Status durability_status() const EXCLUDES(topo_mu_);
+  durability::Status durability_status() const;
 
   bool durable() const { return dur_.enabled; }
 
@@ -219,14 +217,13 @@ class Service {
                    const uint32_t* idx, size_t idx_n,
                    std::vector<Response>* responses, ExecScratch* scratch,
                    std::vector<std::unique_ptr<Cursor>>* scan_cursors,
-                   bool apply_mutations) REQUIRES_SHARED(topo_mu_);
+                   bool apply_mutations);
 
   // *cursors is Execute()'s per-batch shard-cursor cache: slot s holds the
   // cursor for shard s once any scan in the batch has touched it (empty
   // until the batch's first scan resizes it).
   void ExecuteScan(size_t first_shard, const Request& req, Response* resp,
-                   std::vector<std::unique_ptr<Cursor>>* cursors)
-      REQUIRES_SHARED(topo_mu_);
+                   std::vector<std::unique_ptr<Cursor>>* cursors);
 
   // Constructor-time recovery of one shard: snapshot + WAL tail into the
   // empty index, then Wal::Open on the same dir. Errors mark the shard
@@ -235,16 +232,13 @@ class Service {
 
   ShardRouter router_;  // immutable after construction (see shard_router.h)
   DurabilityOptions dur_;
-  // Guards the shard topology (the vector itself, not the Wormholes behind
-  // it — each shard index has its own internal synchronization). Today the
-  // topology is fixed after construction, so the shared side is uncontended
-  // and effectively free; the exclusive side is the hook ROADMAP's live
-  // resharding will take to swap shard sets under running Executes.
-  mutable SharedMutex topo_mu_;
-  // unique_ptr elements: Shard carries a Mutex (immovable), and stable Shard
-  // addresses are what lets Execute hold a shard's wal_mu while other
-  // threads touch the vector's other elements.
-  std::vector<std::unique_ptr<Shard>> shards_ GUARDED_BY(topo_mu_);
+  // Written only by the constructor, so client threads read the vector with
+  // no lock (a shared topology lock would put one reader-count RMW per
+  // Execute on a line every client thread shares; each shard index has its
+  // own internal synchronization). unique_ptr elements: Shard carries a
+  // Mutex (immovable), and stable Shard addresses are what lets Execute
+  // hold a shard's wal_mu while other threads touch the other elements.
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace wh

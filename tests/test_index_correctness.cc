@@ -466,6 +466,35 @@ void CheckProbeBound(size_t len, bool zero_filled) {
   }
 }
 
+// With optimistic_retries 0 every read starts locked, and the locked read
+// routes the key itself: a 64-key MultiGet must count exactly what 64 serial
+// Gets count, one route per key.
+template <typename Index>
+void CheckLockedBatchRoutesOnce() {
+  const auto keys = GenerateFixedLenKeyset(4000, 64, false, 5);
+  Options opt;
+  opt.count_probes = true;
+  opt.optimistic_retries = 0;
+  Index index(opt);
+  for (size_t i = 0; i < keys.size(); i += 2) {  // odd keys stay absent
+    index.Put(keys[i], "v");
+  }
+  const std::vector<std::string_view> batch(keys.begin(), keys.begin() + 64);
+  std::vector<std::string> values;
+  std::vector<uint8_t> hits;
+  const WormholeStats before = index.stats();
+  index.MultiGet(batch, &values, &hits);
+  const WormholeStats batched = index.stats();
+  std::string value;
+  for (const std::string_view k : batch) {
+    index.Get(k, &value);
+  }
+  const WormholeStats serial = index.stats();
+  ASSERT_EQ(batched.lookups - before.lookups, 64u);
+  ASSERT_EQ(serial.lookups - batched.lookups, 64u);
+  ASSERT_EQ(batched.probes - before.probes, serial.probes - batched.probes);
+}
+
 TEST(IndexCorrectness, LookupProbesAreBoundedByLogKeyLength) {
   for (const size_t len : {8u, 64u, 512u}) {
     for (const bool zero_filled : {true, false}) {
@@ -473,6 +502,8 @@ TEST(IndexCorrectness, LookupProbesAreBoundedByLogKeyLength) {
       CheckProbeBound<WormholeUnsafe>(len, zero_filled);
     }
   }
+  CheckLockedBatchRoutesOnce<Wormhole>();
+  CheckLockedBatchRoutesOnce<WormholeUnsafe>();
 }
 
 TEST(IndexCorrectness, MemoryBytesIsPlausible) {

@@ -166,7 +166,7 @@ void CheckSpecProbes(const LeafStore& s, bool direct_pos,
   std::vector<leafops::SpecProbe> probes(g);
   for (size_t i = 0; i < g; i++) {
     group[i] = keys[rng.NextBounded(keys.size())];
-    probes[i].Start(s, direct_pos, hash_of(group[i]));
+    probes[i].Start(s, direct_pos, hash_of(group[i]), /*plain_mode=*/false);
     probes[i].WarmIndex();
   }
   for (const auto& p : probes) {
@@ -185,14 +185,14 @@ void CheckSpecProbes(const LeafStore& s, bool direct_pos,
   for (size_t i = 0; i < g; i++) {
     SCOPED_TRACE(std::string(group[i]));
     std::string value;
-    const leafops::SpecRead r = probes[i].Finish(group[i], &value);
+    const leafops::SpecRead r = probes[i].Finish(&value);
     const int slot =
         leafops::FindSlot(s, direct_pos, group[i], hash_of(group[i]));
     const auto it = oracle.find(std::string(group[i]));
     ASSERT_EQ(slot >= 0, it != oracle.end());
     std::string serial;  // the serial driver of the same probe
     ASSERT_EQ(leafops::SpecFind(s, direct_pos, group[i], hash_of(group[i]),
-                                &serial),
+                                &serial, /*plain=*/false),
               r);
     if (slot < 0) {
       ASSERT_EQ(r, leafops::SpecRead::kAbsent);
@@ -313,7 +313,7 @@ void RunTagRuns(HashFn hash_of, size_t n_max, uint64_t seed) {
       const auto it = oracle.find(k);
       std::string value;
       const leafops::SpecRead r =
-          leafops::SpecFind(s, true, k, hash_of(k), &value);
+          leafops::SpecFind(s, true, k, hash_of(k), &value, /*plain=*/false);
       ASSERT_EQ(r, it == oracle.end() ? leafops::SpecRead::kAbsent
                                       : leafops::SpecRead::kFound)
           << k;
@@ -385,7 +385,8 @@ TEST(LeafOps, EraseKeepsMovedEntryTag) {
   ASSERT_EQ(s.by_hash[1], 0xffff0000u);
   CheckStore(s, true, oracle, PinnedHash);
   std::string value;
-  ASSERT_EQ(leafops::SpecFind(s, true, "c", PinnedHash("c"), &value),
+  ASSERT_EQ(leafops::SpecFind(s, true, "c", PinnedHash("c"), &value,
+                              /*plain=*/false),
             leafops::SpecRead::kFound);
   ASSERT_EQ(value, "c");
 }
