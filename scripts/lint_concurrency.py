@@ -59,6 +59,16 @@ Rules (each also documented in README.md "Static analysis"):
                    LeafStore::dead is an unrelated plain dead-bytes counter
                    whose `+=` must not match.
 
+  slab-view        The view invariant (src/core/leaf_ops.h): the bytes a
+                   validated slot references never change for the life of
+                   their slab block, because cursor windows hand out plain
+                   views of them. So no store into a published block may
+                   land at a slot-derived offset: a RelaxedCopyIn or
+                   RelaxedStore* call whose destination argument names a
+                   slot's `.koff`/`.voff` (or `->koff`/`->voff`) fails. New
+                   bytes go past the slab's live end; a rewrite goes to a
+                   fresh block.
+
 Suppression, most-specific first:
   - inline waiver: a `// lint:allow(<rule>): <reason>` comment on the
     flagged line or the line above it. The reason is mandatory.
@@ -91,7 +101,15 @@ ATOMIC_CALLS = (
 )
 
 RULES = ("atomic-order", "qsbr-free", "raw-mutex", "hot-path-string",
-         "seqlock-order", "raw-io")
+         "seqlock-order", "raw-io", "slab-view")
+
+# Stores into a published SpecVec block (leaf_ops.h); their first argument
+# is the destination.
+SLAB_STORE_RE = re.compile(
+    r"\bRelaxed(?:CopyIn|Store(?:8|16|32|64|Entry))\s*\(")
+
+# A slot-derived slab offset: a LeafSlot's key or out-of-line value offset.
+SLOT_OFFSET_RE = re.compile(r"(?:\.|->)\s*[kv]off\b")
 
 # The only files allowed to issue raw file I/O: the fault-injection choke
 # point itself.
@@ -296,6 +314,30 @@ class Linter:
             self.check_raw_io(relpath, code_lines, raw_lines)
         self.check_hot_path_string(relpath, raw_lines, code_lines)
         self.check_seqlock_order(relpath, code, code_lines, raw_lines)
+        self.check_slab_view(relpath, code, raw_lines)
+
+    def check_slab_view(self, relpath, code, raw_lines):
+        for m in SLAB_STORE_RE.finditer(code):
+            args = call_args(code, m.end() - 1)
+            if args is None:
+                continue
+            depth = 0
+            dest = args
+            for i, c in enumerate(args):
+                if c in "([{":
+                    depth += 1
+                elif c in ")]}":
+                    depth -= 1
+                elif c == "," and depth == 0:
+                    dest = args[:i]
+                    break
+            if SLOT_OFFSET_RE.search(dest):
+                lineno = code.count("\n", 0, m.start()) + 1
+                self.report(
+                    "slab-view", relpath, lineno, raw_lines,
+                    "store into a slab at a slot-derived offset; cursor "
+                    "views rely on a slot's bytes never changing (the view "
+                    "invariant in leaf_ops.h) — append past the live end")
 
     def check_raw_mutex(self, relpath, code_lines, raw_lines):
         for idx, line in enumerate(code_lines):

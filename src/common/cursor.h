@@ -37,19 +37,20 @@
 //   outstanding cursor (using one afterwards is undefined). The concurrent
 //   Wormhole is the exception: its cursors stay usable under concurrent
 //   writers with per-leaf snapshot semantics (see wormhole.h; each leaf's
-//   window is one seqlock-validated copy — lock-free, so a read-only scan
-//   performs zero atomic RMW — and after optimistic_retries lost races the
-//   same copy runs under the per-leaf shared lock. Either way a cursor
-//   never holds a leaf lock across user code, and never blocks writers
-//   between calls).
+//   window is one seqlock-validated snapshot of its slots, whose key and
+//   value views point into the epoch-pinned leaf block — lock-free, so a
+//   read-only scan performs zero atomic RMW — and after optimistic_retries
+//   lost races the same fill runs under the per-leaf shared lock. Either
+//   way a cursor never holds a leaf lock across user code, and never
+//   blocks writers between calls).
 //
 // Hints:
 //   SetScanLimitHint(n) tells the cursor the caller expects to consume about
 //   n items per positioning (0 = unbounded, the default). It is purely an
 //   optimization hint — visible semantics NEVER change — and it is sticky
 //   across repositionings until overwritten. Wormhole (both sync policies)
-//   bounds its window fills by it: copy only the n items the caller will
-//   read instead of the whole leaf window (see wormhole.h). A caller that
+//   bounds its window fills by it: snapshot only the n items the caller
+//   will read instead of the whole leaf window (see wormhole.h). A caller that
 //   walks past the hinted count stays correct but may pay a re-route per
 //   overstep.
 //

@@ -36,8 +36,14 @@
 // the speculative relaxed loads, and a TSan report). Torn or stale data is
 // fine — the seqlock version check discards it.
 //
-// Returned string_views point into the slab and are invalidated by any
-// mutating call.
+// The view invariant: the bytes a validated slot references never change
+// for the life of their block. Writers only append past the slab's live end
+// (UpdateValue relocates every out-of-line value it changes, shrinks too);
+// Compact, growth and SplitTail publish a fresh block and retire the old
+// one. So a reader may view a validated slot's bytes in place for as long
+// as it keeps the block alive (a cursor's epoch pin: FlatWindow). The
+// slab-view lint rule rejects a write into a slab at a slot-derived offset.
+// Writers' Key/Value views die with the block a mutating call may replace.
 #ifndef WH_SRC_CORE_LEAF_OPS_H_
 #define WH_SRC_CORE_LEAF_OPS_H_
 
@@ -158,11 +164,10 @@ inline uint64_t SpecLoadTail(const char* p, size_t n) {
 
 // hot-path: speculative value copy-out
 inline void RelaxedCopyOut(char* dst, const char* src, size_t n) {
-  // Leaf window fills copy hundreds of short strings per scan; a per-byte
-  // loop here halves scan throughput. Streams ALIGNED
-  // words, carrying the previous word in a register so a misaligned source
-  // costs one load per 8 output bytes, not two — each aligned word is read
-  // once and shift-merged with its successor.
+  // A point read's out-of-line value copy. Streams ALIGNED words, carrying
+  // the previous word in a register so a misaligned source costs one load
+  // per 8 output bytes, not two — each aligned word is read once and
+  // shift-merged with its successor.
   if (n >= 8) {
     const uintptr_t u = reinterpret_cast<uintptr_t>(src);
     const uint64_t* ap =
@@ -549,6 +554,16 @@ inline uint32_t EntryTag(uint32_t entry) { return entry >> 16; }
 inline void RelaxedStoreEntry(uint16_t* p, uint16_t v) { RelaxedStore16(p, v); }
 inline void RelaxedStoreEntry(uint32_t* p, uint32_t v) { RelaxedStore32(p, v); }
 
+// A slot's key and value, decoded against the slab block `slab` it points
+// into: inline values live in the slot itself.
+inline std::string_view SlotKey(const char* slab, const LeafSlot& s) {
+  return {slab + s.koff, s.klen};
+}
+inline std::string_view SlotValue(const char* slab, const LeafSlot& s) {
+  return s.vlen <= kInlineValue ? std::string_view{s.vinl, s.vlen}
+                                : std::string_view{slab + s.voff, s.vlen};
+}
+
 struct LeafStore {
   SpecVec<LeafSlot> slots;
   SpecVec<uint16_t> by_key;
@@ -564,53 +579,30 @@ struct LeafStore {
 
   size_t size() const { return slots.size(); }
   std::string_view Key(uint16_t id) const {
-    const LeafSlot& s = slots[id];
-    return {slab.data() + s.koff, s.klen};
+    return SlotKey(slab.data(), slots[id]);
   }
   std::string_view Value(uint16_t id) const {
-    const LeafSlot& s = slots[id];
-    return s.vlen <= kInlineValue ? std::string_view{s.vinl, s.vlen}
-                                  : std::string_view{slab.data() + s.voff, s.vlen};
+    return SlotValue(slab.data(), slots[id]);
   }
   // Key at key-ordered position `rank` (ranks 0..size()-1 walk the leaf in
   // ascending key order): what split-point selection compares.
   std::string_view KeyAt(size_t rank) const { return Key(by_key[rank]); }
 };
 
-// A cursor's detached copy of one contiguous key-ordered rank range of a
-// leaf: every key/value byte lands in a single reusable flat buffer, with
-// offset/length entries per item — no per-item std::string, no per-item heap
-// allocation, ever. SpecFillWindow replaces the contents; the vectors keep
-// their capacity, so a cursor that reuses one FlatWindow across leaf hops
-// (and, through the cursors' per-thread window free list, a thread's later
-// cursors too) stops allocating after the first few windows. The window is
-// self-contained: once its fill validates, the caller emits straight from
-// the buffer with no lock held.
+// A cursor's window: one key-ordered rank range of a leaf, as validated
+// snapshots of its slot records plus the slab block they point into. Keys
+// and out-of-line values are views into that block (see the view
+// invariant); inline values ride in the snapshots. A fill copies 24 bytes
+// per item and no key or value byte, and `entries` keeps its capacity
+// across fills (and cursors, through their per-thread window free list).
 struct FlatWindow {
-  struct Entry {
-    uint32_t koff;
-    uint32_t klen;
-    uint32_t voff;
-    uint32_t vlen;
-  };
-  std::vector<char> buf;
-  std::vector<Entry> entries;
-  // Scratch for SpecFillWindow's pass-one slot snapshots: per item the source
-  // key offset, and either 0 (inline value, already copied in pass one) or
-  // voff | vlen<<32 for an out-of-line value. Pass two MUST copy from these,
-  // never from a re-loaded slot (see SpecFillWindow). Sized by high-water
-  // mark and reused across fills like the vectors above.
-  std::vector<uint32_t> spec_ksrc;
-  std::vector<uint64_t> spec_vsrc;
+  const char* slab = nullptr;  // payload of the block the entries point into
+  std::vector<LeafSlot> entries;
 
   size_t size() const { return entries.size(); }
-  std::string_view KeyAt(size_t i) const {
-    const Entry& e = entries[i];
-    return {buf.data() + e.koff, e.klen};
-  }
+  std::string_view KeyAt(size_t i) const { return SlotKey(slab, entries[i]); }
   std::string_view ValueAt(size_t i) const {
-    const Entry& e = entries[i];
-    return {buf.data() + e.voff, e.vlen};
+    return SlotValue(slab, entries[i]);
   }
 };
 
@@ -967,48 +959,55 @@ inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
 // writers (under the leaf's exclusive lock, or single-threaded). `hash` is
 // the precomputed full-key CRC32C raw state — lookup paths extend the LPM's
 // incremental prefix state instead of rehashing the key from byte 0;
-// ignored unless direct_pos.
+// ignored unless direct_pos. A non-null `pos` receives the probe's final
+// lo: on a miss, where Insert splices the key into the index the probe
+// searched (by_hash under DirectPos, else by_key).
 // hot-path: every point op's in-leaf search
 inline int FindSlot(const LeafStore& s, bool direct_pos, std::string_view key,
-                    uint32_t hash) {
+                    uint32_t hash, size_t* pos = nullptr) {
   SpecProbe p;
   p.Start(s, direct_pos, hash, /*plain_mode=*/true);
   p.Run(key, hash);
+  if (pos != nullptr) {
+    *pos = p.lo;
+  }
   return p.hit ? p.id : -1;
 }
 
 // Result of one speculative whole-window fill. `ok == false` means an
 // internal bounds check caught an impossible snapshot — retry without
-// validating. `ok == true` only promises the copy stayed inside live
-// allocations; the bytes are garbage until the caller's SeqlockReadValidate
-// (+ dead-flag recheck) proves the leaf version held still across the fill.
+// validating. `ok == true` only promises every span the snapshots name lies
+// inside the block they point into; the snapshots are garbage until the
+// caller's SeqlockReadValidate (+ dead-flag recheck) proves the leaf version
+// held still across the fill.
 struct SpecWindow {
   bool ok = false;
-  size_t lo = 0;  // first rank copied
-  size_t hi = 0;  // one past the last rank copied
+  size_t lo = 0;  // first rank filled
+  size_t hi = 0;  // one past the last rank filled
   size_t n = 0;   // snapshot size the ranks were computed against
 };
 
 // SpecFind's discipline applied to a whole window, and the only window
 // extractor: fill `win` with a key-ordered rank range — forward:
 // [rank of the first key (strict ? > : >=) bound, +budget); backward: ranks
-// below that bound, the last `budget` of them — through AcquireView + relaxed loads
-// only, clamping every id and offset to the capacity of the block it was
-// loaded from. Under the leaf's shared lock the same code simply never
-// trips a bound. `has_bound == false` skips the rank search (hop fills: rank 0
-// forward, the leaf end backward). budget == 0 means unbounded.
+// below that bound, the last `budget` of them — through AcquireView + relaxed
+// loads only, clamping every id and offset to the capacity of the block it
+// was loaded from. Under the leaf's shared lock the same code simply never
+// trips a bound. `has_bound == false` skips the rank search (hop fills: rank
+// 0 forward, the leaf end backward). budget == 0 means unbounded.
 //
 // The rank search is SpecProbe's by_key bisection with the `strict` bound:
 // on possibly-garbage keys it still terminates and at worst lands on a
-// wrong rank, which the caller's version check rejects. The copy reads the
-// probe's views. Each slot is loaded exactly once and both its offsets and
-// its copy derive from that single snapshot, so a torn slot can never write
-// outside the bounds its own lengths were checked against.
+// wrong rank, which the caller's version check rejects. The fill is one
+// pass over the probe's views: each slot is loaded once (SlotLoad), its
+// spans are checked against the slab block, and the snapshot is the entry;
+// no key or value byte is read. Rank order is random over the slots array,
+// so the pass warms the slot kAhead ranks ahead, and each item's key (and
+// out-of-line value) line for the caller that emits it.
 // hot-path: speculative cursor window fill
 inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
                                  bool has_bound, std::string_view bound,
                                  bool strict, size_t budget, FlatWindow* win) {
-  // The rank search, whose views the copy below reads too.
   SpecProbe p;
   p.Start(s, /*dp=*/false, 0, /*plain_mode=*/false, strict);
   size_t rank = forward ? 0 : p.n;
@@ -1031,53 +1030,10 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
     hi = rank;
     lo = (budget == 0 || hi <= budget) ? 0 : hi - budget;
   }
-  const SpecWindow filled{true, lo, hi, n};
   win->entries.clear();
-  if (lo >= hi) {
-    return filled;
-  }
-  // Two passes: pass one lays out entry offsets while prefetching ahead
-  // (rank order is random over the slots array and slab, so on a cold leaf
-  // every slot and key would otherwise be a serial miss), pass two is a
-  // pure streaming copy. Fusing them serializes every copy's
-  // address computation behind the previous slot's loaded lengths and
-  // measures ~2x slower; with precomputed offsets pass two is a pure
-  // streaming copy. Two rejected shapes, both measured slower: a one-shot
-  // copy of the whole slab image (slab capacity carries growth slack and
-  // dead bytes, and the relaxed-load stream cannot be vectorized, so even a
-  // most-of-the-leaf window copies more bytes slower), and run-coalescing
-  // adjacent per-item copies in pass two (the run bookkeeping kept spilling
-  // around the atomic-op copy calls and cost more than the per-call setup it
-  // saved, even on a fully rank-ordered slab). Pass one snapshots each slot
-  // ONCE (SlotLoad); everything pass two touches derives from that snapshot,
-  // parked in spec_ksrc / spec_vsrc — re-loading a slot between passes could
-  // yield a different vlen than the one the layout sized, and the copy would
-  // overrun buf. Inline values are copied in pass one directly (they live in
-  // the snapshot, not the slab).
-  //
-  // buf is pre-sized to the worst consistent case — every live slab byte
-  // plus kInlineValue per item — so a torn slot whose lengths would write
-  // past that bound is an impossible snapshot and rejects the fill. buf and
-  // the scratch arrays only ever grow (entries bound the live prefix; the
-  // slack tail is dead bytes), so resizing is a one-time cost per high-water
-  // mark, not per fill.
-  const size_t count_max = hi - lo;
-  if (win->entries.capacity() < count_max) {
-    win->entries.reserve(count_max);
-  }
-  if (win->spec_ksrc.size() < count_max) {
-    win->spec_ksrc.resize(count_max);
-    win->spec_vsrc.resize(count_max);
-  }
-  const size_t max_bytes = slab.cap + count_max * kInlineValue;
-  if (win->buf.size() < max_bytes) {
-    win->buf.resize(max_bytes);
-  }
-  char* dst = win->buf.data();
-  uint32_t* ks = win->spec_ksrc.data();
-  uint64_t* vs = win->spec_vsrc.data();
+  win->slab = slab.p;
+  win->entries.reserve(hi - lo);
   constexpr size_t kAhead = 4;
-  size_t bytes = 0;
   for (size_t r = lo; r < hi; r++) {
     if (r + kAhead < hi) {
       const uint16_t ahead = RelaxedLoad16(idx.p + r + kAhead);
@@ -1090,66 +1046,38 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
       return {};
     }
     const LeafSlot sl = SlotLoad(slots.p + id);
-    if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap ||
-        bytes + sl.klen + kInlineValue > max_bytes) {
+    if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
       return {};
     }
-    SpecPrefetchLine(slab.p + sl.koff);  // key bytes for pass two
-    const size_t i = r - lo;
-    ks[i] = sl.koff;
-    FlatWindow::Entry e;
-    e.koff = static_cast<uint32_t>(bytes);
-    e.klen = sl.klen;
-    bytes += sl.klen;
-    e.voff = static_cast<uint32_t>(bytes);
-    e.vlen = sl.vlen;
-    if (sl.vlen <= kInlineValue) {
-      // Fixed-size copy from the local snapshot; the layout guard above
-      // reserved kInlineValue, so the tail bytes past vlen land in slack.
-      std::memcpy(dst + bytes, sl.vinl, kInlineValue);
-      vs[i] = 0;
-    } else {
-      if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap ||
-          bytes + sl.vlen > max_bytes) {
+    SpecPrefetchLine(slab.p + sl.koff);
+    if (sl.vlen > kInlineValue) {
+      if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap) {
         return {};
       }
       SpecPrefetchLine(slab.p + sl.voff);
-      // Never collides with the inline marker: out-of-line means vlen > 8.
-      vs[i] = static_cast<uint64_t>(sl.voff) |
-              (static_cast<uint64_t>(sl.vlen) << 32);
     }
-    bytes += sl.vlen;
-    win->entries.push_back(e);
+    win->entries.push_back(sl);
   }
-  const FlatWindow::Entry* es = win->entries.data();
-  const size_t count = win->entries.size();
-  for (size_t i = 0; i < count; i++) {
-    const FlatWindow::Entry& e = es[i];
-    RelaxedCopyOut(dst + e.koff, slab.p + ks[i], e.klen);
-    if (vs[i] != 0) {
-      RelaxedCopyOut(dst + e.voff, slab.p + static_cast<uint32_t>(vs[i]),
-                     static_cast<uint32_t>(vs[i] >> 32));
-    }
-  }
-  return filled;
+  return {true, lo, hi, n};
 }
 
 // Appends a new item and splices its slot id into the ordered indexes.
 // `hash` must be the full-key CRC32C raw state when direct_pos (ignored
-// otherwise).
+// otherwise). `miss_pos` is the *pos of a FindSlot miss for `key` on this
+// unchanged store under the same direct_pos: the splice position in the
+// index that probe searched (by_hash under DirectPos, else by_key).
 inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
-                   std::string_view value, uint32_t hash) {
-  // Both splice positions are the probe's final lo: the key's by_key rank,
-  // and under DirectPos its (hash, key) position in by_hash. They are taken
-  // before AppendRaw, which grows the slot count the probe is sized from.
-  const auto position = [&](bool dp) {
+                   std::string_view value, uint32_t hash, size_t miss_pos) {
+  // Under DirectPos the by_key rank still needs its own search. Both
+  // positions are taken before AppendRaw, which grows the slot count the
+  // probe is sized from.
+  size_t kpos = miss_pos;
+  if (direct_pos) {
     SpecProbe p;
-    p.Start(*s, dp, hash, /*plain_mode=*/true);
+    p.Start(*s, /*direct_pos=*/false, hash, /*plain_mode=*/true);
     p.Run(key, hash);
-    return p.lo;
-  };
-  const size_t kpos = position(false);
-  const size_t hpos = direct_pos ? position(true) : 0;
+    kpos = p.lo;
+  }
   const uint16_t id = AppendRaw(s, key, value, direct_pos ? hash : 0);
   // The splice shifts the ordered tail one position right; every displaced
   // cell is rewritten through a relaxed store because the block is published.
@@ -1167,33 +1095,27 @@ inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
   };
   splice(&s->by_key, kpos, id);
   if (direct_pos) {
-    splice(&s->by_hash, hpos, HashEntry(hash, id));
+    splice(&s->by_hash, miss_pos, HashEntry(hash, id));
   }
 }
 
-// Overwrites slot `id`'s value: inline when short, reusing the old
-// out-of-line span when the new value fits, appending (and marking the old
-// span dead) otherwise. The slot is rewritten as one whole-slot store so a
-// speculative reader never sees a half-updated length/offset pair from plain
-// field writes (it can still see a torn slot — validation covers that).
+// Overwrites slot `id`'s value: inline when short, else appended past the
+// slab's live end, also when it would fit the old span — a published slot's
+// bytes never change (the view invariant). The old out-of-line span goes
+// dead. The slot is rewritten as one whole-slot store so a speculative
+// reader never sees a half-updated length/offset pair from plain field
+// writes (it can still see a torn slot — validation covers that).
 inline void UpdateValue(LeafStore* s, uint16_t id, std::string_view value) {
   LeafSlot sl = s->slots[id];  // private working copy; plain read is fine
-  const bool was_ext = sl.vlen > kInlineValue;
+  if (sl.vlen > kInlineValue) {
+    s->dead += sl.vlen;
+  }
   const uint32_t new_len = static_cast<uint32_t>(value.size());
   if (new_len <= kInlineValue) {
-    if (was_ext) {
-      s->dead += sl.vlen;
-    }
     if (new_len > 0) {
       std::memcpy(sl.vinl, value.data(), new_len);
     }
-  } else if (was_ext && new_len <= sl.vlen) {
-    RelaxedCopyIn(s->slab.data() + sl.voff, value.data(), new_len);
-    s->dead += sl.vlen - new_len;
   } else {
-    if (was_ext) {
-      s->dead += sl.vlen;
-    }
     const size_t need = s->slab.size() + new_len;
     if (need > s->slab.capacity()) {
       s->slab.Reserve(need + need / 8, s->release);

@@ -9,6 +9,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/crc32c.h"
+#include "src/common/free_list.h"
 #include "src/common/qsbr.h"
 
 namespace wh {
@@ -500,9 +501,9 @@ auto BasicWormhole<Sync>::OptimisticLeafGet(Leaf* leaf, std::string_view key,
 // Round 1 of a pipelined point read (MultiGet stage 2): warm the next leaf
 // (Covers reads its anchor) and the block headers Start's views load.
 template <typename Sync>
-void BasicWormhole<Sync>::WarmLeafRead(const Leaf* leaf) const {
+void BasicWormhole<Sync>::WarmLeafRead(const Leaf* leaf, bool by_key) const {
   leafops::SpecPrefetchLine(leaf->next.load(std::memory_order_relaxed));
-  if (opt_.direct_pos) {
+  if (opt_.direct_pos && !by_key) {
     leaf->store.by_hash.Prefetch();
   } else {
     leaf->store.by_key.Prefetch();
@@ -636,57 +637,23 @@ size_t BasicWormhole<Sync>::MultiGet(const std::vector<std::string_view>& keys,
     return found;
   }
 
-  // The batch runs as a staged pipeline over groups of kGroup keys: every
-  // round each in-flight key takes one step of its work, consuming the cache
-  // lines prefetched for it last round and prefetching what its next step
-  // loads while the other keys take their turns. The serial path pays each
-  // cache miss back-to-back; here up to kGroup misses are in flight at once.
-  constexpr size_t kGroup = 8;
+  // The batch runs as a staged pipeline over groups of kRouteGroup keys:
+  // every round each in-flight key takes one step of its work, consuming the
+  // cache lines prefetched for it last round and prefetching what its next
+  // step loads while the other keys take their turns. The serial path pays
+  // each cache miss back-to-back; here up to kRouteGroup misses are in
+  // flight at once. Stage 1 is RouteGroup.
+  Route routes[kRouteGroup];
   struct Read {
-    Route route;
-    const Bucket* line = nullptr;  // stage 1: the route's pending probe line
-    uint64_t begin = 0;            // stage 2: the leaf version snapshot
+    uint64_t begin = 0;  // stage 2: the leaf version snapshot
     leafops::SpecProbe probe;
     bool reading = false;  // stage 2: the pipelined attempt is still live
   };
-  Read rd[kGroup];
+  Read rd[kRouteGroup];
 
-  for (size_t base = 0; base < n; base += kGroup) {
-    const size_t g = std::min(kGroup, n - base);
-
-    // Stage 1: interleaved routes, two sub-passes per round so the
-    // bucket-head load and the line fetch both overlap across keys: load
-    // each pending probe's bucket head and prefetch its line, then step
-    // every route with its line and prefetch the next probe's bucket head —
-    // or, once the route is done, the leaf's header lines (next, version,
-    // the store's block pointers) ahead of stage 2.
-    size_t active = g;
-    const auto warm = [&active](const Route& r) {
-      if (r.done()) {
-        active--;
-        leafops::SpecPrefetchRange(r.leaf, sizeof(Leaf));
-      } else {
-        leafops::SpecPrefetchLine(&r.slot());
-      }
-    };
-    for (size_t i = 0; i < g; i++) {
-      rd[i].route.Start(this, keys[base + i]);
-      warm(rd[i].route);
-    }
-    while (active > 0) {
-      for (size_t i = 0; i < g; i++) {
-        if (!rd[i].route.done()) {
-          rd[i].line = rd[i].route.slot().load(std::memory_order_acquire);
-          leafops::SpecPrefetchLine(rd[i].line);
-        }
-      }
-      for (size_t i = 0; i < g; i++) {
-        if (!rd[i].route.done()) {
-          rd[i].route.Step(rd[i].line);
-          warm(rd[i].route);
-        }
-      }
-    }
+  for (size_t base = 0; base < n; base += kRouteGroup) {
+    const size_t g = std::min(kRouteGroup, n - base);
+    RouteGroup(keys.data() + base, g, routes);
 
     // Stage 2: the in-leaf searches, interleaved like stage 1. Attempt 0 of
     // every key is OptimisticLeafGet cut at its cache misses, one piece per
@@ -701,15 +668,15 @@ size_t BasicWormhole<Sync>::MultiGet(const std::vector<std::string_view>& keys,
     // touches no leaf lock.
     for (size_t i = 0; i < g; i++) {
       Read& r = rd[i];
-      Leaf* leaf = r.route.leaf;
+      Leaf* leaf = routes[i].leaf;
       r.reading = leaf != nullptr && SpecBegin(leaf, &r.begin);
       if (r.reading) {
-        WarmLeafRead(leaf);
+        WarmLeafRead(leaf, /*by_key=*/false);
       }
     }
     for (size_t i = 0; i < g; i++) {
       if (rd[i].reading) {
-        StartLeafRead(rd[i].route.leaf, rd[i].route.kv_hash, &rd[i].probe);
+        StartLeafRead(routes[i].leaf, routes[i].kv_hash, &rd[i].probe);
       }
     }
     for (size_t i = 0; i < g; i++) {
@@ -722,7 +689,7 @@ size_t BasicWormhole<Sync>::MultiGet(const std::vector<std::string_view>& keys,
       for (size_t i = 0; i < g; i++) {
         Read& r = rd[i];
         if (r.reading && !r.probe.done()) {
-          r.probe.Step(keys[base + i], r.route.kv_hash);
+          r.probe.Step(keys[base + i], routes[i].kv_hash);
           r.probe.Prime();
           more = true;
         }
@@ -733,14 +700,69 @@ size_t BasicWormhole<Sync>::MultiGet(const std::vector<std::string_view>& keys,
       Read& r = rd[i];
       std::string* out = &(*values)[base + i];
       SpecOutcome oc = SpecOutcome::kRetry;
-      if (r.reading && Covers(r.route.leaf, key)) {
-        oc = PointVerdict(r.route.leaf, r.begin, r.probe.Finish(out));
+      if (r.reading && Covers(routes[i].leaf, key)) {
+        oc = PointVerdict(routes[i].leaf, r.begin, r.probe.Finish(out));
       }
       settle(base + i, oc == SpecOutcome::kRetry ? GetFrom(1, key, out)
                                                  : oc == SpecOutcome::kHit);
     }
   }
   return found;
+}
+
+// Stage 1 of MultiGet, and all of PrefetchRoutes: interleaved routes, two
+// sub-passes per round so the bucket-head load and the line fetch both
+// overlap across keys: load each pending probe's bucket head and prefetch
+// its line, then step every route with its line and prefetch the next
+// probe's bucket head — or, once the route is done, the leaf's header lines
+// (next, version, the store's block pointers).
+template <typename Sync>
+void BasicWormhole<Sync>::RouteGroup(const std::string_view* keys, size_t g,
+                                     Route* routes) const {
+  const Bucket* line[kRouteGroup];
+  size_t active = g;
+  const auto warm = [&active](const Route& r) {
+    if (r.done()) {
+      active--;
+      leafops::SpecPrefetchRange(r.leaf, sizeof(Leaf));
+    } else {
+      leafops::SpecPrefetchLine(&r.slot());
+    }
+  };
+  for (size_t i = 0; i < g; i++) {
+    routes[i].Start(this, keys[i]);
+    warm(routes[i]);
+  }
+  while (active > 0) {
+    for (size_t i = 0; i < g; i++) {
+      if (!routes[i].done()) {
+        line[i] = routes[i].slot().load(std::memory_order_acquire);
+        leafops::SpecPrefetchLine(line[i]);
+      }
+    }
+    for (size_t i = 0; i < g; i++) {
+      if (!routes[i].done()) {
+        routes[i].Step(line[i]);
+        warm(routes[i]);
+      }
+    }
+  }
+}
+
+template <typename Sync>
+void BasicWormhole<Sync>::PrefetchRoutes(const std::string_view* keys,
+                                         size_t n) const {
+  typename Sync::Op op(qsbr_);
+  Route routes[kRouteGroup];
+  for (size_t base = 0; base < n; base += kRouteGroup) {
+    const size_t g = std::min(kRouteGroup, n - base);
+    RouteGroup(keys + base, g, routes);
+    for (size_t i = 0; i < g; i++) {
+      if (routes[i].leaf != nullptr) {
+        WarmLeafRead(routes[i].leaf, /*by_key=*/true);
+      }
+    }
+  }
 }
 
 template <typename Sync>
@@ -777,7 +799,9 @@ void BasicWormhole<Sync>::MultiPut(
 template <typename Sync>
 bool BasicWormhole<Sync>::PutInLeaf(Leaf* leaf, std::string_view key,
                                     std::string_view value, uint32_t kv_hash) {
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, kv_hash);
+  size_t pos;  // a miss's splice position, handed to Insert
+  const int slot =
+      leafops::FindSlot(leaf->store, opt_.direct_pos, key, kv_hash, &pos);
   if (slot >= 0) {
     leafops::SeqlockWriteSection ws(&leaf->version);
     leafops::UpdateValue(&leaf->store, static_cast<uint16_t>(slot), value);
@@ -788,7 +812,7 @@ bool BasicWormhole<Sync>::PutInLeaf(Leaf* leaf, std::string_view key,
   }
   {
     leafops::SeqlockWriteSection ws(&leaf->version);
-    leafops::Insert(&leaf->store, opt_.direct_pos, key, value, kv_hash);
+    leafops::Insert(&leaf->store, opt_.direct_pos, key, value, kv_hash, pos);
   }
   item_count_.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -874,51 +898,15 @@ bool BasicWormhole<Sync>::DeleteSlow(std::string_view key) {
   return true;
 }
 
-namespace {
-
-// Per-thread free list of cursor window buffers. A cursor takes a window
-// when it opens and hands it back when it is destroyed, so a thread that
-// opens cursor after cursor (Service::Execute opens one per shard per batch)
-// reuses buffers already grown to its leaves instead of allocating and
-// zero-filling fresh ones each time. Only the buffers are recycled: every
+// Per-thread free list of cursor windows. A cursor takes a window when it
+// opens and hands it back when it is destroyed, so a thread that opens
+// cursor after cursor (Service::Execute opens one per shard per batch)
+// reuses slot-snapshot arrays already grown to its leaves instead of
+// allocating fresh ones each time. Only the windows are recycled: every
 // cursor still takes its own epoch pin and drops it when destroyed. A window
-// past kPooledWindowBytes (a leaf of very long keys or values) is freed
-// rather than parked, so the list holds at most ~2 MiB per thread.
-constexpr size_t kPooledWindows = 8;
-constexpr size_t kPooledWindowBytes = 256 << 10;
-
-struct WindowPool {
-  std::vector<leafops::FlatWindow> windows;
-  ~WindowPool();
-};
-
-// Set once this thread's pool is destroyed at thread exit. Trivially
-// destructible, so it stays readable after that: a cursor destroyed later
-// in thread exit (one owned by another thread_local object) sees it and
-// frees its window instead of touching the dead pool.
-thread_local bool tl_window_pool_gone = false;
-thread_local WindowPool tl_window_pool;
-
-WindowPool::~WindowPool() { tl_window_pool_gone = true; }
-
-leafops::FlatWindow TakeWindow() {
-  if (tl_window_pool_gone || tl_window_pool.windows.empty()) {
-    return {};
-  }
-  leafops::FlatWindow w = std::move(tl_window_pool.windows.back());
-  tl_window_pool.windows.pop_back();
-  return w;
-}
-
-void GiveBackWindow(leafops::FlatWindow&& w) {
-  if (!tl_window_pool_gone &&
-      tl_window_pool.windows.size() < kPooledWindows &&
-      w.buf.capacity() <= kPooledWindowBytes) {
-    tl_window_pool.windows.push_back(std::move(w));
-  }
-}
-
-}  // namespace
+// holds at most kMaxLeafCapacity 24-byte snapshots, so the list holds at
+// most ~800 KiB per thread.
+using WindowFreeList = ThreadFreeList<leafops::FlatWindow, 8>;
 
 // Epoch-pinned concurrent cursor (protocol in wormhole.h). Between calls it
 // holds only the QSBR pin, a leaf pointer + version snapshot, and the filled
@@ -926,37 +914,42 @@ void GiveBackWindow(leafops::FlatWindow&& w) {
 // never runs under a leaf lock.
 //
 // Two window modes, picked by SetScanLimitHint:
-//   unbounded (hint 0, the default): every refill copies the rest of the
+//   unbounded (hint 0, the default): every refill takes the rest of the
 //     leaf's ordered window from the seek rank on, so a full sweep pays one
 //     refill per leaf.
-//   bounded (hint n): a refill copies at most n items — a short scan that
-//     fits the window emits straight from one validated slab read and never
-//     touches the bytes it will not return. Draining past a truncated window
+//   bounded (hint n): a refill takes at most n items — a short scan that
+//     fits the window emits straight from one validated fill and never
+//     touches the items it will not return. Draining past a truncated window
 //     edge continues inside the same leaf under a version check (no
 //     re-route) and only falls back to the hash route on a lost race.
 //
 // Every fill runs one extractor, leafops::SpecFillWindow, inside the seqlock
 // protocol exactly like Get: snapshot the leaf's version (even, or bail),
-// copy the rank window through relaxed loads with every index/offset clamped
-// to its block, then an acquire fence + version re-read + dead-flag recheck.
+// snapshot the rank window's slot records through relaxed loads with every
+// index/offset clamped to its block, then an acquire fence + version
+// re-read + dead-flag recheck.
 // An attempt runs speculatively — no lock and no atomic RMW on any outcome,
 // so a read-only scan never writes a leaf lock word — until
 // Options::optimistic_retries attempts of one operation have failed; later
 // attempts (every attempt when the option is 0) run the same extractor while
 // holding the leaf's shared lock, where validation cannot fail. Window hops
 // and truncated-edge continuations revalidate against the snapshot version
-// the same way. Fills land in one reusable FlatWindow — one flat buffer, no
-// per-item allocation, recycled from cursor to cursor by the thread's window
-// free list — and compute the seek rank against the same snapshot they
-// copy, so the items a positioning skips are never copied.
+// the same way. Fills land in one reusable FlatWindow — one slot-snapshot
+// array, no per-item allocation, recycled from cursor to cursor by the
+// thread's window free list — and compute the seek rank against the same
+// snapshot they take, so the items a positioning skips are never touched.
+// key() and value() are views into the slab block the window was filled
+// from: its bytes never change (leaf_ops.h's view invariant), and the pin
+// keeps the block alive after a writer replaces it.
 template <typename Sync>
 class BasicWormhole<Sync>::CursorImpl final : public Cursor {
  public:
   // The pin freezes this thread's epoch: leaf_ stays dereferenceable across
   // calls even after the leaf is unlinked and retired.
-  explicit CursorImpl(BasicWormhole* wh)
-      : wh_(wh), pin_(wh->qsbr_), win_(TakeWindow()) {}
-  ~CursorImpl() override { GiveBackWindow(std::move(win_)); }
+  explicit CursorImpl(BasicWormhole* wh) : wh_(wh), pin_(wh->qsbr_) {
+    WindowFreeList::Take(&win_);
+  }
+  ~CursorImpl() override { WindowFreeList::Give(std::move(win_)); }
 
   void Seek(std::string_view target) override {
     bound_.assign(target);
@@ -995,12 +988,11 @@ class BasicWormhole<Sync>::CursorImpl final : public Cursor {
     }
     // Window drained: the logical position is "first key > the one we just
     // returned" — remember it so any fallback re-routes exactly there.
-    // assign(), not a view: the refill is about to recycle the flat buffer.
     bound_.assign(win_.KeyAt(pos_));
     strict_ = true;
     // Defer the refill until the cursor is queried again (Valid/key/value or
     // another step). A bounded scan's LAST Next() always drains its window;
-    // refilling eagerly there would copy a whole window — up to half of all
+    // refilling eagerly there would fill a whole window — up to half of all
     // fill work for a scan that fits one window — that the caller, who is
     // about to stop, never reads.
     pending_ = Pending::kForward;
@@ -1055,7 +1047,7 @@ class BasicWormhole<Sync>::CursorImpl final : public Cursor {
   // Remaining per-positioning budget: the hint promises "about hint_ items
   // consumed per Seek/SeekForPrev", so a continuation mid-scan only needs
   // what is left of that promise — a 100-item scan that drains 68 items off
-  // its first leaf copies 32 from the next, not a fresh 100. A caller that
+  // its first leaf takes 32 from the next, not a fresh 100. A caller that
   // oversteps its own hint keeps getting hint_-sized windows (one re-fill
   // per hint_ items) rather than degenerate one-item refills.
   size_t Budget() const {
@@ -1110,7 +1102,7 @@ class BasicWormhole<Sync>::CursorImpl final : public Cursor {
   }
 
   // The seqlock-bracketed extract, in OptimisticLeafGet's bracket:
-  // SpecBegin, coverage pre-filter, bounds-clamped SpecFillWindow copy,
+  // SpecBegin, coverage pre-filter, bounds-clamped SpecFillWindow fill,
   // SpecEnd. On kOk the window, truncation flags, and the (leaf_,
   // leaf_version_) snapshot are installed — the validated even `begin` IS
   // the snapshot version every later hop or continuation revalidates.
@@ -1298,7 +1290,7 @@ class BasicWormhole<Sync>::CursorImpl final : public Cursor {
   typename Sync::Pin pin_;
   Leaf* leaf_ = nullptr;  // leaf win_ was filled from (pin keeps it alive)
   uint64_t leaf_version_ = 0;
-  leafops::FlatWindow win_;  // flat buffers reused across refills
+  leafops::FlatWindow win_;  // reused across refills
   size_t pos_ = 0;
   bool valid_ = false;
   bool trunc_lo_ = false;  // refill left leaf items out below the window
@@ -1462,11 +1454,12 @@ void BasicWormhole<Sync>::SplitAndInsert(Leaf* left, std::string_view key,
     leafops::SplitTail(&left->store, &right->store, si, opt_.direct_pos);
     // The new item goes to whichever side covers it — placed before
     // publication, so no second published-leaf lock is ever taken.
-    if (key < std::string_view(right->anchor)) {
-      leafops::Insert(&left->store, opt_.direct_pos, key, value, kv_hash);
-    } else {
-      leafops::Insert(&right->store, opt_.direct_pos, key, value, kv_hash);
-    }
+    leafops::LeafStore* dst = key < std::string_view(right->anchor)
+                                  ? &left->store
+                                  : &right->store;
+    size_t pos;
+    leafops::FindSlot(*dst, opt_.direct_pos, key, kv_hash, &pos);
+    leafops::Insert(dst, opt_.direct_pos, key, value, kv_hash, pos);
     item_count_.fetch_add(1, std::memory_order_relaxed);
 
     // Publish: link the fully built leaf into the list (the release store

@@ -69,7 +69,7 @@
 //     The fast path performs zero atomic RMW: no reader-count cache line
 //     bounces between cores.
 //   - Reads have ONE extractor each (SpecFind for point reads,
-//     SpecFillWindow for cursor windows) and no separate locked copy. After
+//     SpecFillWindow for cursor windows) and no separate locked path. After
 //     Options::optimistic_retries failed attempts (every attempt when it is
 //     0) the read runs the same extractor while holding the leaf's shared
 //     lock. Every version bump and dead-flag store happens under the leaf's
@@ -93,14 +93,20 @@
 //
 // Ordered cursors (src/common/cursor.h): NewCursor() gives bidirectional
 // Seek/Next/Prev iteration; Scan() is a thin wrapper over it. The cursor
-// emits from a window copied out of one leaf; its protocol, mirroring Get:
+// emits from a window of one leaf — validated snapshots of its slot records,
+// whose keys and values key()/value() return as views into the leaf's slab
+// block, never copies; its protocol, mirroring Get:
 //   - The cursor holds a QSBR *epoch pin* (Qsbr::Pin) for its lifetime, so
 //     the leaf pointer it remembers between calls stays dereferenceable even
 //     after the leaf is unlinked — exactly the guarantee lock-free lookups
 //     get from their implicit no-quiesce window, made explicit across calls.
+//     The pin also keeps the window's slab block alive after a writer
+//     replaces it, and its bytes never change while it lives (the view
+//     invariant in leaf_ops.h), so key()/value() views need no copy.
 //   - Every window fill is one SpecFillWindow attempt inside the seqlock
-//     protocol: read an even version, rank + copy the window through the
-//     same relaxed-atomic bounds-clamped discipline SpecFind uses, then
+//     protocol: read an even version, rank the window and snapshot its slot
+//     records through the same relaxed-atomic bounds-clamped discipline
+//     SpecFind uses (24 bytes per item, no key byte), then
 //     validate — acquire fence, version unchanged, leaf not dead. A
 //     speculative attempt holds no lock, so a validated window is a
 //     consistent snapshot taken with ZERO atomic RMW: read-only scans never
@@ -108,7 +114,7 @@
 //     operation has spent Options::optimistic_retries attempts, the rest run
 //     locked, exactly like Get: a positioning through AcquireLeaf, a
 //     continuation or hop target under that leaf's shared lock. Either way
-//     the fill honors SetScanLimitHint — a scan that fits the hint copies
+//     the fill honors SetScanLimitHint — a scan that fits the hint takes
 //     only the items it will emit and nothing else; without a hint the fill
 //     covers the rest of the leaf. Any lock is released before the fill
 //     returns; the cursor then prefetches the NEXT leaf's rank index / slot
@@ -266,13 +272,13 @@ class BasicWormhole {
   // Epoch-pinned bidirectional cursor, safe under concurrent writers (the
   // protocol is described in the header comment; the contract in cursor.h).
   // SetScanLimitHint(n) on the returned cursor engages the bounded fill mode
-  // — short scans copy only the n items they will emit per positioning.
+  // — short scans take only the n items they will emit per positioning.
   // Destroy cursors promptly: a live one pins this thread's QSBR epoch in
   // the index's domain, deferring all reclamation behind it. Opening a
   // cursor per request is cheap: the pin is taken per cursor, but its
-  // window buffer comes from a small per-thread free list that destroyed
-  // cursors refill, so a thread's cursors reuse buffers already grown to
-  // its leaves instead of allocating and zero-filling new ones.
+  // window comes from a small per-thread free list that destroyed cursors
+  // refill, so a thread's cursors reuse slot-snapshot arrays already grown
+  // to its leaves instead of allocating new ones.
   std::unique_ptr<Cursor> NewCursor();
 
   // Batched point lookups. values and hits are resized to keys.size(); on a
@@ -287,6 +293,15 @@ class BasicWormhole {
   // straight to that fallback). Returns the hit count.
   size_t MultiGet(const std::vector<std::string_view>& keys,
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
+      EXCLUDES(meta_mu_);
+
+  // A hint with no visible semantics (like Cursor::SetScanLimitHint): walks
+  // the routes of keys[0, n), a group at a time, through MultiGet's
+  // interleaved route stage and warms each routed leaf's header and the
+  // block headers a cursor fill reads, so Seeks of those keys find them in
+  // cache. Service::Execute calls it before a run of scans. Its routes
+  // count in stats() like any other.
+  void PrefetchRoutes(const std::string_view* keys, size_t n) const
       EXCLUDES(meta_mu_);
 
   // Batched Put with the same amortization: one quiescent-state report for
@@ -329,6 +344,12 @@ class BasicWormhole {
   // in one go, MultiGet interleaves a key group's. It alone counts the
   // probe statistics.
   struct Route;
+  // Keys whose routes MultiGet and PrefetchRoutes interleave at a time.
+  static constexpr size_t kRouteGroup = 8;
+  // MultiGet's route stage, shared with PrefetchRoutes: runs the routes of
+  // keys[0, g) (g <= kRouteGroup) interleaved into routes[0, g), and
+  // prefetches each leaf header as its route ends.
+  void RouteGroup(const std::string_view* keys, size_t g, Route* routes) const;
   // Best-effort route to the covering leaf; may return nullptr or a stale
   // leaf during a concurrent structural change (callers validate + retry).
   // When DirectPos is on and the route succeeds, *kv_hash receives the
@@ -375,7 +396,10 @@ class BasicWormhole {
   // are its first two, the ones that touch the store: warm the next leaf
   // and the store's block headers, then start the probe (and warm a by_key
   // index; DirectPos's first line is warmed by the probe's Prime).
-  void WarmLeafRead(const Leaf* leaf) const NO_THREAD_SAFETY_ANALYSIS;
+  // WarmLeafRead(leaf, true), for PrefetchRoutes, warms the by_key index a
+  // cursor fill ranks with instead of the point read's.
+  void WarmLeafRead(const Leaf* leaf, bool by_key) const
+      NO_THREAD_SAFETY_ANALYSIS;
   void StartLeafRead(const Leaf* leaf, uint32_t kv_hash,
                      leafops::SpecProbe* p) const NO_THREAD_SAFETY_ANALYSIS;
   // Attempts [first, optimistic_retries) of a point read — re-route, then

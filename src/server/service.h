@@ -13,8 +13,9 @@
 // runs groups of ~8 keys through the core's prefetch-interleaved pipeline,
 // which overlaps their trie walks and then their seqlock-validated in-leaf
 // searches. MultiPut reuses a held exclusive leaf lock across consecutive
-// keys that land in the same leaf. That QSBR-, lock- and memory-latency
-// amortization is what makes batching pay.
+// keys that land in the same leaf, and a run of scans first walks its
+// routes together (Wormhole::PrefetchRoutes). That QSBR-, lock- and
+// memory-latency amortization is what makes batching pay.
 //
 // Ordering contract: requests to the same shard (hence: all requests touching
 // any single key) are applied in batch order. Requests to different shards
@@ -152,10 +153,13 @@ class Service {
   // responses[i] answers batch[i]. Every field of every responses[i] is
   // overwritten, so a vector from an earlier batch carries nothing stale.
   // Its Response objects are kept, though: a scan writes its items over the
-  // strings already in `items`, keeping their capacity, so a client that
-  // reuses one vector across batches stops allocating for scan results once
-  // they reach their high-water sizes. A caller that wants the memory back
-  // passes a fresh vector. Any number of client threads may call
+  // strings already in `items`, keeping their capacity, and the item
+  // strings a response gives up (it serves a non-scan op, or a shorter
+  // scan) go to a bounded per-thread free list that later scans on this
+  // thread draw from. So a client that reuses one vector across batches
+  // stops allocating for scan results once they reach their high-water
+  // sizes, whatever op each position serves. A caller that wants the memory
+  // back passes a fresh vector. Any number of client threads may call
   // concurrently.
   void Execute(const std::vector<Request>& batch,
                std::vector<Response>* responses);

@@ -495,6 +495,32 @@ void CheckLockedBatchRoutesOnce() {
   ASSERT_EQ(batched.probes - before.probes, serial.probes - batched.probes);
 }
 
+// PrefetchRoutes takes a key run of any length and routes each key once,
+// exactly as a serial Get routes it: 37 keys span several route groups and
+// end on a partial one.
+template <typename Index>
+void CheckPrefetchRoutesRoutesEachKeyOnce() {
+  const auto keys = GenerateFixedLenKeyset(4000, 64, false, 7);
+  Options opt;
+  opt.count_probes = true;
+  Index index(opt);
+  for (size_t i = 0; i < keys.size(); i += 2) {  // odd keys stay absent
+    index.Put(keys[i], "v");
+  }
+  const std::vector<std::string_view> run(keys.begin(), keys.begin() + 37);
+  const WormholeStats before = index.stats();
+  index.PrefetchRoutes(run.data(), run.size());
+  const WormholeStats prefetched = index.stats();
+  std::string value;
+  for (const std::string_view k : run) {
+    index.Get(k, &value);
+  }
+  const WormholeStats serial = index.stats();
+  ASSERT_EQ(prefetched.lookups - before.lookups, run.size());
+  ASSERT_EQ(serial.lookups - prefetched.lookups, run.size());
+  ASSERT_EQ(prefetched.probes - before.probes, serial.probes - prefetched.probes);
+}
+
 TEST(IndexCorrectness, LookupProbesAreBoundedByLogKeyLength) {
   for (const size_t len : {8u, 64u, 512u}) {
     for (const bool zero_filled : {true, false}) {
@@ -504,6 +530,11 @@ TEST(IndexCorrectness, LookupProbesAreBoundedByLogKeyLength) {
   }
   CheckLockedBatchRoutesOnce<Wormhole>();
   CheckLockedBatchRoutesOnce<WormholeUnsafe>();
+}
+
+TEST(IndexCorrectness, PrefetchRoutesTakesAnyRunLength) {
+  CheckPrefetchRoutesRoutesEachKeyOnce<Wormhole>();
+  CheckPrefetchRoutesRoutesEachKeyOnce<WormholeUnsafe>();
 }
 
 TEST(IndexCorrectness, MemoryBytesIsPlausible) {

@@ -6,8 +6,8 @@
 // SpecProbe (the point-read extractor, stepped round-robin over a group of
 // keys as MultiGet does) on the quiescent store.
 // Value lengths straddle the inline threshold so every encoding transition
-// (inline <-> out-of-line, in-place overwrite, relocating overwrite) is
-// exercised.
+// (inline <-> out-of-line, and the relocating overwrite of an out-of-line
+// value that grows or shrinks) is exercised.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +27,15 @@ using leafops::LeafStore;
 
 uint32_t FullHash(std::string_view key) {
   return Crc32cExtend(kCrc32cInit, key.data(), key.size());
+}
+
+// Inserts an absent key as Put does: at the position its FindSlot miss
+// hands over.
+void InsertAbsent(LeafStore* s, bool direct_pos, std::string_view key,
+                  std::string_view value, uint32_t hash) {
+  size_t pos;
+  ASSERT_LT(leafops::FindSlot(*s, direct_pos, key, hash, &pos), 0) << key;
+  leafops::Insert(s, direct_pos, key, value, hash, pos);
 }
 
 // The hash a store's keys were inserted with. The adversarial cases below
@@ -94,7 +103,8 @@ void CheckStore(const LeafStore& s, bool direct_pos,
 // forward [rank, rank + budget), backward the last `budget` ranks below rank,
 // where rank is the first key (strict ? > : >=) bound, or the leaf edge in
 // scan direction without a bound. budget 0 is unbounded. `win` is reused
-// across calls, so stale bytes from earlier, larger fills sit in its slack.
+// across calls, so stale entries from earlier, larger fills sit in its
+// capacity.
 void CheckSpecFillWindow(const LeafStore& s,
                          const std::map<std::string, std::string>& oracle,
                          const std::vector<std::string>& bounds,
@@ -235,14 +245,16 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
   for (int op = 0; op < 4000; op++) {
     const std::string& key = pool[rng.NextBounded(pool.size())];
     const uint64_t roll = rng.NextBounded(100);
-    const int slot = leafops::FindSlot(store, direct_pos, key, FullHash(key));
+    size_t pos;
+    const int slot =
+        leafops::FindSlot(store, direct_pos, key, FullHash(key), &pos);
     ASSERT_EQ(slot >= 0, oracle.count(key) == 1) << "op " << op;
     if (roll < 45) {  // upsert
       const std::string value = RandomValue(rng);
       if (slot >= 0) {
         leafops::UpdateValue(&store, static_cast<uint16_t>(slot), value);
       } else {
-        leafops::Insert(&store, direct_pos, key, value, FullHash(key));
+        leafops::Insert(&store, direct_pos, key, value, FullHash(key), pos);
       }
       oracle[key] = value;
     } else if (roll < 75) {  // erase
@@ -331,8 +343,9 @@ void RunTagRuns(HashFn hash_of, size_t n_max, uint64_t seed) {
   };
   ASSERT_NO_FATAL_FAILURE(check());
   for (const std::string& k : keys) {
+    // The rebuild check below proves every handed-over splice position.
     const std::string v = RandomValue(rng);
-    leafops::Insert(&s, true, k, v, hash_of(k));
+    ASSERT_NO_FATAL_FAILURE(InsertAbsent(&s, true, k, v, hash_of(k)));
     oracle[k] = v;
     ASSERT_NO_FATAL_FAILURE(check()) << "after inserting " << k;
   }
@@ -376,7 +389,7 @@ TEST(LeafOps, EraseKeepsMovedEntryTag) {
   LeafStore s;
   std::map<std::string, std::string> oracle;
   for (const char* k : {"a", "b", "c"}) {
-    leafops::Insert(&s, true, k, k, PinnedHash(k));
+    InsertAbsent(&s, true, k, k, PinnedHash(k));
     oracle[k] = k;
   }
   ASSERT_EQ(leafops::FindSlot(s, true, "a", PinnedHash("a")), 0);
@@ -401,7 +414,7 @@ TEST(LeafOps, SplitTailPartitionsAndCompacts) {
       const std::string key = "split-" + std::to_string(rng.NextBounded(100000));
       const std::string value = RandomValue(rng);
       if (leafops::FindSlot(left, direct_pos, key, FullHash(key)) < 0) {
-        leafops::Insert(&left, direct_pos, key, value, FullHash(key));
+        InsertAbsent(&left, direct_pos, key, value, FullHash(key));
         oracle[key] = value;
       }
     }
@@ -434,7 +447,7 @@ TEST(LeafOps, UpdateValueTransitionsAndDeadAccounting) {
   const std::string small(kInlineValue, 's');
   const std::string big(4 * kInlineValue, 'b');
   const std::string bigger(8 * kInlineValue, 'B');
-  leafops::Insert(&s, true, key, small, FullHash(key));
+  InsertAbsent(&s, true, key, small, FullHash(key));
   const size_t key_bytes = s.slab.size();
   ASSERT_EQ(key_bytes, key.size());  // inline value wrote nothing to the slab
 
@@ -448,10 +461,14 @@ TEST(LeafOps, UpdateValueTransitionsAndDeadAccounting) {
   ASSERT_EQ(s.Value(slot0), std::string_view(bigger));
   ASSERT_EQ(s.dead, big.size());
 
+  // A shrink relocates too (the view invariant): the whole old span goes
+  // dead, and the new bytes land past the live end.
   const std::string shrunk(2 * kInlineValue, 'c');
-  leafops::UpdateValue(&s, slot0, shrunk);  // in-place shrink
+  const size_t live_end = s.slab.size();
+  leafops::UpdateValue(&s, slot0, shrunk);
   ASSERT_EQ(s.Value(slot0), std::string_view(shrunk));
-  ASSERT_EQ(s.dead, big.size() + (bigger.size() - shrunk.size()));
+  ASSERT_EQ(s.dead, big.size() + bigger.size());
+  ASSERT_EQ(s.slab.size(), live_end + shrunk.size());
 
   leafops::UpdateValue(&s, slot0, small);  // out-of-line -> inline
   ASSERT_EQ(s.Value(slot0), std::string_view(small));
@@ -472,8 +489,8 @@ TEST(LeafOps, ChurnKeepsSlabBounded) {
   std::vector<std::string> keys;
   for (int i = 0; i < 32; i++) {
     keys.push_back("churn-" + std::to_string(i));
-    leafops::Insert(&s, true, keys.back(), std::string(32, 'x'),
-                    FullHash(keys.back()));
+    InsertAbsent(&s, true, keys.back(), std::string(32, 'x'),
+                 FullHash(keys.back()));
   }
   uint64_t live = 0;
   for (const uint16_t id : s.by_key) {

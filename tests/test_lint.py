@@ -419,6 +419,64 @@ void f(int fd) {
 expect_clean("allowlist", "src/durability/x.cc", BAD_RAW_IO,
              ["raw-io|src/durability/x.cc|open(p"])
 
+# --- slab-view --------------------------------------------------------------
+
+case("slab-view")
+
+# The in-place shrink overwrite UpdateValue used to make: it rewrote bytes a
+# cursor window may still be viewing.
+BAD_SLAB_VIEW = """struct Slot { unsigned koff, voff; };
+void RelaxedCopyIn(char* dst, const char* src, unsigned long n);
+void f(char* slab, Slot sl, const char* v, unsigned long n) {
+  RelaxedCopyIn(slab + sl.voff, v, n);
+}
+"""
+expect_fires("copy-in at a slot's value offset", "src/core/leaf_ops.h",
+             BAD_SLAB_VIEW, "slab-view")
+
+expect_fires("store through a slot pointer's key offset", "src/core/x.h",
+             """struct Slot { unsigned koff, voff; };
+void RelaxedStore8(char* p, char v);
+void f(char* slab, const Slot* sl) { RelaxedStore8(slab + sl->koff, 'x'); }
+""", "slab-view")
+
+expect_fires("multi-line call", "src/core/x.h", """struct Slot { unsigned voff; };
+void RelaxedCopyIn(char* dst, const char* src, unsigned long n);
+void f(char* slab, Slot sl, const char* v, unsigned long n) {
+  RelaxedCopyIn(slab +
+                    sl.voff,
+                v, n);
+}
+""", "slab-view")
+
+expect_clean("append past the live end", "src/core/x.h",
+             """struct Store { unsigned long size; char* data; };
+void RelaxedCopyIn(char* dst, const char* src, unsigned long n);
+void f(Store* s, const char* v, unsigned long n) {
+  const unsigned voff = static_cast<unsigned>(s->size);
+  RelaxedCopyIn(s->data + voff, v, n);
+}
+""")
+
+expect_clean("slot offset in a later argument", "src/core/x.h",
+             """struct Slot { unsigned koff; };
+void RelaxedCopyIn(char* dst, const char* src, unsigned long n);
+void f(char* fresh, const char* slab, Slot sl) {
+  RelaxedCopyIn(fresh, slab + sl.koff, 4);
+}
+""")
+
+expect_clean("inline waiver", "src/core/x.h", """struct Slot { unsigned voff; };
+void RelaxedCopyIn(char* dst, const char* src, unsigned long n);
+void f(char* slab, Slot sl, const char* v, unsigned long n) {
+  // lint:allow(slab-view): fixture demonstrating the waiver syntax
+  RelaxedCopyIn(slab + sl.voff, v, n);
+}
+""")
+
+expect_clean("allowlist", "src/core/leaf_ops.h", BAD_SLAB_VIEW,
+             ["slab-view|src/core/leaf_ops.h|sl.voff"])
+
 # --- multiple rules at once -------------------------------------------------
 
 case("combined")

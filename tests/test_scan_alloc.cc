@@ -14,6 +14,11 @@
 // value buffer to MultiGet, so repeating a batch copies the values into
 // buffers already grown to them instead of allocating one per value.
 //
+// A response position need not serve the same op in every batch: the item
+// strings a position gives up when it serves a Get or Delete go to the
+// thread's item free list, and the next scan to outgrow its response takes
+// them back, so alternating op mixes are held to a constant too.
+//
 // Also here: a cursor destroyed during thread exit, after the thread's
 // window free list is gone, frees its window without touching the list.
 #include <gtest/gtest.h>
@@ -47,16 +52,50 @@ void* CountedAlloc(std::size_t n) {
   throw std::bad_alloc();
 }
 
-void* CountedAlignedAlloc(std::size_t n, std::align_val_t al) {
+void* CountedAlignedAllocNothrow(std::size_t n, std::align_val_t al) {
   tl_allocs++;
   const std::size_t a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) {
+  return std::aligned_alloc(a, (n + a - 1) / a * a);
+}
+
+void* CountedAlignedAlloc(std::size_t n, std::align_val_t al) {
+  if (void* p = CountedAlignedAllocNothrow(n, al)) {
     return p;
   }
   throw std::bad_alloc();
 }
 
 }  // namespace
+
+// Every replaceable allocation function is replaced, the nothrow forms too:
+// library code that allocates with nothrow new (libstdc++'s temporary
+// buffers) must not reach the default one and be freed here with free().
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  tl_allocs++;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return operator new(n, t);
+}
+void* operator new(std::size_t n, std::align_val_t al,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlignedAllocNothrow(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al,
+                     const std::nothrow_t&) noexcept {
+  return CountedAlignedAllocNothrow(n, al);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 void* operator new(std::size_t n) { return CountedAlloc(n); }
 void* operator new[](std::size_t n) { return CountedAlloc(n); }
@@ -172,6 +211,45 @@ TEST(ScanAlloc, RepeatedScanBatchAllocatesAConstant) {
   EXPECT_LE(long_allocs, 5 + 2 * kShards) << "1600-item batch";
   // Ten times the items, the same allocations.
   EXPECT_EQ(long_allocs, short_allocs);
+}
+
+// Two batches that swap scans and non-scans at every position, executed in
+// turn through one response vector: each scan lands on a response whose
+// items the previous batch gave up to a Get or a Delete. Their strings wait
+// on the thread's item free list, so once warm an Execute allocates as often
+// at 100 items per scan as at 10.
+TEST(ScanAlloc, OpMixChurnIsAllocationStable) {
+  Fixture f;
+  const auto mixed = [&](uint32_t limit, size_t parity) {
+    std::vector<Request> batch = f.ScanBatch(limit);
+    for (size_t i = parity; i < batch.size(); i += 2) {
+      // Gets of loaded keys and Deletes of absent ones: neither mutates the
+      // index, whose own allocations would muddy the count.
+      batch[i] = i % 4 < 2 ? Request{Op::kGet, batch[i].key, "", 0}
+                           : Request{Op::kDelete, "absent-key", "", 0};
+    }
+    return batch;
+  };
+  uint64_t allocs[2] = {0, 0};
+  for (const uint32_t limit : {10u, 100u}) {
+    const std::vector<Request> even = mixed(limit, 0);
+    const std::vector<Request> odd = mixed(limit, 1);
+    std::vector<Response> responses;
+    for (int i = 0; i < kWarmups; i++) {
+      f.service->Execute(even, &responses);
+      f.service->Execute(odd, &responses);
+    }
+    const uint64_t before = tl_allocs;
+    f.service->Execute(even, &responses);
+    const uint64_t mid = tl_allocs;
+    f.service->Execute(odd, &responses);
+    ASSERT_EQ(ItemCount(responses), kScansPerBatch / 2 * limit);
+    EXPECT_EQ(mid - before, tl_allocs - mid) << limit << " items per scan";
+    allocs[limit == 10u ? 0 : 1] = tl_allocs - mid;
+  }
+  EXPECT_EQ(allocs[0], allocs[1]);
+  // The scan-batch bound, plus the Get run's key, value and hit arrays.
+  EXPECT_LE(allocs[1], 8 + 2 * kShards);
 }
 
 // Values are 24 bytes, past the small-string buffer: a Get that hands back

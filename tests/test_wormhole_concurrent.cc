@@ -911,5 +911,175 @@ TEST(WormholeConcurrent, ForcedFallbackMatchesOracle) {
   ASSERT_EQ(index.size(), oracle.size());
 }
 
+// --- the view invariant ------------------------------------------------------
+// A cursor's key() and value() are views into the slab block its window was
+// filled from, so the bytes a validated slot names must never change while
+// a pinned cursor can still see them (leaf_ops.h). Out-of-line values that
+// shrink are the case an in-place overwrite would break.
+
+// An out-of-line value of generation g in 'A'..'P': 9 + 4 * (g - 'A') bytes,
+// all g. A view that a writer scribbled over reads mixed bytes or a length
+// that does not match its first byte.
+std::string GenValue(char g) { return std::string(9 + 4 * (g - 'A'), g); }
+bool IsGenValue(std::string_view v) {
+  return !v.empty() && v[0] >= 'A' && v[0] <= 'P' &&
+         v.size() == 9 + 4 * static_cast<size_t>(v[0] - 'A') &&
+         v.find_first_not_of(v[0]) == std::string_view::npos;
+}
+
+// A churn differential against std::map in which out-of-line values shrink
+// and grow. Full scans in both directions must equal the oracle, and a
+// cursor parked at a random key must keep reading its window's snapshot
+// through the same views while the thread overwrites that key (shrinking
+// it), its leaf neighbors and the rest, inserting and deleting around it.
+TEST(WormholeConcurrent, ViewChurnMatchesOracle) {
+  Options opt;
+  opt.leaf_capacity = 8;
+  Wormhole index(opt);
+  std::map<std::string, std::string> oracle;
+  Rng rng(4242);
+  const auto random_put = [&](const std::string& key) {
+    const std::string v = GenValue(static_cast<char>('A' + rng.NextBounded(16)));
+    index.Put(key, v);
+    oracle[key] = v;
+  };
+  for (int round = 0; round < 300; round++) {
+    for (int step = 0; step < 40; step++) {
+      const std::string key = ResidentKey(static_cast<int>(rng.NextBounded(400)));
+      if (rng.NextBounded(4) == 0) {
+        ASSERT_EQ(index.Delete(key), oracle.erase(key) > 0);
+      } else {
+        random_put(key);
+      }
+    }
+    auto c = index.NewCursor();
+    c->Seek(ResidentKey(static_cast<int>(rng.NextBounded(400))));
+    if (c->Valid()) {
+      const std::string_view kview = c->key();
+      const std::string_view vview = c->value();
+      const std::string kcopy(kview);
+      const std::string vcopy(vview);
+      ASSERT_EQ(oracle.at(kcopy), vcopy);
+      index.Put(kcopy, GenValue('A'));  // the shortest out-of-line value
+      oracle[kcopy] = GenValue('A');
+      for (int step = 0; step < 40; step++) {
+        const std::string key =
+            ResidentKey(static_cast<int>(rng.NextBounded(400)));
+        if (rng.NextBounded(4) == 0 && key != kcopy) {
+          ASSERT_EQ(index.Delete(key), oracle.erase(key) > 0);
+        } else {
+          random_put(key);
+        }
+      }
+      ASSERT_EQ(kview, kcopy) << "round " << round;
+      ASSERT_EQ(vview, vcopy) << "round " << round << " key " << kcopy;
+    }
+    c.reset();
+    if (round % 10 == 0) {
+      auto it = oracle.begin();
+      auto sweep = index.NewCursor();
+      for (sweep->Seek(""); sweep->Valid(); sweep->Next(), ++it) {
+        ASSERT_NE(it, oracle.end());
+        ASSERT_EQ(sweep->key(), it->first);
+        ASSERT_EQ(sweep->value(), it->second);
+      }
+      ASSERT_EQ(it, oracle.end());
+      auto rit = oracle.rbegin();
+      for (sweep->SeekForPrev("\xff"); sweep->Valid(); sweep->Prev(), ++rit) {
+        ASSERT_NE(rit, oracle.rend());
+        ASSERT_EQ(sweep->key(), rit->first);
+        ASSERT_EQ(sweep->value(), rit->second);
+      }
+      ASSERT_EQ(rit, oracle.rend());
+    }
+  }
+}
+
+// A parked cursor's views stay unchanged while every key of its leaf is
+// overwritten with a shorter value, and then again through the compactions
+// and the split that further overwrites and inserts force; the cursor's
+// epoch pin keeps each replaced slab block alive (ASan checks that part).
+TEST(WormholeConcurrent, ParkedCursorViewsSurviveShrinkingOverwrites) {
+  Options opt;
+  opt.leaf_capacity = 16;
+  Wormhole index(opt);
+  for (int i = 0; i < 12; i++) {
+    index.Put(ResidentKey(i), GenValue('P'));
+  }
+  auto c = index.NewCursor();
+  c->SetScanLimitHint(12);
+  c->Seek(ResidentKey(0));
+  for (int i = 0; i < 4; i++) {
+    c->Next();
+  }
+  ASSERT_TRUE(c->Valid());
+  const std::string_view kview = c->key();
+  const std::string_view vview = c->value();
+  ASSERT_EQ(kview, ResidentKey(4));
+  for (int i = 0; i < 12; i++) {
+    index.Put(ResidentKey(i), GenValue('B'));
+  }
+  EXPECT_EQ(kview, ResidentKey(4));
+  EXPECT_EQ(vview, GenValue('P'));
+  for (int round = 0; round < 20; round++) {
+    for (int i = 0; i < 12; i++) {
+      index.Put(ResidentKey(i), GenValue(round % 2 == 0 ? 'A' : 'C'));
+    }
+  }
+  for (int i = 12; i < 40; i++) {
+    index.Put(ResidentKey(i), GenValue('D'));
+  }
+  EXPECT_EQ(kview, ResidentKey(4));
+  EXPECT_EQ(vview, GenValue('P'));
+  // The window itself is one snapshot: the items after the park point read
+  // their fill-time values too.
+  c->Next();
+  ASSERT_TRUE(c->Valid());
+  EXPECT_EQ(c->key(), ResidentKey(5));
+  EXPECT_EQ(c->value(), GenValue('P'));
+}
+
+// A scanner reads its views twice, a yield apart, while a writer overwrites
+// the same keys with values that shrink and grow. Every view must hold one
+// whole generation both times; a write into a span a view names reads as
+// mixed bytes (and as a data race under TSan).
+TEST(WormholeConcurrent, ScannerViewsUnderShrinkingWriter) {
+  Options opt;
+  opt.leaf_capacity = 16;
+  Wormhole index(opt);
+  constexpr int kKeys = 512;
+  for (int i = 0; i < kKeys; i++) {
+    index.Put(ResidentKey(i), GenValue('P'));
+  }
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    Rng rng(31);
+    while (!stop.load(std::memory_order_relaxed)) {
+      index.Put(ResidentKey(static_cast<int>(rng.NextBounded(kKeys))),
+                GenValue(static_cast<char>('A' + rng.NextBounded(16))));
+    }
+  });
+  Rng rng(32);
+  uint64_t bad = 0;
+  uint64_t seen = 0;
+  for (int scan = 0; scan < 600; scan++) {
+    auto c = index.NewCursor();
+    c->SetScanLimitHint(24);
+    c->Seek(ResidentKey(static_cast<int>(rng.NextBounded(kKeys))));
+    for (int i = 0; i < 24 && c->Valid(); i++, c->Next()) {
+      const std::string_view k = c->key();
+      const std::string_view v = c->value();
+      const bool first = IsGenValue(v) && k.substr(0, 4) == "res-";
+      std::this_thread::yield();
+      bad += (first && IsGenValue(v) && k.substr(0, 4) == "res-") ? 0 : 1;
+      seen++;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(bad, 0u) << "of " << seen << " items";
+  EXPECT_GT(seen, 600u);
+}
+
 }  // namespace
 }  // namespace wh
