@@ -17,9 +17,10 @@
 // The chain invariant is "every line full except the last" and, with
 // `sorted`, ascending tag order across the whole chain (equal tags keep
 // insertion order), which gives lookups an early exit at the first greater
-// tag. The one mutating helper (Insert) is for a structural writer building
-// a new, unpublished chain; readers only ever see immutable chains published
-// by pointer swap (CopyChain/CopyChainExcept build the replacement).
+// tag. Chains are immutable once built: every structural change — a node
+// insert, a node removal, a table-growth rehash — builds a replacement with
+// the one builder (Rebuild), and readers only ever see chains published
+// whole by pointer swap.
 #ifndef WH_SRC_CORE_META_BUCKET_H_
 #define WH_SRC_CORE_META_BUCKET_H_
 
@@ -63,80 +64,6 @@ NodeT* Find(const BucketLine<NodeT>* line, uint16_t tag, bool tag_matching,
   return nullptr;
 }
 
-// Inserts into an unpublished chain rooted at `line` (never null). With
-// `sorted`, the entry lands after all equal tags and displaced entries ripple
-// into later lines; otherwise it appends. Allocates a tail line when the
-// chain is full.
-template <typename NodeT>
-void Insert(BucketLine<NodeT>* line, uint16_t tag, NodeT* node, bool sorted) {
-  int idx;
-  if (sorted) {
-    idx = -1;
-    for (BucketLine<NodeT>* l = line;; l = l->next) {
-      for (int i = 0; i < l->count; i++) {
-        if (l->tags[i] > tag) {
-          line = l;
-          idx = i;
-          break;
-        }
-      }
-      if (idx >= 0) {
-        break;
-      }
-      if (l->next == nullptr) {
-        line = l;
-        idx = l->count;
-        break;
-      }
-    }
-  } else {
-    while (line->next != nullptr) {
-      line = line->next;
-    }
-    idx = line->count;
-  }
-  uint16_t ctag = tag;
-  NodeT* cnode = node;
-  constexpr int kE = BucketLine<NodeT>::kEntries;
-  while (true) {
-    if (idx == kE) {  // past this line's end: continue at the next line
-      if (line->next == nullptr) {
-        line->next = new BucketLine<NodeT>();
-      }
-      line = line->next;
-      idx = 0;
-      continue;
-    }
-    if (line->count < kE) {
-      for (int i = line->count; i > idx; i--) {
-        line->tags[i] = line->tags[i - 1];
-        line->nodes[i] = line->nodes[i - 1];
-      }
-      line->tags[idx] = ctag;
-      line->nodes[idx] = cnode;
-      line->count++;
-      return;
-    }
-    // Full line: displace its last entry, shift, place the carry, and ripple
-    // the displaced entry into the next line at position 0.
-    const uint16_t otag = line->tags[kE - 1];
-    NodeT* const onode = line->nodes[kE - 1];
-    for (int i = kE - 1; i > idx; i--) {
-      line->tags[i] = line->tags[i - 1];
-      line->nodes[i] = line->nodes[i - 1];
-    }
-    line->tags[idx] = ctag;
-    line->nodes[idx] = cnode;
-    ctag = otag;
-    cnode = onode;
-    if (line->next == nullptr) {
-      line->next = new BucketLine<NodeT>();
-    }
-    line = line->next;
-    idx = 0;
-  }
-}
-
 template <typename NodeT, typename Fn>
 void ForEach(const BucketLine<NodeT>* line, const Fn& fn) {
   for (; line != nullptr; line = line->next) {
@@ -146,55 +73,48 @@ void ForEach(const BucketLine<NodeT>* line, const Fn& fn) {
   }
 }
 
-// Deep copy for copy-on-write publication; CopyChain(nullptr) yields one
-// fresh empty line (the insert that follows needs a head).
+// The one chain builder: a fresh chain holding old's entries in order,
+// minus `drop`, plus (tag, add) when `add` is non-null — with `sorted`,
+// after every entry whose tag is <= tag, otherwise last. Packed to the
+// all-full-but-last invariant; nullptr when no entry is left. A non-null
+// `drop` must be in the chain.
 template <typename NodeT>
-BucketLine<NodeT>* CopyChain(const BucketLine<NodeT>* old) {
-  if (old == nullptr) {
-    return new BucketLine<NodeT>();
-  }
-  BucketLine<NodeT>* h = nullptr;
-  BucketLine<NodeT>** tail = &h;
-  for (const BucketLine<NodeT>* l = old; l != nullptr; l = l->next) {
-    BucketLine<NodeT>* c = new BucketLine<NodeT>(*l);
-    c->next = nullptr;
-    *tail = c;
-    tail = &c->next;
-  }
-  return h;
-}
-
-// Copy that drops `skip`, repacked to the all-full-but-last invariant.
-// Returns nullptr when the result is empty; *found reports whether skip was
-// present.
-template <typename NodeT>
-BucketLine<NodeT>* CopyChainExcept(const BucketLine<NodeT>* old,
-                                   const NodeT* skip, bool* found) {
-  BucketLine<NodeT>* h = nullptr;
+BucketLine<NodeT>* Rebuild(const BucketLine<NodeT>* old, const NodeT* drop,
+                           uint16_t tag, NodeT* add, bool sorted) {
+  BucketLine<NodeT>* head = nullptr;
   BucketLine<NodeT>* cur = nullptr;
-  *found = false;
-  ForEach(old, [&](uint16_t tag, NodeT* nd) {
-    if (nd == skip) {
-      *found = true;
-      return;
-    }
+  const auto append = [&](uint16_t t, NodeT* nd) {
     if (cur == nullptr || cur->count == BucketLine<NodeT>::kEntries) {
       BucketLine<NodeT>* fresh = new BucketLine<NodeT>();
-      if (cur != nullptr) {
-        cur->next = fresh;
-      } else {
-        h = fresh;
-      }
+      (cur == nullptr ? head : cur->next) = fresh;
       cur = fresh;
     }
-    cur->tags[cur->count] = tag;
+    cur->tags[cur->count] = t;
     cur->nodes[cur->count] = nd;
     cur->count++;
+  };
+  bool dropped = false;
+  ForEach(old, [&](uint16_t t, NodeT* nd) {
+    if (nd == drop) {
+      dropped = true;
+      return;
+    }
+    if (add != nullptr && sorted && t > tag) {
+      append(tag, add);
+      add = nullptr;
+    }
+    append(t, nd);
   });
-  return h;
+  if (add != nullptr) {
+    append(tag, add);
+  }
+  assert((drop == nullptr || dropped) && "MetaTrieHT entry missing on removal");
+  (void)dropped;
+  return head;
 }
 
-// Frees every line including `head` (heap-allocated chains).
+// Frees every line including `head`: a chain no reader can reach (never
+// published, or past its grace period).
 template <typename NodeT>
 void FreeChain(BucketLine<NodeT>* head) {
   while (head != nullptr) {

@@ -35,6 +35,15 @@ uint32_t ExtendKvHash(bool direct_pos, uint32_t state, std::string_view key,
                          : state;
 }
 
+// Hands every line of a replaced, published bucket chain to Sync::Retire.
+template <typename Sync, typename Line>
+void RetireChain(Qsbr* qsbr, Line* head) {
+  for (Line* nx; head != nullptr; head = nx) {
+    nx = head->next;  // immutable under meta_mu_; Retire only defers the free
+    Sync::Retire(qsbr, head);
+  }
+}
+
 // Reports a serialized route that missed `key` (anchor: the leaf it reached,
 // if any) and aborts. Bytes print as hex, since keys are binary.
 [[noreturn]] void DieMisrouted(std::string_view key, const std::string* anchor) {
@@ -250,11 +259,10 @@ BasicWormhole<Sync>::BasicWormhole(const Options& opt, Qsbr* qsbr)
   root_->has_terminal.store(true, std::memory_order_relaxed);
   Table* t = new Table(256);
   const uint32_t h = HashPrefix({});
-  Bucket* b = new Bucket();
-  b->tags[0] = TagOf(h);
-  b->nodes[0] = root_;
-  b->count = 1;
-  t->buckets[h & t->mask].store(b, std::memory_order_relaxed);
+  t->buckets[h & t->mask].store(
+      metabucket::Rebuild<Node>(nullptr, nullptr, TagOf(h), root_,
+                                opt_.sort_by_tag),
+      std::memory_order_relaxed);
   table_.store(t, std::memory_order_release);
   node_count_ = 1;
 }
@@ -766,12 +774,17 @@ void BasicWormhole<Sync>::PrefetchRoutes(const std::string_view* keys,
 }
 
 template <typename Sync>
-void BasicWormhole<Sync>::MultiPut(
+bool BasicWormhole<Sync>::MultiPut(
     const std::vector<std::pair<std::string_view, std::string_view>>& items) {
   typename Sync::Op op(qsbr_);
   Leaf* leaf = nullptr;  // held exclusively while non-null
   uint32_t h = 0;
+  bool all = true;
   for (const auto& [key, value] : items) {
+    if (key.size() > kMaxKeyBytes || value.size() > kMaxValueBytes) {
+      all = false;  // refused: past the input bounds
+      continue;
+    }
     if (leaf != nullptr && Covers(leaf, key)) {
       // Reused route: no LPM ran for this key, so there is no prefix state
       // to extend — derive the DirectPos hash from byte 0.
@@ -794,6 +807,7 @@ void BasicWormhole<Sync>::MultiPut(
   if (leaf != nullptr) {
     leaf->lock.unlock();
   }
+  return all;
 }
 
 template <typename Sync>
@@ -819,7 +833,10 @@ bool BasicWormhole<Sync>::PutInLeaf(Leaf* leaf, std::string_view key,
 }
 
 template <typename Sync>
-void BasicWormhole<Sync>::Put(std::string_view key, std::string_view value) {
+bool BasicWormhole<Sync>::Put(std::string_view key, std::string_view value) {
+  if (key.size() > kMaxKeyBytes || value.size() > kMaxValueBytes) {
+    return false;  // refused: past the input bounds
+  }
   typename Sync::Op op(qsbr_);
   uint32_t h;
   Leaf* leaf = AcquireLeaf(key, Mode::kExclusive, &h);
@@ -829,6 +846,7 @@ void BasicWormhole<Sync>::Put(std::string_view key, std::string_view value) {
   if (!done) {
     PutSlow(key, value);
   }
+  return true;
 }
 
 template <typename Sync>
@@ -1320,35 +1338,13 @@ size_t BasicWormhole<Sync>::Scan(std::string_view start, size_t count, const Sca
 // --- structural writers (meta_mu_ held) ------------------------------------
 
 template <typename Sync>
-void BasicWormhole<Sync>::InsertEntry(uint32_t hash, Node* node) {
+void BasicWormhole<Sync>::PublishChain(uint32_t hash, Node* drop, Node* add) {
   Table* t = table_.load(std::memory_order_relaxed);
   std::atomic<Bucket*>& slot = t->buckets[hash & t->mask];
   Bucket* old = slot.load(std::memory_order_relaxed);
-  Bucket* nb = metabucket::CopyChain(old);
-  metabucket::Insert(nb, TagOf(hash), node, opt_.sort_by_tag);
-  slot.store(nb, std::memory_order_release);
-  for (Bucket* l = old; l != nullptr;) {
-    Bucket* nx = l->next;  // immutable under meta_mu_; Retire only defers free
-    Sync::Retire(qsbr_, l);
-    l = nx;
-  }
-}
-
-template <typename Sync>
-void BasicWormhole<Sync>::RemoveEntry(uint32_t hash, Node* node) {
-  Table* t = table_.load(std::memory_order_relaxed);
-  std::atomic<Bucket*>& slot = t->buckets[hash & t->mask];
-  Bucket* old = slot.load(std::memory_order_relaxed);
-  bool found = false;
-  Bucket* nb = metabucket::CopyChainExcept(old, node, &found);
-  (void)found;
-  assert(found && "MetaTrieHT entry missing on removal");
-  slot.store(nb, std::memory_order_release);  // nb may be null: bucket emptied
-  for (Bucket* l = old; l != nullptr;) {
-    Bucket* nx = l->next;
-    Sync::Retire(qsbr_, l);
-    l = nx;
-  }
+  slot.store(metabucket::Rebuild(old, drop, TagOf(hash), add, opt_.sort_by_tag),
+             std::memory_order_release);
+  RetireChain<Sync>(qsbr_, old);
 }
 
 template <typename Sync>
@@ -1359,27 +1355,23 @@ void BasicWormhole<Sync>::MaybeGrowTable() {
   }
   Table* nt = new Table(t->buckets.size() * 2);
   for (auto& bp : t->buckets) {
+    // Rehash from each node's immutable prefix (entries carry only the tag).
+    // The new table is unpublished: plain stores suffice, and each chain a
+    // rehashed node outgrows is freed at once.
     const Bucket* b = bp.load(std::memory_order_relaxed);
-    // Rehash from each node's immutable prefix (entries carry only the tag);
-    // pre-publication, so plain stores and in-place chain inserts are fine.
     metabucket::ForEach(b, [&](uint16_t, Node* nd) {
       const uint32_t h = HashPrefix(nd->prefix);
       std::atomic<Bucket*>& ns = nt->buckets[h & nt->mask];
-      Bucket* head = ns.load(std::memory_order_relaxed);
-      if (head == nullptr) {
-        head = new Bucket();
-        ns.store(head, std::memory_order_relaxed);
-      }
-      metabucket::Insert(head, TagOf(h), nd, opt_.sort_by_tag);
+      Bucket* old = ns.load(std::memory_order_relaxed);
+      ns.store(metabucket::Rebuild<Node>(old, nullptr, TagOf(h), nd,
+                                         opt_.sort_by_tag),
+               std::memory_order_relaxed);
+      metabucket::FreeChain(old);
     });
   }
   table_.store(nt, std::memory_order_release);
   for (auto& bp : t->buckets) {
-    for (Bucket* l = bp.load(std::memory_order_relaxed); l != nullptr;) {
-      Bucket* nx = l->next;
-      Sync::Retire(qsbr_, l);
-      l = nx;
-    }
+    RetireChain<Sync>(qsbr_, bp.load(std::memory_order_relaxed));
   }
   Sync::Retire(qsbr_, t);
 }
@@ -1406,7 +1398,7 @@ void BasicWormhole<Sync>::InsertAnchor(const std::string& anchor, Leaf* leaf) {
       if (d == anchor.size()) {
         n->has_terminal.store(true, std::memory_order_relaxed);
       }
-      InsertEntry(state, n);
+      PublishChain(state, nullptr, n);
       node_count_++;
       parent->SetChild(static_cast<uint8_t>(anchor[d - 1]));  // d >= 1: root pre-exists
     } else {
@@ -1509,7 +1501,7 @@ void BasicWormhole<Sync>::RemoveLeafLocked(Leaf* leaf) {
     if (n->lmost.load(std::memory_order_relaxed) == leaf &&
         n->rmost.load(std::memory_order_relaxed) == leaf) {
       // d >= 1 here: the root spans head_, which is never removed.
-      RemoveEntry(states[d], n);
+      PublishChain(states[d], n, nullptr);
       node_count_--;
       Node* parent = LookupNode(t, states[d - 1], std::string_view(a.data(), d - 1));
       parent->ClearChild(static_cast<uint8_t>(a[d - 1]));

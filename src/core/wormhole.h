@@ -154,6 +154,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -171,6 +172,16 @@ namespace wh {
 
 // Upper clamp of Options::leaf_capacity: leaf indexes use 16-bit slot ids.
 inline constexpr size_t kMaxLeafCapacity = 4096;
+
+// Input bounds: Put and MultiPut refuse a longer key or value. A leaf's slab
+// (uint32_t koff / voff) holds at most kMaxLeafCapacity + 1 items, no more
+// dead bytes than live ones plus 255 (MaybeCompact), and one overwritten
+// value past that: under 4 * kMaxLeafCapacity items' worth of bytes.
+inline constexpr size_t kMaxKeyBytes = 8 << 10;
+inline constexpr size_t kMaxValueBytes = 120 << 10;
+static_assert(4 * kMaxLeafCapacity * (kMaxKeyBytes + kMaxValueBytes) <=
+                  std::numeric_limits<decltype(leafops::LeafSlot::koff)>::max(),
+              "a full leaf's slab could overflow its 32-bit offsets");
 
 struct Options {
   bool tag_matching = true;
@@ -263,7 +274,8 @@ class BasicWormhole {
   // failed speculative attempt) *value may hold scribbled bytes — consume it
   // only when Get returns true.
   bool Get(std::string_view key, std::string* value) EXCLUDES(meta_mu_);
-  void Put(std::string_view key, std::string_view value) EXCLUDES(meta_mu_);
+  // False, and nothing changes, when key or value exceeds the input bounds.
+  bool Put(std::string_view key, std::string_view value) EXCLUDES(meta_mu_);
   bool Delete(std::string_view key) EXCLUDES(meta_mu_);
   // Wrapper over NewCursor: per-leaf snapshot semantics, fn runs with no
   // leaf lock held (see the cursor section of the header comment).
@@ -295,8 +307,12 @@ class BasicWormhole {
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
       EXCLUDES(meta_mu_);
 
+  // Keys whose routes MultiGet and PrefetchRoutes interleave at a time: a
+  // caller that wants n keys walked as one group passes n <= kRouteGroup.
+  static constexpr size_t kRouteGroup = 8;
+
   // A hint with no visible semantics (like Cursor::SetScanLimitHint): walks
-  // the routes of keys[0, n), a group at a time, through MultiGet's
+  // the routes of keys[0, n), kRouteGroup at a time, through MultiGet's
   // interleaved route stage and warms each routed leaf's header and the
   // block headers a cursor fill reads, so Seeks of those keys find them in
   // cache. Service::Execute calls it before a run of scans. Its routes
@@ -307,9 +323,10 @@ class BasicWormhole {
   // Batched Put with the same amortization: one quiescent-state report for
   // the batch, and consecutive keys hitting the same leaf reuse the held
   // exclusive lock (a Put that needs a split falls back to the slow path).
+  // Applies every item within the input bounds; false if it refused any.
   // NO_TSA: the held lock is loop-carried — which leaf's lock is held across
   // iterations is data-dependent, a transfer TSA cannot express.
-  void MultiPut(
+  bool MultiPut(
       const std::vector<std::pair<std::string_view, std::string_view>>& items)
       EXCLUDES(meta_mu_) NO_THREAD_SAFETY_ANALYSIS;
 
@@ -328,8 +345,7 @@ class BasicWormhole {
  private:
   struct Node;
   class CursorImpl;
-  // Immutable once published: updates build a copy of the line chain and
-  // swing the bucket head pointer; the old lines are retired via QSBR.
+  // Immutable once published (PublishChain).
   using Bucket = metabucket::BucketLine<Node>;
   struct Table;
 
@@ -344,8 +360,6 @@ class BasicWormhole {
   // in one go, MultiGet interleaves a key group's. It alone counts the
   // probe statistics.
   struct Route;
-  // Keys whose routes MultiGet and PrefetchRoutes interleave at a time.
-  static constexpr size_t kRouteGroup = 8;
   // MultiGet's route stage, shared with PrefetchRoutes: runs the routes of
   // keys[0, g) (g <= kRouteGroup) interleaved into routes[0, g), and
   // prefetches each leaf header as its route ends.
@@ -416,8 +430,10 @@ class BasicWormhole {
 
   // Structural writers: REQUIRES(meta_mu_) — only the *Slow paths (which
   // acquire it) and the destructor reach these.
-  void InsertEntry(uint32_t hash, Node* node) REQUIRES(meta_mu_);
-  void RemoveEntry(uint32_t hash, Node* node) REQUIRES(meta_mu_);
+  // The one MetaTrieHT publication: swaps hash's bucket chain for a
+  // metabucket::Rebuild of it without `drop` and with `add` (either may be
+  // null) by release store, then retires the old chain's lines.
+  void PublishChain(uint32_t hash, Node* drop, Node* add) REQUIRES(meta_mu_);
   void MaybeGrowTable() REQUIRES(meta_mu_);
   void InsertAnchor(const std::string& anchor, Leaf* leaf) REQUIRES(meta_mu_);
   // NO_TSA: also requires leaf->lock held exclusive on entry (inexpressible

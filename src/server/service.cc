@@ -119,15 +119,28 @@ void Service::Execute(const std::vector<Request>& batch,
   // field is reset below, and a scan refills its items in place.
   responses->resize(batch.size());
 
+  // One scratch per thread, cleared by each call with its capacity kept, so
+  // a client that keeps sending batches stops allocating for their grouping
+  // and run dispatch. Execute never re-enters itself, so no other call on
+  // this thread touches it while this one runs.
+  thread_local ExecScratch scratch;
+  // Runs on every exit, an exception's too: the batch's cursors and their
+  // epoch pins must not outlive it (see ExecScratch::cursors).
+  struct CursorRelease {
+    std::vector<std::unique_ptr<Cursor>>& cursors;
+    ~CursorRelease() { cursors.clear(); }
+  } cursor_release{scratch.cursors};
+
   // Stable grouping: per-shard sub-batches preserve submission order, which
   // is what makes per-key semantics exactly sequential (all ops on one key
   // land in one shard). A two-pass counting sort into one flat index buffer
-  // keeps the grouping to four fixed-size allocations per batch — no
-  // per-shard vectors, no push_back growth.
+  // — no per-shard vectors, no push_back growth.
   // Oversized requests join no sub-batch (see kMaxKeyBytes).
   constexpr uint32_t kRefused = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t> shard_of(batch.size());
-  std::vector<size_t> offsets(shards_.size() + 1, 0);
+  std::vector<uint32_t>& shard_of = scratch.shard_of;
+  std::vector<size_t>& offsets = scratch.offsets;
+  shard_of.resize(batch.size());
+  offsets.assign(shards_.size() + 1, 0);
   for (size_t i = 0; i < batch.size(); i++) {
     Response& r = (*responses)[i];
     r.found = false;
@@ -150,27 +163,14 @@ void Service::Execute(const std::vector<Request>& batch,
   for (size_t s = 1; s < offsets.size(); s++) {
     offsets[s] += offsets[s - 1];
   }
-  std::vector<uint32_t> order(batch.size());
-  {
-    std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (uint32_t i = 0; i < batch.size(); i++) {
-      if (shard_of[i] != kRefused) {
-        order[cursor[shard_of[i]]++] = i;  // ascending i keeps it stable
-      }
+  std::vector<uint32_t>& order = scratch.order;
+  order.resize(batch.size());
+  scratch.fill.assign(offsets.begin(), offsets.end() - 1);
+  for (uint32_t i = 0; i < batch.size(); i++) {
+    if (shard_of[i] != kRefused) {
+      order[scratch.fill[shard_of[i]]++] = i;  // ascending i keeps it stable
     }
   }
-
-  ExecScratch scratch;
-  // One cursor per shard, opened on the first scan that touches the shard
-  // and reused (epoch pin, QSBR slot and window buffer) by every later scan
-  // in this batch — repositioning an existing cursor re-routes freshly, so
-  // reuse never changes what a scan observes. Stack-local, so concurrent
-  // Execute() callers never share a cursor; destroyed when the batch
-  // returns, which releases the epoch pins (a cursor kept across batches
-  // would stall reclamation) and hands the window buffers to this thread's
-  // free list for the next batch's cursors (see Wormhole::NewCursor). Sized
-  // lazily: a scan-free batch never allocates it.
-  std::vector<std::unique_ptr<Cursor>> scan_cursors;
 
   for (size_t s = 0; s < shards_.size(); s++) {
     const uint32_t* idx = order.data() + offsets[s];
@@ -179,7 +179,7 @@ void Service::Execute(const std::vector<Request>& batch,
       continue;
     }
     if (!dur_.enabled) {
-      RunShardOps(s, batch, idx, idx_n, responses, &scratch, &scan_cursors,
+      RunShardOps(s, batch, idx, idx_n, responses, &scratch,
                   /*apply_mutations=*/true);
       continue;
     }
@@ -200,7 +200,7 @@ void Service::Execute(const std::vector<Request>& batch,
     if (scratch.wal_entries.empty()) {
       // Read-only sub-batch: no ordering point needed, wal_mu untouched —
       // the read path costs the same as WAL-off.
-      RunShardOps(s, batch, idx, idx_n, responses, &scratch, &scan_cursors,
+      RunShardOps(s, batch, idx, idx_n, responses, &scratch,
                   /*apply_mutations=*/true);
       continue;
     }
@@ -216,7 +216,7 @@ void Service::Execute(const std::vector<Request>& batch,
                                   scratch.wal_entries.size(), &last_seq);
     }
     if (st.ok()) {
-      RunShardOps(s, batch, idx, idx_n, responses, &scratch, &scan_cursors,
+      RunShardOps(s, batch, idx, idx_n, responses, &scratch,
                   /*apply_mutations=*/true);
       shard.applied_seq.store(last_seq, std::memory_order_release);
     } else {
@@ -227,7 +227,7 @@ void Service::Execute(const std::vector<Request>& batch,
         shard.first_error = st;
         shard.failed.store(true, std::memory_order_release);
       }
-      RunShardOps(s, batch, idx, idx_n, responses, &scratch, &scan_cursors,
+      RunShardOps(s, batch, idx, idx_n, responses, &scratch,
                   /*apply_mutations=*/false);
     }
   }
@@ -236,9 +236,7 @@ void Service::Execute(const std::vector<Request>& batch,
 void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
                           const uint32_t* idx, size_t idx_n,
                           std::vector<Response>* responses,
-                          ExecScratch* scratch,
-                          std::vector<std::unique_ptr<Cursor>>* scan_cursors,
-                          bool apply_mutations) {
+                          ExecScratch* scratch, bool apply_mutations) {
   Wormhole* index = shards_[s]->index.get();
   size_t i = 0;
   while (i < idx_n) {
@@ -300,13 +298,12 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
         break;
       case Op::kScan:
       case Op::kScanRev:
-        // A slice at a time, two or more scans first warm their routes
-        // through the core's interleaved route stage (a hint), so their
-        // Seeks find the trie lines and leaf headers still in cache.
+        // A route group at a time, two or more scans first warm their
+        // routes through the core's interleaved route stage (a hint), so
+        // their Seeks find the trie lines and leaf headers still in cache.
         for (size_t k = i; k < j;) {
-          constexpr size_t kSlice = 8;
-          const size_t end = std::min(j, k + kSlice);
-          std::string_view keys[kSlice];
+          const size_t end = std::min(j, k + Wormhole::kRouteGroup);
+          std::string_view keys[Wormhole::kRouteGroup];
           for (size_t q = k; q < end; q++) {
             keys[q - k] = batch[idx[q]].key;
           }
@@ -314,7 +311,7 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
             index->PrefetchRoutes(keys, end - k);
           }
           for (; k < end; k++) {
-            ExecuteScan(s, batch[idx[k]], &(*responses)[idx[k]], scan_cursors);
+            ExecuteScan(s, batch[idx[k]], &(*responses)[idx[k]], &scratch->cursors);
           }
         }
         break;

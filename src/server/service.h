@@ -67,7 +67,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -85,17 +84,9 @@ namespace wh {
 
 enum class Op : uint8_t { kGet, kPut, kDelete, kScan, kScanRev };
 
-// Input bounds: Execute refuses a longer key or value (Response::ok ==
-// false) before routing it, so it is neither logged nor applied. A leaf's
-// slab addresses its bytes with uint32_t koff / voff. It holds at most
-// kMaxLeafCapacity + 1 items (a leaf splits past its capacity), no more dead
-// bytes than live ones plus 255 (MaybeCompact), and an overwrite appends one
-// value past that: under 4 * kMaxLeafCapacity items' worth of bytes.
-inline constexpr size_t kMaxKeyBytes = 8 << 10;
-inline constexpr size_t kMaxValueBytes = 120 << 10;
-static_assert(4 * kMaxLeafCapacity * (kMaxKeyBytes + kMaxValueBytes) <=
-                  std::numeric_limits<decltype(leafops::LeafSlot::koff)>::max(),
-              "a full leaf's slab could overflow its 32-bit offsets");
+// Input bounds (kMaxKeyBytes / kMaxValueBytes, wormhole.h): Execute refuses
+// a longer key or value (Response::ok == false) before routing it, so it is
+// neither logged nor applied.
 
 struct Request {
   Op op = Op::kGet;
@@ -205,13 +196,31 @@ class Service {
     durability::Status first_error GUARDED_BY(wal_mu);
   };
 
-  // Reusable per-batch scratch (see Execute) — keeps allocation flat.
+  // Execute's per-thread scratch: each call clears what it uses and keeps
+  // the capacity, so steady batches allocate nothing for it.
   struct ExecScratch {
+    // Grouping: each request's shard, the per-shard offsets into `order`,
+    // and the counting sort's fill positions.
+    std::vector<uint32_t> shard_of;
+    std::vector<size_t> offsets;
+    std::vector<uint32_t> order;
+    std::vector<size_t> fill;
+    // Run dispatch (RunShardOps).
     std::vector<std::string_view> keys;
     std::vector<std::string> values;
     std::vector<uint8_t> hits;
     std::vector<std::pair<std::string_view, std::string_view>> puts;
     std::vector<durability::WalEntry> wal_entries;
+    // One cursor per shard, opened on the first scan of the batch that
+    // touches the shard and reused (epoch pin, QSBR slot and window buffer)
+    // by every later scan in it — repositioning re-routes freshly, so reuse
+    // never changes what a scan observes. Per thread, so concurrent Execute
+    // callers never share a cursor. Cleared when the batch returns, which
+    // releases the epoch pins (a cursor kept across batches would stall
+    // reclamation) and hands the window buffers to this thread's free list
+    // for the next batch's cursors (see Wormhole::NewCursor); the vector
+    // keeps its capacity.
+    std::vector<std::unique_ptr<Cursor>> cursors;
   };
 
   // Executes shard s's grouped sub-batch (run detection + MultiGet/MultiPut
@@ -220,12 +229,12 @@ class Service {
   void RunShardOps(size_t s, const std::vector<Request>& batch,
                    const uint32_t* idx, size_t idx_n,
                    std::vector<Response>* responses, ExecScratch* scratch,
-                   std::vector<std::unique_ptr<Cursor>>* scan_cursors,
                    bool apply_mutations);
 
-  // *cursors is Execute()'s per-batch shard-cursor cache: slot s holds the
-  // cursor for shard s once any scan in the batch has touched it (empty
-  // until the batch's first scan resizes it).
+  // *cursors is Execute()'s per-batch shard-cursor cache
+  // (ExecScratch::cursors): slot s holds the cursor for shard s once any
+  // scan in the batch has touched it (empty until the batch's first scan
+  // resizes it).
   void ExecuteScan(size_t first_shard, const Request& req, Response* resp,
                    std::vector<std::unique_ptr<Cursor>>* cursors);
 

@@ -537,6 +537,51 @@ TEST(IndexCorrectness, PrefetchRoutesTakesAnyRunLength) {
   CheckPrefetchRoutesRoutesEachKeyOnce<WormholeUnsafe>();
 }
 
+// Input bounds (wormhole.h): Put refuses a key of kMaxKeyBytes + 1 or a
+// value of kMaxValueBytes + 1 and changes nothing; MultiPut applies the other
+// items and reports the refusal. A key and a value of exactly the bound are
+// accepted.
+template <typename Index>
+void CheckInputBounds() {
+  Index index;
+  const std::string key_at(kMaxKeyBytes, 'k');
+  const std::string key_over(kMaxKeyBytes + 1, 'k');
+  const std::string value_at(kMaxValueBytes, 'v');
+  const std::string value_over(kMaxValueBytes + 1, 'v');
+  std::string v;
+  ASSERT_TRUE(index.Put("a", "1"));
+  EXPECT_FALSE(index.Put(key_over, "x"));
+  EXPECT_FALSE(index.Put("a", value_over));
+  EXPECT_FALSE(index.Put("z", value_over));
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_FALSE(index.Get(key_over, &v));
+  EXPECT_FALSE(index.Get("z", &v));
+  ASSERT_TRUE(index.Get("a", &v));
+  EXPECT_EQ(v, "1");
+
+  EXPECT_FALSE(index.MultiPut(
+      {{"b", "2"}, {key_over, "x"}, {"a", value_over}, {"c", "3"}}));
+  EXPECT_EQ(index.size(), 3u);
+  EXPECT_FALSE(index.Get(key_over, &v));
+  for (const auto& [key, value] : Pairs{{"a", "1"}, {"b", "2"}, {"c", "3"}}) {
+    ASSERT_TRUE(index.Get(key, &v)) << key;
+    EXPECT_EQ(v, value);
+  }
+
+  EXPECT_TRUE(index.Put(key_at, value_at));
+  EXPECT_TRUE(index.MultiPut({{"d", value_at}}));
+  EXPECT_EQ(index.size(), 5u);
+  ASSERT_TRUE(index.Get(key_at, &v));
+  EXPECT_EQ(v, value_at);
+  ASSERT_TRUE(index.Get("d", &v));
+  EXPECT_EQ(v, value_at);
+}
+
+TEST(IndexCorrectness, PutRefusesOversizedInput) {
+  CheckInputBounds<Wormhole>();
+  CheckInputBounds<WormholeUnsafe>();
+}
+
 TEST(IndexCorrectness, MemoryBytesIsPlausible) {
   const auto pool = GenerateKeyset({KeysetId::kK4, 2000, 3});
   uint64_t key_bytes = 0;

@@ -8,6 +8,11 @@
 // Value lengths straddle the inline threshold so every encoding transition
 // (inline <-> out-of-line, and the relocating overwrite of an out-of-line
 // value that grows or shrinks) is exercised.
+//
+// Also here, the MetaTrieHT bucket chains (src/core/meta_bucket.h): chains
+// of several lines, built only by metabucket::Rebuild, must stay packed
+// (every line full but the last), keep tag order or add order, and match a
+// std::vector model under random adds and drops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +23,7 @@
 #include "src/common/crc32c.h"
 #include "src/common/rng.h"
 #include "src/core/leaf_ops.h"
+#include "src/core/meta_bucket.h"
 
 namespace wh {
 namespace {
@@ -507,6 +513,184 @@ TEST(LeafOps, ChurnKeepsSlabBounded) {
   // headroom, but never the ~64 KB this churn wrote in total.
   ASSERT_LE(s.slab.size(), 4 * (live + 32 * 64));
   ASSERT_LE(s.dead, s.slab.size());
+}
+
+// --- MetaTrieHT bucket chains ------------------------------------------------
+
+struct TestNode {
+  int id;
+};
+using Line = metabucket::BucketLine<TestNode>;
+using Entry = std::pair<uint16_t, TestNode*>;
+constexpr int kLineEntries = Line::kEntries;
+
+std::vector<Entry> Entries(const Line* head) {
+  std::vector<Entry> out;
+  metabucket::ForEach(head, [&](uint16_t tag, TestNode* nd) { out.emplace_back(tag, nd); });
+  return out;
+}
+
+std::vector<int> LineCounts(const Line* head) {
+  std::vector<int> out;
+  for (; head != nullptr; head = head->next) {
+    out.push_back(head->count);
+  }
+  return out;
+}
+
+// The packed shape of n entries: every line full but the last.
+std::vector<int> PackedCounts(size_t n) {
+  std::vector<int> out(n / kLineEntries, kLineEntries);
+  if (n % kLineEntries != 0) {
+    out.push_back(static_cast<int>(n % kLineEntries));
+  }
+  return out;
+}
+
+// Replaces *head with its rebuild, freeing the old chain as table growth does.
+void Replace(Line** head, const TestNode* drop, uint16_t tag, TestNode* add,
+             bool sorted) {
+  Line* old = *head;
+  *head = metabucket::Rebuild(old, drop, tag, add, sorted);
+  metabucket::FreeChain(old);
+}
+
+// The model's add: after every entry whose tag is <= tag when sorted, else last.
+void ModelAdd(std::vector<Entry>* model, uint16_t tag, TestNode* nd, bool sorted) {
+  auto at = model->end();
+  if (sorted) {
+    at = std::upper_bound(model->begin(), model->end(), tag,
+                          [](uint16_t t, const Entry& e) { return t < e.first; });
+  }
+  model->insert(at, Entry(tag, nd));
+}
+
+// Every entry is found with and without tag matching; `absent` is not.
+void ExpectFinds(const Line* head, bool sorted, const std::vector<Entry>& model,
+                 const TestNode* absent) {
+  for (const bool tag_matching : {false, true}) {
+    for (const auto& [tag, nd] : model) {
+      EXPECT_EQ(metabucket::Find(head, tag, tag_matching, sorted,
+                                 [nd = nd](const TestNode* c) { return c == nd; }),
+                nd)
+          << "node " << nd->id << " tag_matching " << tag_matching;
+    }
+    for (const uint16_t tag : {uint16_t{0}, uint16_t{150}, uint16_t{0xffff}}) {
+      EXPECT_EQ(metabucket::Find(head, tag, tag_matching, sorted,
+                                 [absent](const TestNode* c) { return c == absent; }),
+                nullptr);
+    }
+  }
+  // With tag matching, a tag no entry carries misses whatever the pred says.
+  EXPECT_EQ(metabucket::Find(head, 150, true, sorted, [](const TestNode*) { return true; }),
+            nullptr);
+}
+
+TEST(MetaBucket, TwentyAddsPackIntoThreeLines) {
+  const uint16_t kTags[3] = {300, 100, 200};
+  std::vector<TestNode> nodes(20);
+  for (const bool sorted : {false, true}) {
+    SCOPED_TRACE(sorted ? "sorted" : "add order");
+    Line* head = nullptr;
+    for (size_t i = 0; i < nodes.size(); i++) {
+      nodes[i].id = static_cast<int>(i);
+      Replace(&head, nullptr, kTags[i % 3], &nodes[i], sorted);
+    }
+    EXPECT_EQ(LineCounts(head), (std::vector<int>{8, 8, 4}));
+    const std::vector<Entry> got = Entries(head);
+    ASSERT_EQ(got.size(), nodes.size());
+    if (sorted) {
+      for (size_t i = 1; i < got.size(); i++) {
+        ASSERT_LE(got[i - 1].first, got[i].first) << i;
+        if (got[i - 1].first == got[i].first) {
+          EXPECT_LT(got[i - 1].second->id, got[i].second->id) << i;  // add order
+        }
+      }
+    } else {
+      for (size_t i = 0; i < got.size(); i++) {
+        EXPECT_EQ(got[i], Entry(kTags[i % 3], &nodes[i])) << i;
+      }
+    }
+    metabucket::FreeChain(head);
+  }
+}
+
+TEST(MetaBucket, FindHitsEveryNodeAndMissesAnAbsentOne) {
+  std::vector<TestNode> nodes(20);
+  for (const bool sorted : {false, true}) {
+    SCOPED_TRACE(sorted ? "sorted" : "add order");
+    Line* head = nullptr;
+    for (size_t i = 0; i < nodes.size(); i++) {
+      nodes[i].id = static_cast<int>(i);
+      Replace(&head, nullptr, static_cast<uint16_t>(100 * (i % 3 + 1)), &nodes[i],
+              sorted);
+    }
+    TestNode absent{-1};
+    ExpectFinds(head, sorted, Entries(head), &absent);
+    metabucket::FreeChain(head);
+  }
+}
+
+TEST(MetaBucket, DropsRepackDownToNull) {
+  std::vector<TestNode> nodes(20);
+  for (const bool sorted : {false, true}) {
+    SCOPED_TRACE(sorted ? "sorted" : "add order");
+    Line* head = nullptr;
+    std::vector<Entry> model;
+    for (size_t i = 0; i < nodes.size(); i++) {
+      nodes[i].id = static_cast<int>(i);
+      const uint16_t tag = static_cast<uint16_t>(i % 4);
+      Replace(&head, nullptr, tag, &nodes[i], sorted);
+      ModelAdd(&model, tag, &nodes[i], sorted);
+    }
+    ASSERT_EQ(LineCounts(head).size(), 3u);
+    // Drop the fourth entry while there is one, so every drop shifts the
+    // entries of every later line back across a line boundary.
+    Rng rng(7);
+    while (!model.empty()) {
+      const size_t at = model.size() > 3 ? 3 : rng.NextBounded(model.size());
+      Replace(&head, model[at].second, 0, nullptr, sorted);
+      model.erase(model.begin() + static_cast<std::ptrdiff_t>(at));
+      ASSERT_EQ(LineCounts(head), PackedCounts(model.size()));
+      ASSERT_EQ(Entries(head), model);
+    }
+    EXPECT_EQ(head, nullptr);
+  }
+}
+
+TEST(MetaBucket, RandomAddsAndDropsMatchAVectorModel) {
+  std::vector<TestNode> nodes(48);
+  for (size_t i = 0; i < nodes.size(); i++) {
+    nodes[i].id = static_cast<int>(i);
+  }
+  for (const bool sorted : {false, true}) {
+    SCOPED_TRACE(sorted ? "sorted" : "add order");
+    Rng rng(0xb0c4e7 + sorted);
+    Line* head = nullptr;
+    std::vector<Entry> model;
+    std::vector<bool> present(nodes.size(), false);
+    for (int step = 0; step < 3000; step++) {
+      TestNode* nd = &nodes[rng.NextBounded(nodes.size())];
+      if (present[nd->id]) {
+        Replace(&head, nd, 0, nullptr, sorted);
+        model.erase(std::find_if(model.begin(), model.end(),
+                                 [nd](const Entry& e) { return e.second == nd; }));
+      } else {
+        // Few distinct tags, so equal-tag runs span lines.
+        const uint16_t tag = static_cast<uint16_t>(rng.NextBounded(5) * 1000);
+        Replace(&head, nullptr, tag, nd, sorted);
+        ModelAdd(&model, tag, nd, sorted);
+      }
+      present[nd->id] = !present[nd->id];
+      ASSERT_EQ(Entries(head), model) << "step " << step;
+      ASSERT_EQ(LineCounts(head), PackedCounts(model.size())) << "step " << step;
+      if (step % 100 == 0) {
+        TestNode absent{-1};
+        ExpectFinds(head, sorted, model, &absent);
+      }
+    }
+    metabucket::FreeChain(head);
+  }
 }
 
 }  // namespace

@@ -5,12 +5,13 @@
 // runs a batch of scans until every string, item vector and cursor window
 // has reached its high-water size; repeating the batch must then allocate a
 // small constant number of times, independent of how many items it returns:
-// the batch's grouping arrays, its cursor cache, and per shard one cursor
-// object and one copy of its seek key. A per-item copy-out (one heap string
-// per key or value) or a cursor that allocates its window buffers afresh
-// shows up as a count that grows with the items or the shards.
+// per shard one cursor object and one copy of its seek key. The grouping
+// arrays, run-dispatch buffers and cursor cache live in Execute's per-thread
+// scratch and allocate nothing once grown. A per-item copy-out (one heap
+// string per key or value) or a cursor that allocates its window buffers
+// afresh shows up as a count that grows with the items or the shards.
 //
-// Batches of Gets are held to the same bound: Execute lends each response's
+// Batches of Gets allocate nothing at all: Execute lends each response's
 // value buffer to MultiGet, so repeating a batch copies the values into
 // buffers already grown to them instead of allocating one per value.
 //
@@ -206,9 +207,8 @@ TEST(ScanAlloc, RepeatedScanBatchAllocatesAConstant) {
   const uint64_t short_allocs = f.SteadyAllocs(f.ScanBatch(5), &short_resp);
   ASSERT_EQ(ItemCount(long_resp), kScansPerBatch * 50);
   ASSERT_EQ(ItemCount(short_resp), kScansPerBatch * 5);
-  // Grouping (shard_of, offsets, order, the counting-sort cursor) and the
-  // cursor cache: 5. Per shard: the cursor object and its seek-key copy: 2.
-  EXPECT_LE(long_allocs, 5 + 2 * kShards) << "1600-item batch";
+  // Per shard: the cursor object and its seek-key copy.
+  EXPECT_LE(long_allocs, 2 * kShards) << "1600-item batch";
   // Ten times the items, the same allocations.
   EXPECT_EQ(long_allocs, short_allocs);
 }
@@ -248,8 +248,8 @@ TEST(ScanAlloc, OpMixChurnIsAllocationStable) {
     allocs[limit == 10u ? 0 : 1] = tl_allocs - mid;
   }
   EXPECT_EQ(allocs[0], allocs[1]);
-  // The scan-batch bound, plus the Get run's key, value and hit arrays.
-  EXPECT_LE(allocs[1], 8 + 2 * kShards);
+  // The scan-batch bound: the Get runs' buffers are per-thread scratch too.
+  EXPECT_LE(allocs[1], 2 * kShards);
 }
 
 // Values are 24 bytes, past the small-string buffer: a Get that hands back
@@ -264,7 +264,7 @@ TEST(ScanAlloc, RepeatedGetBatchAllocatesAConstant) {
       ASSERT_TRUE(r.found);
       ASSERT_EQ(r.value.size(), 24u);
     }
-    EXPECT_LE(allocs, 5 + 2 * kShards) << n << " Gets";
+    EXPECT_EQ(allocs, 0u) << n << " Gets";
   }
 }
 

@@ -679,7 +679,7 @@ TEST(Service, ReusedResponsesMatchFreshDurableFailStop) {
   EXPECT_TRUE(fs->RemoveAll(dir).ok());
 }
 
-// Input bounds (service.h): a key of kMaxKeyBytes and a value of
+// Input bounds (wormhole.h): a key of kMaxKeyBytes and a value of
 // kMaxValueBytes are served; one byte more is refused with ok == false and
 // changes nothing — not the index, and in durable mode not the log either,
 // so a restart recovers exactly the accepted writes. Neighbors in the same

@@ -270,6 +270,71 @@ TEST(WormholeConcurrent, DeleteUntilMergeUnderReaders) {
   EXPECT_EQ(seen, static_cast<size_t>(kKept));
 }
 
+// MetaTrieHT table growth under lock-free readers. The index starts at its
+// initial 256-bucket table and a writer inserts kGrown keys at the minimum
+// leaf capacity: every leaf's anchor is a trie node of its own, so the
+// thousands of leaves push the node count past several doublings (the table
+// grows past 2 nodes per bucket). The writer then deletes them all, so the
+// grown table's chains shrink again through leaf removals. Readers route
+// through every republished chain and every new table: kept keys must always
+// hit, never-inserted keys must always miss. Under ASan a chain or table
+// freed before its grace period shows as a use-after-free.
+TEST(WormholeConcurrent, TableGrowthUnderReaders) {
+  Options opt;
+  opt.leaf_capacity = 4;
+  Wormhole index(opt);
+  constexpr int kKept = 256;
+  constexpr int kGrown = 20000;
+  for (int i = 0; i < kKept; i++) {
+    index.Put("keep-" + std::to_string(1000000 + i), "k");
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int tid = 0; tid < 2; tid++) {
+    readers.emplace_back([&, tid] {
+      Rng rng(500 + static_cast<uint64_t>(tid));
+      std::string value;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int i = static_cast<int>(rng.NextBounded(kKept));
+        if (!index.Get("keep-" + std::to_string(1000000 + i), &value) ||
+            value != "k") {
+          failures.fetch_add(1);
+        }
+        if (index.Get("phantom-" + std::to_string(i), &value)) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::vector<int> order(kGrown);
+  for (int i = 0; i < kGrown; i++) {
+    order[i] = i;
+  }
+  Rng rng(77);
+  for (int i = kGrown - 1; i > 0; i--) {
+    std::swap(order[i], order[rng.NextBounded(static_cast<uint64_t>(i) + 1)]);
+  }
+  for (const int i : order) {
+    index.Put("grow-" + std::to_string(1000000 + i), "g");
+  }
+  EXPECT_EQ(index.size(), static_cast<size_t>(kKept + kGrown));
+  for (const int i : order) {
+    ASSERT_TRUE(index.Delete("grow-" + std::to_string(1000000 + i)));
+  }
+  stop.store(true);
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(index.size(), static_cast<size_t>(kKept));
+  std::string value;
+  for (int i = 0; i < kKept; i++) {
+    ASSERT_TRUE(index.Get("keep-" + std::to_string(1000000 + i), &value));
+  }
+}
+
 // The prefetch-interleaved MultiGet routes optimistically with no locks held,
 // so its route hints go stale whenever a writer splits or removes a leaf
 // mid-batch; every stale hint must fail leaf validation and fall back, never
