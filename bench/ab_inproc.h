@@ -27,8 +27,10 @@ struct AbSlice {
 struct AbSide {
   // Builds the Service, loads it and pregenerates the clients' batches
   // (svcbench's generator, verifier and value function); null on an unknown
-  // workload.
-  void* (*open)(const AbConfig* cfg);
+  // workload. *setup_s receives svcbench's set-up time: the Service's
+  // construction and its load, through Execute in 1024-Put batches from the
+  // clients' threads.
+  void* (*open)(const AbConfig* cfg, double* setup_s);
   // Runs every client for `seconds`, each continuing its batch stream.
   AbSlice (*run)(void* side, double seconds);
   void (*close)(void* side);

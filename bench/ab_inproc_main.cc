@@ -5,12 +5,13 @@
 //   ab_inproc --workload NAME --first a|b [--rounds N] [--keys N]
 //
 // Both sides are built and loaded (side --first first) with kClients
-// clients each, warmed up for kWarmupS, and then every round runs one
+// clients each, the load timed as svcbench's setup_s and printed with the
+// ratio b/a, warmed up for kWarmupS, and then every round runs one
 // kSliceS slice of each side in a random order (randomized multiple
 // interleaved trials: Abedi & Brecht, ICPE '17). Slow drift of the host
 // falls on both sides alike, and no side always runs right after the other.
 // Per round it prints each side's throughput and batch p50; the last line is
-// one JSON object with every round. Exit code 1 when any response failed
+// one JSON object with both set-up times and every round. Exit code 1 when any response failed
 // verification.
 #include <cstdio>
 #include <cstdlib>
@@ -82,13 +83,16 @@ int main(int argc, char** argv) {
   const Args a = Parse(argc, argv);
   const AbSide* ops[2] = {ab_side_a(), ab_side_b()};
   void* sides[2] = {nullptr, nullptr};
+  double setup_s[2] = {0, 0};
   const int first = a.first == 'a' ? 0 : 1;
   for (const int s : {first, 1 - first}) {
-    sides[s] = ops[s]->open(&a.cfg);
+    sides[s] = ops[s]->open(&a.cfg, &setup_s[s]);
     if (sides[s] == nullptr) {
       Usage("unknown or durable workload");
     }
   }
+  std::printf("setup (%c built first)  a %.4f s  b %.4f s  b/a %.4f\n",
+              a.first, setup_s[0], setup_s[1], setup_s[1] / setup_s[0]);
   uint64_t failed = 0;
   for (int s = 0; s < 2; s++) {
     failed += ops[s]->run(sides[s], kWarmupS).failed;
@@ -119,8 +123,9 @@ int main(int argc, char** argv) {
     ops[s]->close(sides[s]);
   }
   std::printf("{\"workload\": \"%s\", \"first\": \"%c\", \"failed\": %llu, "
-              "\"rounds\": %s]}\n",
+              "\"a_setup_s\": %.6g, \"b_setup_s\": %.6g, \"rounds\": %s]}\n",
               a.workload.c_str(), a.first,
-              static_cast<unsigned long long>(failed), json.c_str());
+              static_cast<unsigned long long>(failed), setup_s[0], setup_s[1],
+              json.c_str());
   return failed == 0 ? 0 : 1;
 }

@@ -86,7 +86,34 @@ void ClientLoop(Side* side, Client* c) {
   }
 }
 
-void* Open(const AbConfig* cfg) {
+// svcbench's Load: keys[0, n) through Execute in kLoadBatch-Put batches
+// from `clients` threads, batch i from thread i % clients.
+void Load(wh::Service* svc, const std::vector<std::string>& keys, size_t n,
+          int clients) {
+  std::vector<std::thread> loaders;
+  for (int t = 0; t < clients; t++) {
+    loaders.emplace_back([&, t] {
+      wh::QsbrThreadScope scope;
+      std::vector<wh::Request> batch;
+      std::vector<wh::Response> resp;
+      for (size_t lo = t * kLoadBatch; lo < n; lo += clients * kLoadBatch) {
+        const size_t hi = std::min(n, lo + kLoadBatch);
+        batch.resize(hi - lo);
+        for (size_t i = lo; i < hi; i++) {
+          batch[i - lo].op = wh::Op::kPut;
+          batch[i - lo].key = keys[i];
+          batch[i - lo].value = svcbench::ValueOf(keys[i]);
+        }
+        svc->Execute(batch, &resp);
+      }
+    });
+  }
+  for (std::thread& t : loaders) {
+    t.join();
+  }
+}
+
+void* Open(const AbConfig* cfg, double* setup_s) {
   const svcbench::Workload* w = svcbench::FindWorkload(cfg->workload);
   if (w == nullptr || w->durable) {
     return nullptr;
@@ -100,25 +127,13 @@ void* Open(const AbConfig* cfg) {
   for (size_t i = 0; i < cfg->keys; i += std::max<size_t>(1, cfg->keys / 4096)) {
     samples.push_back(side->keys[i]);
   }
-  side->svc = std::make_unique<wh::Service>(
-      wh::ServiceOptions(), wh::ShardRouter::FromSamples(samples, kShards));
+  const wh::ShardRouter router = wh::ShardRouter::FromSamples(samples, kShards);
+  const int64_t t0 = svcbench::NowNs();
+  side->svc = std::make_unique<wh::Service>(wh::ServiceOptions(), router);
+  Load(side->svc.get(), side->keys, cfg->keys, cfg->clients);
+  *setup_s = static_cast<double>(svcbench::NowNs() - t0) / 1e9;
   side->verifier = std::make_unique<svcbench::Verifier>(
       w->gets_must_hit, side->keys, cfg->keys);
-  {
-    wh::QsbrThreadScope scope;
-    std::vector<wh::Request> batch;
-    std::vector<wh::Response> resp;
-    for (size_t lo = 0; lo < cfg->keys; lo += kLoadBatch) {
-      const size_t hi = std::min(cfg->keys, lo + kLoadBatch);
-      batch.resize(hi - lo);
-      for (size_t i = lo; i < hi; i++) {
-        batch[i - lo].op = wh::Op::kPut;
-        batch[i - lo].key = side->keys[i];
-        batch[i - lo].value = svcbench::ValueOf(side->keys[i]);
-      }
-      side->svc->Execute(batch, &resp);
-    }
-  }
   side->clients.resize(static_cast<size_t>(cfg->clients));
   for (size_t t = 0; t < side->clients.size(); t++) {
     side->clients[t].pool =

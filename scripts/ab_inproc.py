@@ -21,7 +21,10 @@ benchmark was sized on) cannot fall on one side only. Method:
     always the checkout's. Both sides link with bench/ab_inproc_main.cc.
   - The binary builds and loads both Services (svcbench's keyset of --keys
     keys, shard router, generator and verifier; 3 clients per side, seed 1;
-    every response is verified), warms each one up for 2 s, then runs
+    every response is verified). Each load is timed as svcbench's setup_s:
+    the Service's construction and its load through Execute in 1024-Put
+    batches from the 3 client threads. It warms each one up for 2 s, then
+    runs
     --rounds rounds. A round runs one 0.5 s slice of each side, in random
     order: randomized multiple interleaved trials (Abedi & Brecht, ICPE '17).
   - Both creation orders, always: in A/A runs (one tree on both sides) on
@@ -30,9 +33,12 @@ benchmark was sized on) cannot fall on one side only. Method:
     was), and scan-churn showed no such bias (0.999 and 1.017). The script
     therefore runs the binary twice, a built first and then b, and reports
     each order's geometric-mean ratio b/a and their geometric mean, which
-    cancels a creation-order bias that is the same both ways.
+    cancels a creation-order bias that is the same both ways. Set-up is one
+    load per side per order: its ratio b/a is printed for each order, and
+    the geometric mean of the two.
 
-A ratio above 1 means side b is faster (throughput) or slower (batch p50).
+A ratio above 1 means side b is faster (throughput) or slower (batch p50,
+set-up).
 Exit code 1 when any response failed verification, 2 on a build or usage
 error. The work directory is deleted on exit. Standard library only.
 """
@@ -101,11 +107,12 @@ def geomean(xs):
 
 def summarize(result):
     """(geomean b/a throughput, geomean b/a p50, rounds b won on throughput,
-    rounds) of one run's JSON result."""
+    rounds, set-up b/a) of one run's JSON result."""
     rounds = result["rounds"]
     tp = [r["b_mops"] / r["a_mops"] for r in rounds]
     p50 = [r["b_p50_us"] / r["a_p50_us"] for r in rounds]
-    return geomean(tp), geomean(p50), sum(x > 1 for x in tp), len(rounds)
+    return (geomean(tp), geomean(p50), sum(x > 1 for x in tp), len(rounds),
+            result["b_setup_s"] / result["a_setup_s"])
 
 
 def main():
@@ -130,7 +137,7 @@ def main():
         print("ab_inproc: a = %s, b = %s, workload %s" %
               (args.base, args.change or "the checkout", args.workload))
         sys.stdout.flush()
-        tps, p50s = [], []
+        tps, p50s, setups = [], [], []
         failed = 0
         for first in ("a", "b"):
             cmd = [binary, "--workload", args.workload, "--first", first,
@@ -141,16 +148,21 @@ def main():
                 return 2
             result = json.loads(proc.stdout.strip().splitlines()[-1])
             failed += result["failed"]
-            tp, p50, won, n = summarize(result)
+            tp, p50, won, n, setup = summarize(result)
             tps.append(tp)
             p50s.append(p50)
+            setups.append(setup)
             print("  %s built first: throughput b/a %.4f (b won %d/%d "
-                  "rounds), batch p50 b/a %.4f" % (first, tp, won, n, p50))
+                  "rounds), batch p50 b/a %.4f, set-up b/a %.4f "
+                  "(a %.3f s, b %.3f s)" %
+                  (first, tp, won, n, p50, setup, result["a_setup_s"],
+                   result["b_setup_s"]))
             sys.stdout.flush()
         print("ab_inproc: %s both orders: throughput b/a %.4f, batch p50 "
-              "b/a %.4f%s" % (args.workload, geomean(tps), geomean(p50s),
-                              "" if failed == 0 else
-                              ", %d responses FAILED verification" % failed))
+              "b/a %.4f, set-up b/a %.4f%s" %
+              (args.workload, geomean(tps), geomean(p50s), geomean(setups),
+               "" if failed == 0 else
+               ", %d responses FAILED verification" % failed))
         return 1 if failed else 0
     finally:
         shutil.rmtree(work, ignore_errors=True)

@@ -18,13 +18,14 @@
 // Concurrency model (the seqlock read path). Mutators require the caller to
 // hold the leaf's exclusive lock. The index reads a leaf through exactly two
 // extractors — SpecProbe (point reads: SpecFind runs it in one go, MultiGet
-// steps a group of them round-robin) and SpecFillWindow (cursor window fills,
-// whose rank search is a SpecProbe too) — bracketed by SeqlockReadBegin /
-// SeqlockReadValidate on the leaf's version counter, with NO lock on the fast
-// path; its fallback runs the same extractor under the leaf's shared lock,
-// where validation cannot fail. Writers under the exclusive lock (FindSlot,
-// Insert) and the NoSync policy's point reads run SpecProbe in its plain
-// compare mode; Key/Value are plain-load accessors for writers.
+// steps a group of them round-robin; MultiPut's pre-search steps PutProbes,
+// which wrap it) and SpecFillWindow (cursor window fills, whose rank search
+// is a SpecProbe too) — bracketed by SeqlockReadBegin / SeqlockReadValidate
+// on the leaf's version counter, with NO lock on the fast path; its fallback
+// runs the same extractor under the leaf's shared lock, where validation
+// cannot fail. Writers under the exclusive lock (FindSlot, Locate) and the
+// NoSync policy's point reads run SpecProbe in its plain compare mode;
+// Key/Value are plain-load accessors for writers.
 //
 // To make the speculative reads defined behavior, each container is a
 // SpecVec: a heap block whose capacity is embedded in its own header, so a
@@ -705,7 +706,8 @@ enum class SpecRead {
 
 // The one search over a leaf's ordered indexes. Point reads run it (SpecFind
 // in one go, MultiGet stepping a group round-robin), and so do FindSlot, the
-// cursor's rank search (SpecFillWindow) and Insert's two splice positions.
+// cursor's rank search (SpecFillWindow) and Put's search for Insert's two
+// splice positions (PutProbe).
 // Every cell is loaded through the relaxed accessors and every id and offset
 // is clamped to the capacity of the block it came from. On garbage data the
 // search still terminates (every walk is monotone and bounded by n) and at
@@ -720,7 +722,7 @@ enum class SpecRead {
 // kKey step its key bytes. A hit costs one index line, one slot and one key.
 // The key gets its own step so that a pipelined caller can warm it first:
 // comparing it in the slot's step measured ~5% slower batched Gets. Once
-// done, lo is the key's (hash, key) lower bound: Insert's splice position.
+// done, lo is the key's (hash, key) lower bound: its by_hash splice position.
 // Worst case: the run is walked entry by entry, and an equal-hash run (in
 // key order) key by key up to the first key not below the probe's. CRC32C
 // is unkeyed, so keys crafted to share a hash make a probe O(run length)
@@ -736,11 +738,12 @@ enum class SpecRead {
 // assign. The relaxed word loops cost a single-threaded Get 10-24%.
 //
 // A resumable probe, so a batch can overlap the dependent misses of several
-// reads (Wormhole::MultiGet steps a group round-robin): Start acquires the
-// views and clamps the stale size, Step advances one phase, Finish copies
-// the value out. Prefetching is the caller's: a pipelined caller warms the
-// index (WarmIndex), then before each Step what it loads (Prime); the
-// serial Run warms both slots the next bisection level may probe.
+// reads (Wormhole::MultiGet and MultiPut step a group round-robin): Start
+// acquires the views and clamps the stale size, Step advances one phase,
+// Finish copies the value out. Prefetching is the caller's: a pipelined
+// caller warms the index (WarmIndex), then before each Step what it loads
+// (Prime); the serial Run warms both slots the next bisection level may
+// probe.
 // hot-path: optimistic point read
 struct SpecProbe {
   enum class Phase : uint8_t { kBisect, kScan, kSlot, kKey, kDone };
@@ -959,19 +962,85 @@ inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
 // writers (under the leaf's exclusive lock, or single-threaded). `hash` is
 // the precomputed full-key CRC32C raw state — lookup paths extend the LPM's
 // incremental prefix state instead of rehashing the key from byte 0;
-// ignored unless direct_pos. A non-null `pos` receives the probe's final
-// lo: on a miss, where Insert splices the key into the index the probe
-// searched (by_hash under DirectPos, else by_key).
-// hot-path: every point op's in-leaf search
+// ignored unless direct_pos.
+// hot-path: Delete's in-leaf search
 inline int FindSlot(const LeafStore& s, bool direct_pos, std::string_view key,
-                    uint32_t hash, size_t* pos = nullptr) {
+                    uint32_t hash) {
   SpecProbe p;
   p.Start(s, direct_pos, hash, /*plain_mode=*/true);
   p.Run(key, hash);
-  if (pos != nullptr) {
-    *pos = p.lo;
-  }
   return p.hit ? p.id : -1;
+}
+
+// What Put's in-leaf search finds: the key's slot, or the two positions
+// Insert splices a new key at.
+struct SlotPos {
+  int slot = -1;        // the key's slot id, or -1
+  size_t hash_pos = 0;  // on a miss, its by_hash position (DirectPos only)
+  size_t key_pos = 0;   // on a miss, its by_key rank
+};
+
+// Put's in-leaf search: a SpecProbe that, once a DirectPos search has
+// missed, runs again as the by_key rank search, so one probe yields both of
+// Insert's splice positions (without DirectPos the point search is that
+// rank search already). Resumable and prefetched like SpecProbe, so
+// Wormhole::MultiPut steps a group of them the way MultiGet steps its
+// reads; like a point read's, its answer stands only under the leaf's
+// exclusive lock, or when the leaf's version held still from before Start
+// until the answer is used.
+struct PutProbe {
+  SpecProbe p;
+  const LeafStore* s = nullptr;
+  size_t hash_pos = 0;  // the DirectPos search's lower bound, once it missed
+
+  void Start(const LeafStore& store, bool dp, uint32_t hash, bool plain_mode) {
+    s = &store;
+    hash_pos = 0;
+    p.Start(store, dp, hash, plain_mode);
+    RankOnMiss(hash);
+  }
+  bool done() const { return p.done(); }
+  bool bad() const { return p.bad; }
+  void WarmIndex() const { p.WarmIndex(); }
+  void Prime() const { p.Prime(); }
+  void Step(std::string_view key, uint32_t hash) {
+    p.Step(key, hash);
+    RankOnMiss(hash);
+  }
+  void Run(std::string_view key, uint32_t hash) {
+    p.Run(key, hash);
+    RankOnMiss(hash);
+    p.Run(key, hash);
+  }
+  SlotPos Pos() const {
+    SlotPos at;
+    if (p.hit) {
+      at.slot = p.id;
+    } else {
+      at.hash_pos = hash_pos;
+      at.key_pos = p.lo;
+    }
+    return at;
+  }
+
+ private:
+  void RankOnMiss(uint32_t hash) {
+    if (p.direct_pos && p.done() && !p.bad && !p.hit) {
+      hash_pos = p.lo;
+      p.Start(*s, /*dp=*/false, hash, p.plain);
+      p.WarmIndex();
+    }
+  }
+};
+
+// Put's in-leaf search for callers that exclude writers, as FindSlot's.
+// hot-path: every Put's in-leaf search
+inline SlotPos Locate(const LeafStore& s, bool direct_pos, std::string_view key,
+                      uint32_t hash) {
+  PutProbe p;
+  p.Start(s, direct_pos, hash, /*plain_mode=*/true);
+  p.Run(key, hash);
+  return p.Pos();
 }
 
 // Result of one speculative whole-window fill. `ok == false` means an
@@ -1063,21 +1132,10 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
 
 // Appends a new item and splices its slot id into the ordered indexes.
 // `hash` must be the full-key CRC32C raw state when direct_pos (ignored
-// otherwise). `miss_pos` is the *pos of a FindSlot miss for `key` on this
-// unchanged store under the same direct_pos: the splice position in the
-// index that probe searched (by_hash under DirectPos, else by_key).
+// otherwise). `at` is a PutProbe miss for `key` on this unchanged store under
+// the same direct_pos: where the key goes in by_key, and in by_hash.
 inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
-                   std::string_view value, uint32_t hash, size_t miss_pos) {
-  // Under DirectPos the by_key rank still needs its own search. Both
-  // positions are taken before AppendRaw, which grows the slot count the
-  // probe is sized from.
-  size_t kpos = miss_pos;
-  if (direct_pos) {
-    SpecProbe p;
-    p.Start(*s, /*direct_pos=*/false, hash, /*plain_mode=*/true);
-    p.Run(key, hash);
-    kpos = p.lo;
-  }
+                   std::string_view value, uint32_t hash, const SlotPos& at) {
   const uint16_t id = AppendRaw(s, key, value, direct_pos ? hash : 0);
   // The splice shifts the ordered tail one position right; every displaced
   // cell is rewritten through a relaxed store because the block is published.
@@ -1093,9 +1151,9 @@ inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
     RelaxedStoreEntry(p + pos, entry);
     index->SetSize(old_n + 1);
   };
-  splice(&s->by_key, kpos, id);
+  splice(&s->by_key, at.key_pos, id);
   if (direct_pos) {
-    splice(&s->by_hash, miss_pos, HashEntry(hash, id));
+    splice(&s->by_hash, at.hash_pos, HashEntry(hash, id));
   }
 }
 

@@ -84,6 +84,16 @@
 //     mutation through relaxed atomic stores, then version lands even two
 //     above where it started. Structural changes (split/removal) use the
 //     same bracket around the store swap and linkage updates.
+//   - A write's in-leaf search may run before its lock is taken. MultiPut
+//     searches each key's routed leaf lock-free, like a MultiGet read: a
+//     version snapshot, then the search through relaxed loads. Once it
+//     holds the leaf's exclusive lock it validates that snapshot as a read
+//     does. No writer can be mid-section while the lock is held, and every
+//     section a writer completes leaves the version two higher, so an
+//     unchanged version means the store is exactly the one the search read,
+//     and the write uses its positions. A changed version, a different
+//     locked leaf or an inconsistent snapshot discards them, and the search
+//     runs again under the lock.
 //   - Structural changes (leaf split, empty-leaf removal, table growth)
 //     serialize on one internal mutex — they are rare, O(items/capacity) —
 //     and publish new state with release stores. Replaced leaves, trie nodes
@@ -320,10 +330,17 @@ class BasicWormhole {
   void PrefetchRoutes(const std::string_view* keys, size_t n) const
       EXCLUDES(meta_mu_);
 
-  // Batched Put with the same amortization: one quiescent-state report for
-  // the batch, and consecutive keys hitting the same leaf reuse the held
-  // exclusive lock (a Put that needs a split falls back to the slow path).
-  // Applies every item within the input bounds; false if it refused any.
+  // Batched Put: one quiescent-state report for the batch, and MultiGet's
+  // pipeline over groups of kRouteGroup keys (stages in wormhole.cc): the
+  // routes, then a lock-free leafops::PutProbe per key for its slot or its
+  // two insert positions, then the Puts in batch order, each under its
+  // leaf's exclusive lock. A key keeps its pre-searched positions only while
+  // the leaf's version proves them current (the concurrency section of the
+  // header comment); else it searches under the lock, as Put does. Keys
+  // hitting the held leaf reuse its lock; a full leaf takes the split path.
+  // At optimistic_retries 0 no key pre-searches. size() counts the batch's
+  // inserts when MultiPut returns. Applies every item within the input
+  // bounds; false if it refused any.
   // NO_TSA: the held lock is loop-carried — which leaf's lock is held across
   // iterations is data-dependent, a transfer TSA cannot express.
   bool MultiPut(
@@ -331,6 +348,9 @@ class BasicWormhole {
       EXCLUDES(meta_mu_) NO_THREAD_SAFETY_ANALYSIS;
 
   uint64_t MemoryBytes() const EXCLUDES(meta_mu_);
+  // Exact while no write runs. A MultiPut adds its inserts when it returns,
+  // so while one runs, size() lags the items it has applied (and a
+  // concurrent Delete of one of them can drop it below the true count).
   size_t size() const { return item_count_.load(std::memory_order_relaxed); }
   WormholeStats stats() const;
   const Options& options() const { return opt_; }
@@ -372,12 +392,14 @@ class BasicWormhole {
   // Route + lock + validate, retrying on concurrent splits/merges; falls back
   // to serializing with structural writers after bounded retries. Returns the
   // leaf with its lock held in `mode` and fills *kv_hash as RouteToLeaf does.
+  // A non-null `routed` is a leaf the caller already routed key to, with
+  // *kv_hash preset from that route: the first attempt locks it unrouted.
   // NO_TSA: which leaf lock is taken is data-dependent (the routed leaf), and
   // the function returns with it held — a transfer TSA cannot express.
   // Callers immediately re-assert the held lock (AssertHeld/AssertReaderHeld)
   // so analysis resumes on their side; TSan covers the waived path.
-  Leaf* AcquireLeaf(std::string_view key, Mode mode, uint32_t* kv_hash)
-      NO_THREAD_SAFETY_ANALYSIS;
+  Leaf* AcquireLeaf(std::string_view key, Mode mode, uint32_t* kv_hash,
+                    Leaf* routed = nullptr) NO_THREAD_SAFETY_ANALYSIS;
   static bool Covers(const Leaf* leaf, std::string_view key);
 
   enum class SpecOutcome { kHit, kMiss, kRetry };
@@ -406,16 +428,28 @@ class BasicWormhole {
   SpecOutcome OptimisticLeafGet(Leaf* leaf, std::string_view key,
                                 uint32_t kv_hash, std::string* value) const
       NO_THREAD_SAFETY_ANALYSIS;
-  // MultiGet's pipelined attempt runs OptimisticLeafGet in rounds; these
-  // are its first two, the ones that touch the store: warm the next leaf
-  // and the store's block headers, then start the probe (and warm a by_key
-  // index; DirectPos's first line is warmed by the probe's Prime).
-  // WarmLeafRead(leaf, true), for PrefetchRoutes, warms the by_key index a
-  // cursor fill ranks with instead of the point read's.
+  // A key's lock-free in-leaf search in MultiGet's and MultiPut's stage 2:
+  // the version snapshot it runs under (live: SpecBegin took an even one)
+  // and its probe — a SpecProbe for a point read, a PutProbe for a Put.
+  template <typename Probe>
+  struct LeafSearch {
+    uint64_t begin = 0;
+    Probe probe;
+    bool live = false;
+  };
+  // Stage 2 of MultiGet and MultiPut: runs the searches of keys[0, g) in
+  // their routed leaves (routes[i].leaf, null: no search), interleaved in
+  // rounds — OptimisticLeafGet cut at its cache misses, up to (not
+  // including) coverage, Finish and validation, which are the caller's.
+  template <typename Probe>
+  void SearchGroup(const std::string_view* keys, size_t g,
+                   const Route* routes, LeafSearch<Probe>* s) const
+      NO_THREAD_SAFETY_ANALYSIS;
+  // Round 1 of a stage-2 search: warm the next leaf and the store's block
+  // headers. WarmLeafRead(leaf, true), for PrefetchRoutes, warms the by_key
+  // index a cursor fill ranks with instead of the point read's.
   void WarmLeafRead(const Leaf* leaf, bool by_key) const
       NO_THREAD_SAFETY_ANALYSIS;
-  void StartLeafRead(const Leaf* leaf, uint32_t kv_hash,
-                     leafops::SpecProbe* p) const NO_THREAD_SAFETY_ANALYSIS;
   // Attempts [first, optimistic_retries) of a point read — re-route, then
   // one OptimisticLeafGet each — and then LockedLeafGet. Get runs them all;
   // a MultiGet key whose pipelined attempt 0 lost runs the rest. The caller
@@ -447,13 +481,17 @@ class BasicWormhole {
   // NO_TSA: same caller-held leaf->lock precondition as SplitAndInsert.
   void RemoveLeafLocked(Leaf* leaf) REQUIRES(meta_mu_)
       NO_THREAD_SAFETY_ANALYSIS;
-  // The in-leaf half of every Put: update key in place, or insert it when
-  // the leaf has room; false when the leaf is full and lacks key (the caller
-  // splits). NO_TSA: same caller-held leaf->lock precondition as
-  // SplitAndInsert.
-  bool PutInLeaf(Leaf* leaf, std::string_view key, std::string_view value,
-                 uint32_t kv_hash) NO_THREAD_SAFETY_ANALYSIS;
-  void PutSlow(std::string_view key, std::string_view value)
+  // The in-leaf half of every Put, at `at` — what leafops::Locate returns
+  // for key on the leaf's current store: update key in place, or insert it
+  // when the leaf has room; kFull when the leaf is full and lacks key (the
+  // caller splits). Counts nothing: callers add inserts to item_count_.
+  // NO_TSA: same caller-held leaf->lock precondition as SplitAndInsert.
+  enum class PutOutcome { kUpdated, kInserted, kFull };
+  PutOutcome PutInLeaf(Leaf* leaf, std::string_view key,
+                       std::string_view value, uint32_t kv_hash,
+                       const leafops::SlotPos& at) NO_THREAD_SAFETY_ANALYSIS;
+  // The split path of a Put whose leaf was full; true if it inserted key.
+  bool PutSlow(std::string_view key, std::string_view value)
       EXCLUDES(meta_mu_);
   bool DeleteSlow(std::string_view key) EXCLUDES(meta_mu_);
 
@@ -469,7 +507,7 @@ class BasicWormhole {
   // thread holding a leaf lock never acquires meta_mu_).
   mutable typename Sync::MetaMutex meta_mu_;
   size_t node_count_ GUARDED_BY(meta_mu_) = 0;
-  std::atomic<size_t> item_count_{0};
+  std::atomic<size_t> item_count_{0};  // see size()
   mutable std::atomic<uint64_t> probes_{0};
   mutable std::atomic<uint64_t> lookups_{0};
 };

@@ -243,7 +243,7 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
     const Op op = batch[idx[i]].op;
     // Maximal same-op run: one MultiGet/MultiPut per run amortizes the
     // quiescent-state report (and, for MultiPut, leaf-lock traffic) across
-    // it, and lets MultiGet overlap the memory latency of its keys. A run of
+    // it, and lets both overlap the memory latency of their keys. A run of
     // scans (either direction) walks its routes together first.
     const auto kind = [](Op o) { return o == Op::kScanRev ? Op::kScan : o; };
     size_t j = i + 1;

@@ -12,10 +12,15 @@
 // quiescent-state report. MultiGet takes no leaf lock on its fast path: it
 // runs groups of ~8 keys through the core's prefetch-interleaved pipeline,
 // which overlaps their trie walks and then their seqlock-validated in-leaf
-// searches. MultiPut reuses a held exclusive leaf lock across consecutive
-// keys that land in the same leaf, and a run of scans first walks its
-// routes together (Wormhole::PrefetchRoutes). That QSBR-, lock- and
-// memory-latency amortization is what makes batching pay.
+// searches. MultiPut runs the same pipeline: it walks a group's routes
+// together and searches each key's leaf lock-free under a version snapshot,
+// then applies the Puts in order under their leaves' exclusive locks,
+// keeping a key's pre-searched positions when the leaf's version has not
+// moved since the search (else it searches again under the lock), and
+// reusing a held lock across consecutive keys in the same leaf. A run of
+// scans first walks its routes together (Wormhole::PrefetchRoutes). That
+// QSBR-, lock- and memory-latency amortization is what makes batching
+// pay.
 //
 // Ordering contract: requests to the same shard (hence: all requests touching
 // any single key) are applied in batch order. Requests to different shards

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,13 +36,13 @@ uint32_t FullHash(std::string_view key) {
   return Crc32cExtend(kCrc32cInit, key.data(), key.size());
 }
 
-// Inserts an absent key as Put does: at the position its FindSlot miss
+// Inserts an absent key as Put does: at the positions its Locate miss
 // hands over.
 void InsertAbsent(LeafStore* s, bool direct_pos, std::string_view key,
                   std::string_view value, uint32_t hash) {
-  size_t pos;
-  ASSERT_LT(leafops::FindSlot(*s, direct_pos, key, hash, &pos), 0) << key;
-  leafops::Insert(s, direct_pos, key, value, hash, pos);
+  const leafops::SlotPos at = leafops::Locate(*s, direct_pos, key, hash);
+  ASSERT_LT(at.slot, 0) << key;
+  leafops::Insert(s, direct_pos, key, value, hash, at);
 }
 
 // The hash a store's keys were inserted with. The adversarial cases below
@@ -221,6 +222,55 @@ void CheckSpecProbes(const LeafStore& s, bool direct_pos,
   }
 }
 
+// PutProbe driven the way Wormhole::MultiPut's pre-search drives it (a
+// round-robin group in speculative mode, on the quiescent store) lands
+// where the locked search Locate does: a present key's slot, or an absent
+// key's by_key rank — the oracle's count of smaller keys — and by_hash
+// position.
+void CheckPutProbes(const LeafStore& s, bool direct_pos,
+                    const std::map<std::string, std::string>& oracle,
+                    const std::vector<std::string>& keys, Rng& rng) {
+  const size_t g = 4 + rng.NextBounded(5);
+  std::vector<std::string_view> group(g);
+  std::vector<leafops::PutProbe> probes(g);
+  for (size_t i = 0; i < g; i++) {
+    group[i] = keys[rng.NextBounded(keys.size())];
+    probes[i].Start(s, direct_pos, FullHash(group[i]), /*plain_mode=*/false);
+    probes[i].WarmIndex();
+  }
+  for (const auto& p : probes) {
+    p.Prime();
+  }
+  for (bool more = true; more;) {
+    more = false;
+    for (size_t i = 0; i < g; i++) {
+      if (!probes[i].done()) {
+        probes[i].Step(group[i], FullHash(group[i]));
+        probes[i].Prime();
+        more = true;
+      }
+    }
+  }
+  for (size_t i = 0; i < g; i++) {
+    SCOPED_TRACE(std::string(group[i]));
+    ASSERT_FALSE(probes[i].bad());
+    const leafops::SlotPos got = probes[i].Pos();
+    const leafops::SlotPos want =
+        leafops::Locate(s, direct_pos, group[i], FullHash(group[i]));
+    const auto it = oracle.lower_bound(std::string(group[i]));
+    ASSERT_EQ(got.slot, want.slot);
+    ASSERT_EQ(got.slot >= 0, it != oracle.end() && it->first == group[i]);
+    if (got.slot < 0) {
+      ASSERT_EQ(got.key_pos,
+                static_cast<size_t>(std::distance(oracle.begin(), it)));
+      ASSERT_EQ(got.key_pos, want.key_pos);
+      if (direct_pos) {
+        ASSERT_EQ(got.hash_pos, want.hash_pos);
+      }
+    }
+  }
+}
+
 void RunRandomized(bool direct_pos, uint64_t seed) {
   SCOPED_TRACE(std::string("direct_pos=") + (direct_pos ? "on" : "off"));
   Rng rng(seed);
@@ -251,16 +301,16 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
   for (int op = 0; op < 4000; op++) {
     const std::string& key = pool[rng.NextBounded(pool.size())];
     const uint64_t roll = rng.NextBounded(100);
-    size_t pos;
-    const int slot =
-        leafops::FindSlot(store, direct_pos, key, FullHash(key), &pos);
+    const leafops::SlotPos at =
+        leafops::Locate(store, direct_pos, key, FullHash(key));
+    const int slot = at.slot;
     ASSERT_EQ(slot >= 0, oracle.count(key) == 1) << "op " << op;
     if (roll < 45) {  // upsert
       const std::string value = RandomValue(rng);
       if (slot >= 0) {
         leafops::UpdateValue(&store, static_cast<uint16_t>(slot), value);
       } else {
-        leafops::Insert(&store, direct_pos, key, value, FullHash(key), pos);
+        leafops::Insert(&store, direct_pos, key, value, FullHash(key), at);
       }
       oracle[key] = value;
     } else if (roll < 75) {  // erase
@@ -279,12 +329,14 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
       CheckSpecFillWindow(store, oracle, bounds, &win);
       for (int round = 0; round < 4; round++) {
         CheckSpecProbes(store, direct_pos, oracle, probe_keys, probe_rng);
+        CheckPutProbes(store, direct_pos, oracle, probe_keys, probe_rng);
       }
     }
   }
   CheckStore(store, direct_pos, oracle);
   CheckSpecFillWindow(store, oracle, bounds, &win);
   CheckSpecProbes(store, direct_pos, oracle, probe_keys, probe_rng);
+  CheckPutProbes(store, direct_pos, oracle, probe_keys, probe_rng);
 }
 
 TEST(LeafOps, RandomizedAgainstOracleDirectPos) { RunRandomized(true, 0xfeedu); }

@@ -280,43 +280,73 @@ TEST(WormholeBatch, MultiGetInterleavedMatchesSerialOnAllKeysets) {
   }
 }
 
+// MultiPut pre-searches each key's leaf before it takes the leaf's lock, so
+// an earlier key of the same route group can change the store under a later
+// key's pre-search. At leaf capacity 16 splits go through MultiPut's slow
+// path; at 4 almost every group splits a leaf that later keys of the group
+// routed to and searched. Both must match serial Put, as must a group that
+// repeats a key, where the last value wins.
 TEST(WormholeBatch, MultiPutMatchesPut) {
   const auto keys = GenerateKeyset({KeysetId::kK3, 2000, 31});
-  Options opt;
-  opt.leaf_capacity = 16;  // force splits through the MultiPut slow path
-  Wormhole batched(opt);
-  Wormhole reference(opt);
+  for (const size_t leaf_capacity : {size_t{16}, size_t{4}}) {
+    SCOPED_TRACE("leaf_capacity=" + std::to_string(leaf_capacity));
+    Options opt;
+    opt.leaf_capacity = leaf_capacity;
+    Wormhole batched(opt);
+    Wormhole reference(opt);
 
-  Rng rng(0xbeef);
-  std::vector<std::pair<std::string_view, std::string_view>> batch;
-  std::vector<std::string> batch_values;
-  size_t pos = 0;
-  while (pos < keys.size()) {
-    const size_t n = 1 + rng.NextBounded(64);
+    Rng rng(0xbeef);
+    std::vector<std::pair<std::string_view, std::string_view>> batch;
+    std::vector<std::string> batch_values;
+    size_t pos = 0;
+    while (pos < keys.size()) {
+      const size_t n = 1 + rng.NextBounded(64);
+      batch.clear();
+      batch_values.clear();
+      batch_values.reserve(n);  // stable storage for the views
+      for (size_t i = 0; i < n && pos < keys.size(); i++, pos++) {
+        batch_values.push_back("v" + std::to_string(pos));
+        batch.emplace_back(keys[pos], batch_values.back());
+        reference.Put(keys[pos], batch_values.back());
+      }
+      batched.MultiPut(batch);
+    }
+    // Re-put a slice with new values: the update path.
     batch.clear();
     batch_values.clear();
-    batch_values.reserve(n);  // stable storage for the views
-    for (size_t i = 0; i < n && pos < keys.size(); i++, pos++) {
-      batch_values.push_back("v" + std::to_string(pos));
-      batch.emplace_back(keys[pos], batch_values.back());
-      reference.Put(keys[pos], batch_values.back());
+    batch_values.reserve(200);
+    for (size_t i = 0; i < 200; i++) {
+      batch_values.push_back("u" + std::to_string(i));
+      batch.emplace_back(keys[i * 7 % keys.size()], batch_values.back());
+      reference.Put(keys[i * 7 % keys.size()], batch_values.back());
     }
     batched.MultiPut(batch);
-  }
-  // Re-put a slice with new values: the update path.
-  batch.clear();
-  batch_values.clear();
-  batch_values.reserve(200);
-  for (size_t i = 0; i < 200; i++) {
-    batch_values.push_back("u" + std::to_string(i));
-    batch.emplace_back(keys[i * 7 % keys.size()], batch_values.back());
-    reference.Put(keys[i * 7 % keys.size()], batch_values.back());
-  }
-  batched.MultiPut(batch);
 
-  ASSERT_EQ(batched.size(), reference.size());
-  EXPECT_EQ(WormholeScan(&batched, "", keys.size() + 10),
-            WormholeScan(&reference, "", keys.size() + 10));
+    // One route group (kRouteGroup items) that updates a present key three
+    // times and inserts a new key, then updates it: each repeat's
+    // pre-search saw the store before the group's earlier Puts of its key.
+    static_assert(Wormhole::kRouteGroup >= 7, "the batch is one route group");
+    const std::string fresh = keys[5] + "~new";
+    batch = {{keys[3], "r0"}, {keys[9], "r1"}, {keys[3], "r2"},
+             {fresh, "r3"},   {fresh, "r4"},   {keys[3], "a-longer-value-r5"},
+             {keys[9], "r6"}};
+    for (const auto& [k, v] : batch) {
+      reference.Put(k, v);
+    }
+    batched.MultiPut(batch);
+    std::string got;
+    ASSERT_TRUE(batched.Get(keys[3], &got));
+    EXPECT_EQ(got, "a-longer-value-r5");
+    ASSERT_TRUE(batched.Get(fresh, &got));
+    EXPECT_EQ(got, "r4");
+    ASSERT_TRUE(batched.Get(keys[9], &got));
+    EXPECT_EQ(got, "r6");
+
+    ASSERT_EQ(batched.size(), reference.size());
+    EXPECT_EQ(batched.size(), keys.size() + 1);
+    EXPECT_EQ(WormholeScan(&batched, "", keys.size() + 10),
+              WormholeScan(&reference, "", keys.size() + 10));
+  }
 }
 
 // --- Service vs single Wormhole differential -------------------------------

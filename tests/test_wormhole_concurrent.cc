@@ -761,41 +761,83 @@ TEST(WormholeConcurrent, ReinsertedBoundKeyIsNotEmittedTwice) {
   EXPECT_EQ(seen, static_cast<size_t>(kSpan));
 }
 
-TEST(WormholeConcurrent, ParallelLoadMatchesSerialLoad) {
-  Options opt;
-  opt.leaf_capacity = 32;
+// Four threads load keys 0..kLoadKeys-1 into one index, thread t the keys
+// i = t mod 4, through load(index, t). The index must end with exactly the
+// items a serial load of every key with value "x" gives, in the same order.
+constexpr int kLoadKeys = 20000;
+
+template <typename LoadFn>
+void ExpectParallelLoadMatchesSerial(const Options& opt, LoadFn load) {
   Wormhole parallel(opt);
   WormholeUnsafe serial(opt);
-
-  constexpr int kKeys = 20000;
-  for (int i = 0; i < kKeys; i++) {
+  for (int i = 0; i < kLoadKeys; i++) {
     serial.Put(ResidentKey(i), "x");
   }
   std::vector<std::thread> threads;
   for (int tid = 0; tid < 4; tid++) {
-    threads.emplace_back([&, tid] {
-      for (int i = tid; i < kKeys; i += 4) {
-        parallel.Put(ResidentKey(i), "x");
-      }
-    });
+    threads.emplace_back([&, tid] { load(&parallel, tid); });
   }
   for (auto& t : threads) {
     t.join();
   }
   ASSERT_EQ(parallel.size(), serial.size());
   // Identical contents in identical order.
-  std::vector<std::string> a;
-  std::vector<std::string> b;
-  parallel.Scan("", kKeys + 1, [&](std::string_view k, std::string_view) {
-    a.emplace_back(k);
+  using Items = std::vector<std::pair<std::string, std::string>>;
+  Items a;
+  Items b;
+  parallel.Scan("", kLoadKeys + 1, [&](std::string_view k, std::string_view v) {
+    a.emplace_back(k, v);
     return true;
   });
-  serial.Scan("", kKeys + 1, [&](std::string_view k, std::string_view) {
-    b.emplace_back(k);
+  serial.Scan("", kLoadKeys + 1, [&](std::string_view k, std::string_view v) {
+    b.emplace_back(k, v);
     return true;
   });
-  ASSERT_EQ(a.size(), static_cast<size_t>(kKeys));
+  ASSERT_EQ(a.size(), static_cast<size_t>(kLoadKeys));
   ASSERT_EQ(a, b);
+}
+
+TEST(WormholeConcurrent, ParallelLoadMatchesSerialLoad) {
+  Options opt;
+  opt.leaf_capacity = 32;
+  ExpectParallelLoadMatchesSerial(opt, [](Wormhole* index, int tid) {
+    for (int i = tid; i < kLoadKeys; i += 4) {
+      index->Put(ResidentKey(i), "x");
+    }
+  });
+}
+
+// The same load through MultiPut. The threads' keys interleave, so their
+// batches write the same leaves at once, and a key's lock-free pre-search
+// often goes stale under another thread's insert or split before the key
+// takes the leaf's lock. Each batch inserts 16 keys with a placeholder
+// value and then updates them to "x", so both the insert and the update
+// positions of pre-searches are exercised; at leaf capacity 4 nearly every
+// group splits a leaf.
+TEST(WormholeConcurrent, ParallelMultiPutLoadMatchesSerialLoad) {
+  for (const size_t leaf_capacity : {size_t{32}, size_t{4}}) {
+    SCOPED_TRACE("leaf_capacity=" + std::to_string(leaf_capacity));
+    Options opt;
+    opt.leaf_capacity = leaf_capacity;
+    ExpectParallelLoadMatchesSerial(opt, [](Wormhole* index, int tid) {
+      std::vector<std::string> keys;
+      std::vector<std::pair<std::string_view, std::string_view>> batch;
+      for (int lo = tid; lo < kLoadKeys; lo += 4 * 16) {
+        keys.clear();
+        for (int i = lo; i < kLoadKeys && i < lo + 4 * 16; i += 4) {
+          keys.push_back(ResidentKey(i));
+        }
+        batch.clear();
+        for (const std::string& k : keys) {
+          batch.emplace_back(k, "placeholder");
+        }
+        for (const std::string& k : keys) {
+          batch.emplace_back(k, "x");
+        }
+        EXPECT_TRUE(index->MultiPut(batch));
+      }
+    });
+  }
 }
 
 // Hammer for the lock-free optimistic read path. Tiny leaves keep splits and
