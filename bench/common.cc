@@ -192,7 +192,7 @@ std::vector<std::string> SampleKeys(const std::vector<std::string>& keys,
 
 void LoadService(Service* service, const std::vector<std::string>& keys) {
   std::thread loader([&] {
-    QsbrThreadScope qsbr_scope;  // leave every shard domain on the way out
+    QsbrThreadScope qsbr_scope;  // leave the service's domain on the way out
     std::vector<Request> batch;
     std::vector<Response> responses;
     batch.reserve(1024);

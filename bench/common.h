@@ -78,15 +78,15 @@ void LoadIndex(IndexIface* index, const std::vector<std::string>& keys);
 
 // Evenly strided sample of at most ~`count` keys, the shared input to
 // ShardRouter::FromSamples — one sampling policy across the service benches
-// keeps their shard layouts comparable.
+// keeps their log partitions comparable.
 std::vector<std::string> SampleKeys(const std::vector<std::string>& keys,
                                     size_t count);
 
-// Loads all keys into the sharded service through batched Put requests. Runs
-// on a scoped worker thread so the calling thread never joins the shards'
-// QSBR domains at all — RunThroughput's coordinator does quiesce every
-// domain it joined (QsbrQuiesce), but staying out of them entirely keeps
-// shard reclamation independent of the coordinator's cadence.
+// Loads all keys into the service through batched Put requests. Runs on a
+// scoped worker thread so the calling thread never joins the service's QSBR
+// domain at all — RunThroughput's coordinator does quiesce every domain it
+// joined (QsbrQuiesce), but staying out of it entirely keeps reclamation
+// independent of the coordinator's cadence.
 void LoadService(Service* service, const std::vector<std::string>& keys);
 
 // Runs `worker(thread_id, stop_flag)` on `threads` threads for `seconds`; each

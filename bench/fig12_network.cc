@@ -4,9 +4,8 @@
 // against the link, which becomes the bottleneck for large keys (K10).
 //
 // The final row drives the full production stack instead of a bare index:
-// client batches of Get requests through HerdServiceLink into the sharded
-// Service (4 range-partitioned Wormhole shards, boundaries sampled from the
-// keyset).
+// client batches of Get requests through HerdServiceLink into the Service
+// (one concurrent Wormhole, WAL off).
 #include <vector>
 
 #include "bench/common.h"
@@ -53,9 +52,7 @@ int main(int argc, char** argv) {
   std::vector<double> service_row;
   for (const wh::KeysetId id : wh::kAllKeysets) {
     const auto& keys = wh::GetKeyset(id, env.scale);
-    wh::Service service(
-        wh::ServiceOptions{},
-        wh::ShardRouter::FromSamples(wh::SampleKeys(keys, 256), 4));
+    wh::Service service(wh::ServiceOptions{}, wh::ShardRouter({}));
     wh::LoadService(&service, keys);
     wh::HerdConfig config;
     wh::HerdServiceLink<wh::Service> link(&service, config);
@@ -77,6 +74,6 @@ int main(int argc, char** argv) {
         });
     service_row.push_back(mops);
   }
-  wh::PrintRow("Service(4 shards)", service_row);
+  wh::PrintRow("Service", service_row);
   return 0;
 }

@@ -1,19 +1,21 @@
 // Mixed-workload throughput of the full production stack: client threads
 // submit YCSB-style request batches through the simulated HERD link
-// (src/net) into the sharded Service (src/server), which routes to
-// range-partitioned concurrent Wormhole shards. Rows vary the shard count,
-// columns the workload mix:
+// (src/net) into the Service (src/server), whose one concurrent Wormhole
+// holds every key. Columns vary the workload mix:
 //
 //   YCSB-A  50% Get / 50% Put          YCSB-C  100% Get
 //   YCSB-B  95% Get /  5% Put          YCSB-E  95% Scan(50) / 5% Put
 //   churn   50% Get / 25% Put / 25% Delete
 //
 // Keys are drawn uniformly from the preloaded Az1 keyset, so Deletes hit and
-// re-Puts restore; scans start at a random key and cross shard boundaries.
-// A second section repeats the grid in durable mode (per-shard WAL, group
-// commit riding each shard sub-batch, fsync=always) — the measured cost of
-// crash durability over the identical workload. It prints AFTER the WAL-off
-// section so the regression gate's YCSB-E reference column is unchanged.
+// re-Puts restore; scans start at a random key. The WAL-off section is one
+// row: without a log the Service never consults its router, so every
+// partition count would measure the same configuration. A second section
+// repeats the mixes in durable mode with 1/2/4/8 log partitions (one WAL
+// each, group commit riding each partition's sub-batch, fsync=always) — the
+// measured cost of crash durability over the identical workload. It prints
+// AFTER the WAL-off section so the regression gate's YCSB-E reference
+// column is unchanged.
 #include <unistd.h>
 
 #include <atomic>
@@ -131,29 +133,28 @@ int main(int argc, char** argv) {
   for (const Mix& mix : kMixes) {
     cols.push_back(mix.name);
   }
-  wh::PrintHeader("Sharded service: mixed-workload throughput (MOPS), batch=" +
+  wh::PrintHeader("Service: mixed-workload throughput (MOPS), batch=" +
                       std::to_string(kBatchSize) + ", keyset Az1, " +
                       std::to_string(env.threads) + " threads",
                   cols);
 
-  const std::vector<std::string> samples = wh::SampleKeys(keys, 256);
-  for (const size_t shards : {1, 2, 4, 8}) {
-    const wh::ShardRouter router = wh::ShardRouter::FromSamples(samples, shards);
+  {
     std::vector<double> row;
     for (const Mix& mix : kMixes) {
       // A fresh service per cell: churn workloads mutate the dataset, and
       // each cell should start from the same loaded state.
-      wh::Service service(wh::ServiceOptions{}, router);
+      wh::Service service(wh::ServiceOptions{}, wh::ShardRouter({}));
       wh::LoadService(&service, keys);
       row.push_back(
           ServiceThroughput(&service, keys, mix, env.threads, env.seconds));
     }
-    wh::PrintRow("S=" + std::to_string(router.shard_count()), row);
+    wh::PrintRow("WAL off", row);
   }
 
   wh::PrintHeader(
-      "Sharded service, durable mode (per-shard WAL group commit, "
-      "fsync=always): mixed-workload throughput (MOPS), batch=" +
+      "Service, durable mode (one WAL per log partition, group commit per "
+      "partition sub-batch, fsync=always): mixed-workload throughput (MOPS), "
+      "batch=" +
           std::to_string(kBatchSize) + ", keyset Az1, " +
           std::to_string(env.threads) + " threads",
       cols);
@@ -166,8 +167,10 @@ int main(int argc, char** argv) {
   const std::string wal_root = "/tmp/wh_service_mixed_wal." +
                                std::to_string(static_cast<long>(::getpid()));
   const std::string wal_dir = wal_root + "/active";
-  for (const size_t shards : {1, 2, 4, 8}) {
-    const wh::ShardRouter router = wh::ShardRouter::FromSamples(samples, shards);
+  const std::vector<std::string> samples = wh::SampleKeys(keys, 256);
+  for (const size_t partitions : {1, 2, 4, 8}) {
+    const wh::ShardRouter router =
+        wh::ShardRouter::FromSamples(samples, partitions);
     std::vector<double> row;
     for (const Mix& mix : kMixes) {
       static_cast<void>(wh::durability::Fs::Default()->RemoveAll(wal_dir));
@@ -181,7 +184,7 @@ int main(int argc, char** argv) {
             ServiceThroughput(&service, keys, mix, env.threads, env.seconds));
       }
     }
-    wh::PrintRow("S=" + std::to_string(router.shard_count()) + "+wal", row);
+    wh::PrintRow("P=" + std::to_string(router.shard_count()) + "+wal", row);
   }
   static_cast<void>(wh::durability::Fs::Default()->RemoveAll(wal_root));
   return 0;

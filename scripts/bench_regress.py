@@ -5,9 +5,11 @@ The gated metrics — each added after (or to guard) a rewrite of the path it
 measures:
 
   service-ycsb-e   service_mixed, mean of the WAL-off YCSB-E column across
-                   shard rows (regressed in the PR-5 cursor rewrite)
+                   its rows (regressed in the PR-5 cursor rewrite); current
+                   snapshots hold one WAL-off row, older ones one per shard
+                   count
   service-ycsb-c   service_mixed, mean of the WAL-off YCSB-C column across
-                   shard rows — 100% Get through Service::Execute, so every
+                   its rows — 100% Get through Service::Execute, so every
                    key runs Wormhole::MultiGet's pipeline (trie walk and
                    in-leaf search interleaved across a key group); a broken
                    or serialized pipeline shows up here first
@@ -66,7 +68,7 @@ def mean(values):
 
 
 def service_wal_off(snapshot, col):
-    """Mean of one service_mixed column across the WAL-off shard rows (the
+    """Mean of one service_mixed column across the WAL-off rows (the
     durable-mode section repeats the columns and is skipped)."""
     bench = bench_named(snapshot, "service_mixed")
     if bench is None:

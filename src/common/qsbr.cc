@@ -12,7 +12,7 @@ namespace wh {
 namespace {
 
 // Live-domain registry. Thread-exit cleanup must not call back into a domain
-// that was already destroyed (a service shard torn down while a client thread
+// that was already destroyed (a service torn down while a client thread
 // lives on), so domains check in at construction and out at destruction, and
 // the per-thread cleanup consults the registry under its mutex before
 // unregistering. Both are function-local statics first touched from a Qsbr
@@ -212,8 +212,8 @@ Qsbr::Slot* QsbrCurrentSlot() { return Qsbr::Default().CurrentSlot(); }
 void QsbrQuiesce() {
   QsbrCurrentSlot();  // the default domain is joined on first call
   // Quiesce every domain this thread has joined, not just Default(): a
-  // coordinator that touched a sharded service and then settles into a
-  // quiesce-periodically loop must not pin any shard's grace period. The
+  // coordinator that touched a service and then settles into a
+  // quiesce-periodically loop must not pin its domain's grace period. The
   // registry mutex spans the liveness check and the store, pinning each
   // domain against concurrent destruction (same protocol as ReleaseAll).
   ScopedLock g(LiveDomainsMu());

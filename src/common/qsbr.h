@@ -31,8 +31,8 @@
 //
 // Domains: Qsbr is instantiable, and each instance is an independent
 // reclamation domain — a slow reader in one domain never stalls another
-// domain's grace periods. The sharded service (src/server) gives every shard
-// its own domain. Default() remains the process-wide domain used by bare
+// domain's grace periods. The service (src/server) gives its index a domain
+// of its own. Default() remains the process-wide domain used by bare
 // Wormhole instances. CurrentSlot() registers the calling thread in *this*
 // domain lazily and unregisters it at thread exit; destroying a domain before
 // its threads exit is safe (thread-exit cleanup recognizes dead domains), but
@@ -161,7 +161,7 @@ class Qsbr {
 // Default()-instance conveniences. The calling thread is registered lazily on
 // first use and unregistered automatically at thread exit. QsbrQuiesce()
 // reports a quiescent state in *every* live domain the thread has joined
-// (default and shard domains alike), so a periodic-quiesce loop never pins
+// (default and service domains alike), so a periodic-quiesce loop never pins
 // any domain's grace period.
 Qsbr::Slot* QsbrCurrentSlot();
 void QsbrQuiesce();
@@ -169,7 +169,7 @@ void QsbrQuiesce();
 // RAII per-thread registration for thread pools / bench workers: registers
 // with the default domain on construction; on destruction quiesces and
 // unregisters the thread from *every* domain it lazily joined (so a finished
-// worker never stalls reclamation in any shard or in the default domain).
+// worker never stalls reclamation in any domain, the default one included).
 class QsbrThreadScope {
  public:
   QsbrThreadScope();

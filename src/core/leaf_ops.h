@@ -1229,34 +1229,33 @@ inline void Erase(LeafStore* s, bool direct_pos, uint16_t id) {
   MaybeCompact(s);
 }
 
-// Recomputes both ordered indexes from `slots` (after bulk moves in a split).
-// Plain writes throughout: only legal on stores no speculative reader can
-// reach — freshly built split halves (SplitTail rebuilds BEFORE publication)
-// or the single-threaded index.
-inline void RebuildIndexes(LeafStore* s, bool direct_pos) {
-  const size_t n = s->slots.size();
-  s->by_key.Reserve(n, s->release);
-  s->by_key.SetSize(n);
-  uint16_t* bk = s->by_key.data();
+// The ordered indexes of a split half: `dst` holds src's items of key ranks
+// [lo, hi), appended in key order, so its by_key is the identity and its
+// by_hash is src's (hash, key)-ordered index restricted to the half, each
+// entry's slot id renumbered through rank[] (old slot id -> key rank). Both
+// come in one pass each, no comparison. Plain writes: dst is private until
+// SplitTail publishes it.
+inline void IndexSplitHalf(const LeafStore& src, const uint16_t* rank,
+                           size_t lo, size_t hi, LeafStore* dst,
+                           bool direct_pos) {
+  const size_t n = hi - lo;
+  dst->by_key.Reserve(n, dst->release);
+  dst->by_key.SetSize(n);
   for (size_t i = 0; i < n; i++) {
-    bk[i] = static_cast<uint16_t>(i);
+    dst->by_key.data()[i] = static_cast<uint16_t>(i);
   }
-  std::sort(bk, bk + n,
-            [&](uint16_t a, uint16_t b) { return s->Key(a) < s->Key(b); });
-  if (direct_pos) {
-    s->by_hash.Reserve(n, s->release);
-    s->by_hash.SetSize(n);
-    uint32_t* bh = s->by_hash.data();
-    for (size_t i = 0; i < n; i++) {
-      bh[i] = HashEntry(s->slots[bk[i]].hash, bk[i]);
+  if (!direct_pos) {
+    return;
+  }
+  dst->by_hash.Reserve(n, dst->release);
+  dst->by_hash.SetSize(n);
+  uint32_t* bh = dst->by_hash.data();
+  for (size_t i = 0; i < src.by_hash.size(); i++) {
+    const uint32_t e = src.by_hash[i];
+    const size_t r = rank[EntryId(e)];
+    if (r >= lo && r < hi) {
+      *bh++ = HashEntry(e, static_cast<uint16_t>(r - lo));
     }
-    std::sort(bh, bh + n, [&](uint32_t a, uint32_t b) {  // (hash, key) order
-      const uint32_t ha = s->slots[EntryId(a)].hash;
-      const uint32_t hb = s->slots[EntryId(b)].hash;
-      return ha != hb ? ha < hb : s->Key(EntryId(a)) < s->Key(EntryId(b));
-    });
-  } else {
-    s->by_hash.SetSize(0);
   }
 }
 
@@ -1298,13 +1297,14 @@ inline size_t ChooseSplitIndex(const LeafStore& s, bool shortest_anchor) {
 }
 
 // Moves the key-ordered tail [si, n) of *left into *right (assumed empty) and
-// compacts the retained head in place; rebuilds both stores' indexes. Both
-// halves are assembled as private stores — indexes included — and the head is
-// swapped into *left with four release block publications at the end, so a
-// speculative reader of *left sees either the old store or a fully-built new
-// one (never an index/slots mix from different generations... which its
-// version check would reject anyway; the discipline keeps the window narrow
-// and the blocks internally consistent).
+// compacts the retained head in place; derives both stores' indexes from
+// left's (IndexSplitHalf). Both halves are assembled as private stores —
+// indexes included — and the head is swapped into *left with four release
+// block publications at the end, so a speculative reader of *left sees
+// either the old store or a fully-built new one (never an index/slots mix
+// from different generations... which its version check would reject
+// anyway; the discipline keeps the window narrow and the blocks internally
+// consistent).
 inline void SplitTail(LeafStore* left, LeafStore* right, size_t si,
                       bool direct_pos) {
   const size_t n = left->size();
@@ -1319,13 +1319,17 @@ inline void SplitTail(LeafStore* left, LeafStore* right, size_t si,
     }
     return bytes;
   };
+  std::vector<uint16_t> rank(n);
+  for (size_t i = 0; i < n; i++) {
+    rank[left->by_key[i]] = static_cast<uint16_t>(i);
+  }
   right->slots.Reserve(n - si, right->release);
   right->slab.Reserve(slab_bytes_of(si, n), right->release);
   for (size_t i = si; i < n; i++) {
     const uint16_t id = left->by_key[i];
     AppendRaw(right, left->Key(id), left->Value(id), left->slots[id].hash);
   }
-  RebuildIndexes(right, direct_pos);
+  IndexSplitHalf(*left, rank.data(), si, n, right, direct_pos);
   LeafStore head;  // null release hook: scratch blocks free immediately
   head.slots.Reserve(si, head.release);
   head.slab.Reserve(slab_bytes_of(0, si), head.release);
@@ -1333,7 +1337,7 @@ inline void SplitTail(LeafStore* left, LeafStore* right, size_t si,
     const uint16_t id = left->by_key[i];
     AppendRaw(&head, left->Key(id), left->Value(id), left->slots[id].hash);
   }
-  RebuildIndexes(&head, direct_pos);
+  IndexSplitHalf(*left, rank.data(), 0, si, &head, direct_pos);
   left->slots.AdoptFrom(&head.slots, left->release);
   left->by_key.AdoptFrom(&head.by_key, left->release);
   left->by_hash.AdoptFrom(&head.by_hash, left->release);

@@ -782,6 +782,8 @@ bool BasicWormhole<Sync>::MultiPut(
   // (SearchGroup, with Put's search), and stage 3 applies the group's items
   // in batch order under their leaves' exclusive locks, using a key's
   // pre-search only if the locked leaf is still exactly what it searched.
+  // A group of one key has no search to overlap with, so it skips stage 2
+  // and searches under the lock, as Put does.
   std::string_view keys[kRouteGroup];
   Route routes[kRouteGroup];
   LeafSearch<leafops::PutProbe> pre[kRouteGroup];
@@ -794,7 +796,8 @@ bool BasicWormhole<Sync>::MultiPut(
       keys[i] = items[base + i].first;
     }
     RouteGroup(keys, g, routes);
-    if (opt_.optimistic_retries > 0) {
+    const bool presearch = opt_.optimistic_retries > 0 && g > 1;
+    if (presearch) {
       SearchGroup(keys, g, routes, pre);
     }
     for (size_t i = 0; i < g; i++) {
@@ -815,7 +818,8 @@ bool BasicWormhole<Sync>::MultiPut(
       // on the leaf since its snapshot: the version held still. Under the
       // exclusive lock none can be running.
       const LeafSearch<leafops::PutProbe>& p = pre[i];
-      const bool fresh = p.live && leaf == routes[i].leaf && !p.probe.bad() &&
+      const bool fresh = presearch && p.live && leaf == routes[i].leaf &&
+                         !p.probe.bad() &&
                          leafops::SeqlockReadValidate(leaf->version, p.begin);
       const PutOutcome oc = PutInLeaf(
           leaf, key, value, h,
@@ -952,7 +956,7 @@ bool BasicWormhole<Sync>::DeleteSlow(std::string_view key) {
 
 // Per-thread free list of cursor windows. A cursor takes a window when it
 // opens and hands it back when it is destroyed, so a thread that opens
-// cursor after cursor (Service::Execute opens one per shard per batch)
+// cursor after cursor (Service::Execute opens one per batch)
 // reuses slot-snapshot arrays already grown to its leaves instead of
 // allocating fresh ones each time. Only the windows are recycled: every
 // cursor still takes its own epoch pin and drops it when destroyed. A window

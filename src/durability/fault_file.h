@@ -28,9 +28,9 @@
 // instance for callers that don't inject.
 //
 // Thread safety: FaultPlan is internally synchronized (budgets are consumed
-// from concurrent shard threads). Fs is stateless apart from the plan
+// from concurrent client threads). Fs is stateless apart from the plan
 // pointer and safe to share. An AppendFile is a single-writer handle — the
-// WAL serializes appends per shard (service wal_mu) and snapshot writers are
+// WAL serializes appends per log partition (service wal_mu) and snapshot writers are
 // single-threaded, so it carries no lock of its own.
 #ifndef WH_SRC_DURABILITY_FAULT_FILE_H_
 #define WH_SRC_DURABILITY_FAULT_FILE_H_
@@ -65,7 +65,7 @@ class Status {
 };
 
 // Shared fault schedule. One plan may drive many Fs/AppendFile handles (all
-// shards of a service under one kill point).
+// log partitions of a service under one kill point).
 class FaultPlan {
  public:
   FaultPlan() = default;

@@ -80,7 +80,8 @@ class ChecksummedWriter {
 }  // namespace
 
 Status WriteSnapshot(Fs* fs, const std::string& dir, uint64_t seq,
-                     Cursor* cursor, SnapshotStats* stats) {
+                     Cursor* cursor, std::string_view lo, std::string_view hi,
+                     SnapshotStats* stats) {
   *stats = SnapshotStats();
   const std::string name = SnapshotName(seq);
   const std::string tmp_path = dir + "/" + name + ".tmp";
@@ -97,9 +98,12 @@ Status WriteSnapshot(Fs* fs, const std::string& dir, uint64_t seq,
 
   uint64_t count = 0;
   std::string item;
-  for (cursor->Seek(std::string_view()); cursor->Valid(); cursor->Next()) {
-    item.clear();
+  for (cursor->Seek(lo); cursor->Valid(); cursor->Next()) {
     const std::string_view key = cursor->key();
+    if (!hi.empty() && key >= hi) {
+      break;
+    }
+    item.clear();
     const std::string_view value = cursor->value();
     PutU32(&item, static_cast<uint32_t>(key.size()));
     PutU32(&item, static_cast<uint32_t>(value.size()));

@@ -1,4 +1,4 @@
-// Point-in-time shard snapshots + the recovery entry point.
+// Point-in-time snapshots of a log partition + the recovery entry point.
 //
 // A snapshot is taken through an epoch-pinned cursor sweep (src/common/
 // cursor.h) while writers stay live, so it is FUZZY: it contains every
@@ -7,7 +7,7 @@
 // recovery replays the WAL tail from floor+1 in seq order and Put/Delete
 // are idempotent at equal history positions — replaying an already-visible
 // suffix converges to exactly the log's final state. (The floor is read
-// from the shard's applied-seq counter BEFORE the sweep starts; WAL append
+// from the partition's applied-seq counter BEFORE the sweep starts; WAL append
 // happens before apply, so every record <= floor is both durable and
 // visible to the cursor.)
 //
@@ -48,12 +48,14 @@ struct SnapshotStats {
   uint64_t bytes = 0;  // published file size
 };
 
-// Sweeps `cursor` from the smallest key and publishes the result as the
-// shard's current snapshot with floor `seq` (see the publish protocol
-// above). The cursor must be freshly constructed or repositionable; writers
+// Sweeps the keys in [lo, hi) through `cursor` and publishes them as the
+// partition's current snapshot with floor `seq` (see the publish protocol
+// above). An empty `hi` means no upper bound, so ("", "") sweeps the whole
+// index. The cursor must be freshly constructed or repositionable; writers
 // may run concurrently (fuzziness contract above).
 Status WriteSnapshot(Fs* fs, const std::string& dir, uint64_t seq,
-                     Cursor* cursor, SnapshotStats* stats);
+                     Cursor* cursor, std::string_view lo, std::string_view hi,
+                     SnapshotStats* stats);
 
 // Loads the manifest-current snapshot, invoking fn(key, value) per item in
 // key order. No manifest => empty store, *seq_out = 0, ok. Any mismatch
@@ -73,11 +75,11 @@ struct RecoverStats {
   std::string torn_detail;
 };
 
-// Full shard recovery: snapshot items first (as Puts), then the WAL tail
+// Full recovery of one partition directory: snapshot items first (as Puts), then the WAL tail
 // with seq > floor, through the same apply callback. Enforces continuity
 // between the two (a WAL whose first record skips past floor+1 means
-// truncated history and is rejected). The caller applies into an empty
-// index and then Wal::Open()s the same dir to continue the history.
+// truncated history and is rejected). The caller applies into an index
+// holding none of the directory's keys and then Wal::Open()s the same dir to continue the history.
 using RecoverApplyFn = std::function<void(WalOp op, std::string_view key,
                                           std::string_view value)>;
 Status RecoverShard(Fs* fs, const std::string& dir,

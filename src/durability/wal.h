@@ -1,5 +1,5 @@
-// Per-shard append-only segmented write-ahead log with group commit. One Wal
-// per shard: the service appends each shard sub-batch as ONE record batch
+// Append-only segmented write-ahead log with group commit. One Wal per log
+// partition: the service appends each partition sub-batch as ONE record batch
 // (one buffer build, one write, at most one fsync — the group commit that
 // rides the existing MultiPut batching), and recovery replays the log tail
 // over the latest snapshot (see snapshot.h).
@@ -28,7 +28,7 @@
 //
 // Sequence numbers start at 1, increase by exactly 1 per record with no
 // gaps, and are assigned at append time in apply order — the log IS the
-// shard's serialized mutation history.
+// partition's serialized mutation history.
 //
 // Torn tail vs corruption (the recovery contract):
 //   Replay walks segments in seq order, records front to back. For a record
@@ -65,8 +65,8 @@
 // ===========================================================================
 //
 // Thread safety: a Wal is NOT internally synchronized. The service owns one
-// per shard and serializes AppendBatch/Sync/TruncateBefore under the shard's
-// wal_mu (WAL order must equal apply order; see service.h).
+// per log partition and serializes AppendBatch/Sync/TruncateBefore under the
+// partition's wal_mu (WAL order must equal apply order; see service.h).
 #ifndef WH_SRC_DURABILITY_WAL_H_
 #define WH_SRC_DURABILITY_WAL_H_
 

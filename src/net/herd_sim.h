@@ -1,5 +1,5 @@
 // HERD-style networked KV simulation. Clients submit batches; the server
-// answers from the wrapped index or sharded service, and every
+// answers from the wrapped index or the service, and every
 // request/response is charged against a shared serial-link model (a token
 // bucket expressed as a "link busy until" timestamp). With a 100 Gb/s link
 // the index is the bottleneck for short keys and the wire for 1 KB keys,
@@ -7,8 +7,8 @@
 //
 //   SerialLink       the shared wire model
 //   HerdStore        point-lookup batches against a bare index (Fig. 12)
-//   HerdServiceLink  full Request/Response batches against the sharded
-//                    Service (templated so src/net stays independent of
+//   HerdServiceLink  full Request/Response batches against the Service
+//                    (templated so src/net stays independent of
 //                    src/server)
 #ifndef WH_SRC_NET_HERD_SIM_H_
 #define WH_SRC_NET_HERD_SIM_H_
@@ -96,7 +96,7 @@ class HerdStore {
   SerialLink link_;
 };
 
-// The simulated client link for the sharded service: executes one batch of
+// The simulated client link for the service: executes one batch of
 // Get/Put/Delete/Scan requests and charges the wire for what actually moved —
 // keys and Put payloads inbound, hit values and scan items outbound, one
 // header each way per request.

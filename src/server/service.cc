@@ -43,73 +43,83 @@ void AppendItem(std::vector<Item>* items, std::string_view key,
 }  // namespace
 
 Service::Service(const ServiceOptions& opt, ShardRouter router)
-    : router_(std::move(router)), dur_(opt.durability) {
+    : router_(std::move(router)), dur_(opt.durability), index_(opt.index, &qsbr_) {
   if (dur_.enabled && dur_.fs == nullptr) {
     dur_.fs = durability::Fs::Default();
   }
-  shards_.reserve(router_.shard_count());
-  for (size_t i = 0; i < router_.shard_count(); i++) {
-    auto shard = std::make_unique<Shard>();
-    shard->qsbr = std::make_unique<Qsbr>();
-    shard->index = std::make_unique<Wormhole>(opt.index, shard->qsbr.get());
+  const size_t n = dur_.enabled ? router_.shard_count() : 1;
+  partitions_.reserve(n);
+  for (size_t i = 0; i < n; i++) {
+    partitions_.push_back(std::make_unique<Partition>());
     if (dur_.enabled) {
-      RecoverShardFromDisk(shard.get(), i);
+      RecoverPartition(partitions_.back().get(), i);
     }
-    shards_.push_back(std::move(shard));
   }
 }
 
-// Shard members destruct wal-before-index-before-qsbr (reverse declaration
-// order): the WAL's destructor issues its best-effort shutdown sync while
+// Members destruct partitions-before-index-before-qsbr (reverse declaration
+// order): each WAL's destructor issues its best-effort shutdown sync while
 // the index is still alive, and the index drains into its qsbr domain last.
 Service::~Service() = default;
 
 // Runs on the constructor thread, before any Execute() can exist, so the
-// direct index->Put/Delete calls need no wal_mu and the final applied_seq
-// store needs no ordering partner. A failure leaves the shard constructed
-// but failed (fail-stop from the first request on).
-void Service::RecoverShardFromDisk(Shard* shard, size_t shard_index) {
-  shard->dir = dur_.dir + "/shard-" + std::to_string(shard_index);
-  durability::Status st = dur_.fs->MkDirs(shard->dir);
+// direct index_.Put/Delete calls need no wal_mu and the final applied_seq
+// store needs no ordering partner. Partitions cover disjoint key ranges, so
+// replaying them one after another into the one index gives each key its
+// own partition's history. A record whose key routes to another partition
+// (the directory was written under different boundaries) would break that,
+// and is refused. A failure leaves the partition constructed but failed
+// (fail-stop from the first request on).
+void Service::RecoverPartition(Partition* part, size_t i) {
+  part->dir = dur_.dir + "/shard-" + std::to_string(i);
+  durability::Status st = dur_.fs->MkDirs(part->dir);
   durability::RecoverStats stats;
+  std::string misrouted;  // the first foreign key, if any
   if (st.ok()) {
     st = durability::RecoverShard(
-        dur_.fs, shard->dir,
+        dur_.fs, part->dir,
         [&](durability::WalOp op, std::string_view key,
             std::string_view value) {
-          if (op == durability::WalOp::kPut) {
-            shard->index->Put(key, value);
+          if (router_.ShardOf(key) != i) {
+            misrouted = misrouted.empty() ? std::string(key) : misrouted;
+          } else if (op == durability::WalOp::kPut) {
+            index_.Put(key, value);
           } else {
-            shard->index->Delete(key);
+            index_.Delete(key);
           }
         },
         &stats);
   }
+  if (st.ok() && !misrouted.empty()) {
+    st = durability::Status::Error(
+        "key '" + misrouted + "' in " + part->dir + " routes to partition " +
+        std::to_string(router_.ShardOf(misrouted)) +
+        ": the directory was written under other partition boundaries");
+  }
   if (st.ok()) {
     durability::Status open_st;
-    shard->wal =
-        durability::Wal::Open(dur_.fs, shard->dir, dur_.wal, &open_st);
-    if (shard->wal == nullptr) {
+    part->wal = durability::Wal::Open(dur_.fs, part->dir, dur_.wal, &open_st);
+    if (part->wal == nullptr) {
       st = open_st;
     } else {
       // The log continues exactly where the recovered history ends; any
       // other next_seq means segments were lost out from under the snapshot.
       const uint64_t recovered = std::max(stats.snapshot_seq, stats.last_seq);
-      if (shard->wal->next_seq() != recovered + 1) {
+      if (part->wal->next_seq() != recovered + 1) {
         st = durability::Status::Error(
-            "WAL/snapshot sequence mismatch in " + shard->dir +
+            "WAL/snapshot sequence mismatch in " + part->dir +
             ": recovered history ends at seq " + std::to_string(recovered) +
             " but the log would continue at seq " +
-            std::to_string(shard->wal->next_seq()));
+            std::to_string(part->wal->next_seq()));
       } else {
-        shard->applied_seq.store(recovered, std::memory_order_release);
+        part->applied_seq.store(recovered, std::memory_order_release);
       }
     }
   }
   if (!st.ok()) {
-    ScopedLock g(shard->wal_mu);
-    shard->first_error = st;
-    shard->failed.store(true, std::memory_order_release);
+    ScopedLock g(part->wal_mu);
+    part->first_error = st;
+    part->failed.store(true, std::memory_order_release);
   }
 }
 
@@ -124,23 +134,26 @@ void Service::Execute(const std::vector<Request>& batch,
   // and run dispatch. Execute never re-enters itself, so no other call on
   // this thread touches it while this one runs.
   thread_local ExecScratch scratch;
-  // Runs on every exit, an exception's too: the batch's cursors and their
-  // epoch pins must not outlive it (see ExecScratch::cursors).
+  // Runs on every exit, an exception's too: the batch's cursor and its
+  // epoch pin must not outlive it (see ExecScratch::cursor).
   struct CursorRelease {
-    std::vector<std::unique_ptr<Cursor>>& cursors;
-    ~CursorRelease() { cursors.clear(); }
-  } cursor_release{scratch.cursors};
+    std::unique_ptr<Cursor>& cursor;
+    ~CursorRelease() { cursor.reset(); }
+  } cursor_release{scratch.cursor};
 
-  // Stable grouping: per-shard sub-batches preserve submission order, which
-  // is what makes per-key semantics exactly sequential (all ops on one key
-  // land in one shard). A two-pass counting sort into one flat index buffer
-  // — no per-shard vectors, no push_back growth.
+  // Stable grouping by log partition: each partition's sub-batch keeps
+  // submission order, which is what makes per-key semantics exactly
+  // sequential (all ops on one key land in one partition). A two-pass
+  // counting sort into one flat index buffer — no per-partition vectors, no
+  // push_back growth. With one partition (WAL-off mode) the router is never
+  // consulted and the sort keeps the whole batch in submission order.
   // Oversized requests join no sub-batch (see kMaxKeyBytes).
   constexpr uint32_t kRefused = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t>& shard_of = scratch.shard_of;
+  const bool partitioned = partitions_.size() > 1;
+  std::vector<uint32_t>& part_of = scratch.part_of;
   std::vector<size_t>& offsets = scratch.offsets;
-  shard_of.resize(batch.size());
-  offsets.assign(shards_.size() + 1, 0);
+  part_of.resize(batch.size());
+  offsets.assign(partitions_.size() + 1, 0);
   for (size_t i = 0; i < batch.size(); i++) {
     Response& r = (*responses)[i];
     r.found = false;
@@ -154,38 +167,39 @@ void Service::Execute(const std::vector<Request>& batch,
     }
     if (refused) {
       r.ok = false;
-      shard_of[i] = kRefused;
+      part_of[i] = kRefused;
       continue;
     }
-    shard_of[i] = static_cast<uint32_t>(router_.ShardOf(batch[i].key));
-    offsets[shard_of[i] + 1]++;
+    part_of[i] = partitioned
+                     ? static_cast<uint32_t>(router_.ShardOf(batch[i].key))
+                     : 0;
+    offsets[part_of[i] + 1]++;
   }
-  for (size_t s = 1; s < offsets.size(); s++) {
-    offsets[s] += offsets[s - 1];
+  for (size_t p = 1; p < offsets.size(); p++) {
+    offsets[p] += offsets[p - 1];
   }
   std::vector<uint32_t>& order = scratch.order;
   order.resize(batch.size());
   scratch.fill.assign(offsets.begin(), offsets.end() - 1);
   for (uint32_t i = 0; i < batch.size(); i++) {
-    if (shard_of[i] != kRefused) {
-      order[scratch.fill[shard_of[i]]++] = i;  // ascending i keeps it stable
+    if (part_of[i] != kRefused) {
+      order[scratch.fill[part_of[i]]++] = i;  // ascending i keeps it stable
     }
   }
 
-  for (size_t s = 0; s < shards_.size(); s++) {
-    const uint32_t* idx = order.data() + offsets[s];
-    const size_t idx_n = offsets[s + 1] - offsets[s];
+  for (size_t p = 0; p < partitions_.size(); p++) {
+    const uint32_t* idx = order.data() + offsets[p];
+    const size_t idx_n = offsets[p + 1] - offsets[p];
     if (idx_n == 0) {
       continue;
     }
     if (!dur_.enabled) {
-      RunShardOps(s, batch, idx, idx_n, responses, &scratch,
-                  /*apply_mutations=*/true);
+      RunOps(batch, idx, idx_n, responses, &scratch, /*apply_mutations=*/true);
       continue;
     }
     // Durable mode: collect the sub-batch's mutations in submission order
     // and group-commit them as one WAL append before applying any of them.
-    Shard& shard = *shards_[s];
+    Partition& part = *partitions_[p];
     scratch.wal_entries.clear();
     for (size_t k = 0; k < idx_n; k++) {
       const Request& req = batch[idx[k]];
@@ -198,46 +212,40 @@ void Service::Execute(const std::vector<Request>& batch,
       }
     }
     if (scratch.wal_entries.empty()) {
-      // Read-only sub-batch: no ordering point needed, wal_mu untouched —
-      // the read path costs the same as WAL-off.
-      RunShardOps(s, batch, idx, idx_n, responses, &scratch,
-                  /*apply_mutations=*/true);
+      // Read-only sub-batch: no ordering point needed, wal_mu untouched.
+      RunOps(batch, idx, idx_n, responses, &scratch, /*apply_mutations=*/true);
       continue;
     }
     // wal_mu spans append AND apply: two batches may not interleave between
     // the two, or the log's order would diverge from the index's.
-    ScopedLock wal_guard(shard.wal_mu);
+    ScopedLock wal_guard(part.wal_mu);
     durability::Status st;
     uint64_t last_seq = 0;
-    if (shard.failed.load(std::memory_order_acquire)) {
-      st = shard.first_error;
+    if (part.failed.load(std::memory_order_acquire)) {
+      st = part.first_error;
     } else {
-      st = shard.wal->AppendBatch(scratch.wal_entries.data(),
-                                  scratch.wal_entries.size(), &last_seq);
+      st = part.wal->AppendBatch(scratch.wal_entries.data(),
+                                 scratch.wal_entries.size(), &last_seq);
     }
     if (st.ok()) {
-      RunShardOps(s, batch, idx, idx_n, responses, &scratch,
-                  /*apply_mutations=*/true);
-      shard.applied_seq.store(last_seq, std::memory_order_release);
+      RunOps(batch, idx, idx_n, responses, &scratch, /*apply_mutations=*/true);
+      part.applied_seq.store(last_seq, std::memory_order_release);
     } else {
       // Fail-stop: the batch's mutations were not made durable, so they are
       // not applied either — acknowledging them would be silent data loss
       // (the fsyncgate rule). Reads still serve.
-      if (!shard.failed.load(std::memory_order_acquire)) {
-        shard.first_error = st;
-        shard.failed.store(true, std::memory_order_release);
+      if (!part.failed.load(std::memory_order_acquire)) {
+        part.first_error = st;
+        part.failed.store(true, std::memory_order_release);
       }
-      RunShardOps(s, batch, idx, idx_n, responses, &scratch,
-                  /*apply_mutations=*/false);
+      RunOps(batch, idx, idx_n, responses, &scratch, /*apply_mutations=*/false);
     }
   }
 }
 
-void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
-                          const uint32_t* idx, size_t idx_n,
-                          std::vector<Response>* responses,
-                          ExecScratch* scratch, bool apply_mutations) {
-  Wormhole* index = shards_[s]->index.get();
+void Service::RunOps(const std::vector<Request>& batch, const uint32_t* idx,
+                     size_t idx_n, std::vector<Response>* responses,
+                     ExecScratch* scratch, bool apply_mutations) {
   size_t i = 0;
   while (i < idx_n) {
     const Op op = batch[idx[i]].op;
@@ -266,7 +274,7 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
           scratch->keys.push_back(batch[idx[k]].key);
           scratch->values[k - i].swap((*responses)[idx[k]].value);
         }
-        index->MultiGet(scratch->keys, &scratch->values, &scratch->hits);
+        index_.MultiGet(scratch->keys, &scratch->values, &scratch->hits);
         for (size_t k = i; k < j; k++) {
           Response& r = (*responses)[idx[k]];
           r.found = scratch->hits[k - i] != 0;
@@ -286,7 +294,7 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
           scratch->puts.emplace_back(batch[idx[k]].key, batch[idx[k]].value);
           (*responses)[idx[k]].found = true;
         }
-        index->MultiPut(scratch->puts);
+        index_.MultiPut(scratch->puts);
         break;
       }
       case Op::kDelete:
@@ -294,7 +302,7 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
           (*responses)[idx[i]].ok = false;
           break;
         }
-        (*responses)[idx[i]].found = index->Delete(batch[idx[i]].key);
+        (*responses)[idx[i]].found = index_.Delete(batch[idx[i]].key);
         break;
       case Op::kScan:
       case Op::kScanRev:
@@ -308,10 +316,10 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
             keys[q - k] = batch[idx[q]].key;
           }
           if (end - k > 1) {
-            index->PrefetchRoutes(keys, end - k);
+            index_.PrefetchRoutes(keys, end - k);
           }
           for (; k < end; k++) {
-            ExecuteScan(s, batch[idx[k]], &(*responses)[idx[k]], &scratch->cursors);
+            ExecuteScan(batch[idx[k]], &(*responses)[idx[k]], &scratch->cursor);
           }
         }
         break;
@@ -320,36 +328,20 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
   }
 }
 
-// Merges per-shard cursor streams into one globally ordered result. An
-// ascending scan can only find keys in shards first_shard.. (everything
-// below holds keys < the start key's shard range); a descending one only in
-// ..first_shard. This is the k-way merge over per-shard cursors specialized
-// to this router's shard ranges, which are DISJOINT and in scan order: at
-// any instant exactly one open cursor could hold the extreme key, so the
-// general repeatedly-pick-the-minimum loop collapses to draining one
-// shard's cursor at a time, each opened (one epoch pin + route + leaf-window
-// copy) only when the scan reaches it. Written as the explicit drain, not
-// the general merge, so the code says what actually executes; a router with
-// overlapping ranges would need the real k-cursor selection loop back.
-// Unlike the old anchor-restart stitching there are no boundary re-seeks,
-// and reverse iteration falls out of the same structure.
-//
-// Each shard's cursor comes from *cursors — the per-batch cache Execute()
-// passes in — so a scan-heavy batch opens one cursor per shard for the WHOLE
-// batch (one epoch pin, one window buffer) instead of one per request. The
-// remaining item budget is threaded down as the scan-limit hint, so a short
-// scan engages the core's bounded fill and copies only the items it returns;
-// the drain emits the limit-th item without stepping past it, so the cursor
-// never pays a repositioning nobody consumes.
+// One cursor serves the batch's scans: the first opens it (one epoch pin,
+// QSBR slot and window buffer), and every later one repositions it. The item
+// budget is passed down as the scan-limit hint, so a short scan engages the
+// core's bounded fill and copies only the items it returns; the loop emits
+// the limit-th item without stepping past it, so the cursor never pays a
+// repositioning nobody consumes.
 //
 // Items are written over resp->items in place: item n reuses the strings
 // already at position n (assign keeps their capacity), items past the old
 // length take strings from the thread's item free list, and the surplus
 // tail goes back to that list at the end. The cursor's key()/value() are
 // views into the leaf's slab, so each item's bytes are copied once, here.
-void Service::ExecuteScan(size_t first_shard, const Request& req,
-                          Response* resp,
-                          std::vector<std::unique_ptr<Cursor>>* cursors) {
+void Service::ExecuteScan(const Request& req, Response* resp,
+                          std::unique_ptr<Cursor>* cursor) {
   auto& items = resp->items;
   const size_t limit = req.scan_limit;
   if (limit == 0) {
@@ -357,40 +349,32 @@ void Service::ExecuteScan(size_t first_shard, const Request& req,
     return;  // contract (service.h): scan_limit 0 -> empty response
   }
   items.reserve(std::min<size_t>(limit, 1024));
-  if (cursors->size() != shards_.size()) {
-    cursors->resize(shards_.size());  // first scan of the batch
+  if (*cursor == nullptr) {
+    *cursor = index_.NewCursor();  // first scan of the batch
   }
+  Cursor* c = cursor->get();
+  c->SetScanLimitHint(limit);
   const bool reverse = req.op == Op::kScanRev;
-  const size_t candidates =
-      reverse ? first_shard + 1 : shards_.size() - first_shard;
+  if (reverse) {
+    c->SeekForPrev(req.key);
+  } else {
+    c->Seek(req.key);
+  }
   size_t n = 0;  // items written so far
-  for (size_t i = 0; i < candidates && n < limit; i++) {
-    const size_t s = reverse ? first_shard - i : first_shard + i;
-    if ((*cursors)[s] == nullptr) {
-      (*cursors)[s] = shards_[s]->index->NewCursor();
-    }
-    Cursor* c = (*cursors)[s].get();
-    c->SetScanLimitHint(limit - n);
-    if (reverse) {
-      c->SeekForPrev(req.key);
+  while (c->Valid()) {
+    if (n < items.size()) {
+      items[n].first.assign(c->key());
+      items[n].second.assign(c->value());
     } else {
-      c->Seek(req.key);
+      AppendItem(&items, c->key(), c->value());
     }
-    while (c->Valid()) {
-      if (n < items.size()) {
-        items[n].first.assign(c->key());
-        items[n].second.assign(c->value());
-      } else {
-        AppendItem(&items, c->key(), c->value());
-      }
-      if (++n == limit) {
-        break;
-      }
-      if (reverse) {
-        c->Prev();
-      } else {
-        c->Next();
-      }
+    if (++n == limit) {
+      break;
+    }
+    if (reverse) {
+      c->Prev();
+    } else {
+      c->Next();
     }
   }
   GiveBackItems(&items, n);
@@ -400,32 +384,38 @@ durability::Status Service::Checkpoint() {
   if (!dur_.enabled) {
     return durability::Status::Error("Checkpoint: durability not enabled");
   }
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    if (shard.failed.load(std::memory_order_acquire)) {
-      ScopedLock g(shard.wal_mu);
-      return shard.first_error;
+  const std::vector<std::string>& bounds = router_.boundaries();
+  for (size_t i = 0; i < partitions_.size(); i++) {
+    Partition& part = *partitions_[i];
+    if (part.failed.load(std::memory_order_acquire)) {
+      ScopedLock g(part.wal_mu);
+      return part.first_error;
     }
     // Floor, then sweep: applied_seq is release-stored AFTER a batch's
     // mutations are applied, so every record <= floor is visible to a
     // cursor opened now. Concurrent writes with seq > floor may leak into
     // the sweep — harmless, the snapshot is fuzzy by contract (snapshot.h)
-    // and replay from floor+1 converges it.
-    const uint64_t floor = shard.applied_seq.load(std::memory_order_acquire);
+    // and replay from floor+1 converges it. The sweep covers only the
+    // partition's own range, so a snapshot holds no key another
+    // partition's log governs.
+    const uint64_t floor = part.applied_seq.load(std::memory_order_acquire);
+    const std::string_view lo = i == 0 ? std::string_view() : bounds[i - 1];
+    const std::string_view hi =
+        i < bounds.size() ? std::string_view(bounds[i]) : std::string_view();
     durability::SnapshotStats stats;
     durability::Status st;
     {
       // The sweep runs WITHOUT wal_mu: writers keep committing while the
       // snapshot is written. Only the log truncation below serializes.
-      std::unique_ptr<Cursor> cursor = shard.index->NewCursor();
-      st = durability::WriteSnapshot(dur_.fs, shard.dir, floor, cursor.get(),
-                                     &stats);
+      std::unique_ptr<Cursor> cursor = index_.NewCursor();
+      st = durability::WriteSnapshot(dur_.fs, part.dir, floor, cursor.get(),
+                                     lo, hi, &stats);
     }
     if (!st.ok()) {
-      return st;  // WAL is untouched; the shard stays healthy
+      return st;  // WAL is untouched; the partition stays healthy
     }
-    ScopedLock g(shard.wal_mu);
-    st = shard.wal->TruncateBefore(floor + 1);
+    ScopedLock g(part.wal_mu);
+    st = part.wal->TruncateBefore(floor + 1);
     if (!st.ok()) {
       return st;
     }
@@ -434,29 +424,22 @@ durability::Status Service::Checkpoint() {
 }
 
 durability::Status Service::durability_status() const {
-  for (const auto& shard : shards_) {
-    if (shard->failed.load(std::memory_order_acquire)) {
-      ScopedLock g(shard->wal_mu);
-      return shard->first_error;
+  for (const auto& part : partitions_) {
+    if (part->failed.load(std::memory_order_acquire)) {
+      ScopedLock g(part->wal_mu);
+      return part->first_error;
     }
   }
   return durability::Status();
 }
 
-size_t Service::size() const {
-  size_t total = 0;
-  for (const auto& s : shards_) {
-    total += s->index->size();
-  }
-  return total;
-}
+size_t Service::size() const { return index_.size(); }
 
+// index_.MemoryBytes() counts the Wormhole object itself, which
+// sizeof(*this) holds too.
 uint64_t Service::MemoryBytes() const {
-  uint64_t total = sizeof(*this);
-  for (const auto& s : shards_) {
-    total += sizeof(Shard) + sizeof(Qsbr) + s->index->MemoryBytes();
-  }
-  return total;
+  return sizeof(*this) - sizeof(index_) + index_.MemoryBytes() +
+         partitions_.size() * sizeof(Partition);
 }
 
 }  // namespace wh

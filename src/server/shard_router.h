@@ -2,7 +2,9 @@
 // same mechanism Wormhole uses for leaf anchors one level up: shard i covers
 // [boundaries[i-1], boundaries[i]) with an implied "" before the first
 // boundary, so every key routes to exactly one shard and the concatenation of
-// the shards' ordered contents is the ordered whole.
+// the shards' ordered contents is the ordered whole. The Service keeps one
+// index for every key and uses the router only in durable mode, to pick the
+// write-ahead log partition (shard-<i> directory) a request commits to.
 //
 // Boundaries are chosen from sampled keys with the shortest-separating-prefix
 // trick (leafops::SeparatorLen): the anchor between two adjacent samples is

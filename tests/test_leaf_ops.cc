@@ -1,5 +1,5 @@
 // Property tests for the slab-backed LeafStore (src/core/leaf_ops.h): random
-// Insert / UpdateValue / Erase / RebuildIndexes / Compact sequences must keep
+// Insert / UpdateValue / Erase / index rebuild / Compact sequences must keep
 // `slots`, `by_key`, `by_hash` and the slab encoding mutually consistent, and
 // FindSlot must agree with a std::map oracle at every step, and so must
 // SpecFillWindow (the cursor's only window extractor) and the resumable
@@ -48,6 +48,37 @@ void InsertAbsent(LeafStore* s, bool direct_pos, std::string_view key,
 // The hash a store's keys were inserted with. The adversarial cases below
 // pass degenerate ones into Insert to stress the tag-run search.
 using HashFn = uint32_t (*)(std::string_view);
+
+// The indexes recomputed from `slots` by sorting: the oracle Insert's
+// splices and SplitTail's derived indexes must match entry for entry. Plain
+// writes: the store must be private to the test.
+void RebuildIndexes(LeafStore* s, bool direct_pos) {
+  const size_t n = s->slots.size();
+  s->by_key.Reserve(n, s->release);
+  s->by_key.SetSize(n);
+  uint16_t* bk = s->by_key.data();
+  for (size_t i = 0; i < n; i++) {
+    bk[i] = static_cast<uint16_t>(i);
+  }
+  std::sort(bk, bk + n,
+            [&](uint16_t a, uint16_t b) { return s->Key(a) < s->Key(b); });
+  if (direct_pos) {
+    s->by_hash.Reserve(n, s->release);
+    s->by_hash.SetSize(n);
+    uint32_t* bh = s->by_hash.data();
+    for (size_t i = 0; i < n; i++) {
+      bh[i] = leafops::HashEntry(s->slots[bk[i]].hash, bk[i]);
+    }
+    std::sort(bh, bh + n, [&](uint32_t a, uint32_t b) {  // (hash, key) order
+      const uint32_t ha = s->slots[leafops::EntryId(a)].hash;
+      const uint32_t hb = s->slots[leafops::EntryId(b)].hash;
+      return ha != hb ? ha < hb
+                      : s->Key(leafops::EntryId(a)) < s->Key(leafops::EntryId(b));
+    });
+  } else {
+    s->by_hash.SetSize(0);
+  }
+}
 
 // Every structural invariant of one store, checked against the oracle.
 void CheckStore(const LeafStore& s, bool direct_pos,
@@ -318,8 +349,8 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
         leafops::Erase(&store, direct_pos, static_cast<uint16_t>(slot));
         oracle.erase(key);
       }
-    } else if (roll < 85) {  // bulk-rebuild (the split path's index refresh)
-      leafops::RebuildIndexes(&store, direct_pos);
+    } else if (roll < 85) {  // recompute the indexes from scratch
+      RebuildIndexes(&store, direct_pos);
     } else if (roll < 90) {  // forced compaction
       leafops::Compact(&store);
       ASSERT_EQ(store.dead, 0u);
@@ -409,7 +440,7 @@ void RunTagRuns(HashFn hash_of, size_t n_max, uint64_t seed) {
   }
   // Insert's splices and a full rebuild agree entry for entry.
   const std::vector<uint32_t> spliced(s.by_hash.begin(), s.by_hash.end());
-  leafops::RebuildIndexes(&s, true);
+  RebuildIndexes(&s, true);
   ASSERT_EQ(std::vector<uint32_t>(s.by_hash.begin(), s.by_hash.end()),
             spliced);
   for (size_t i = keys.size(); i > 1; i--) {
@@ -462,40 +493,57 @@ TEST(LeafOps, EraseKeepsMovedEntryTag) {
   ASSERT_EQ(value, "c");
 }
 
+// SplitTail derives each half's indexes from the full store's; they must
+// equal a from-scratch rebuild, also through equal-tag and equal-hash runs.
 TEST(LeafOps, SplitTailPartitionsAndCompacts) {
   for (const bool direct_pos : {true, false}) {
-    SCOPED_TRACE(direct_pos);
-    Rng rng(11);
-    LeafStore left;
-    std::map<std::string, std::string> oracle;
-    for (int i = 0; i < 101; i++) {
-      const std::string key = "split-" + std::to_string(rng.NextBounded(100000));
-      const std::string value = RandomValue(rng);
-      if (leafops::FindSlot(left, direct_pos, key, FullHash(key)) < 0) {
-        InsertAbsent(&left, direct_pos, key, value, FullHash(key));
-        oracle[key] = value;
+    for (const HashFn hash_of : {FullHash, SameTag, SameHash}) {
+      SCOPED_TRACE(direct_pos);
+      Rng rng(11);
+      LeafStore left;
+      std::map<std::string, std::string> oracle;
+      for (int i = 0; i < 101; i++) {
+        const std::string key =
+            "split-" + std::to_string(rng.NextBounded(100000));
+        const std::string value = RandomValue(rng);
+        if (leafops::FindSlot(left, direct_pos, key, hash_of(key)) < 0) {
+          InsertAbsent(&left, direct_pos, key, value, hash_of(key));
+          oracle[key] = value;
+        }
+      }
+      // A few erases so the pre-split store carries dead bytes SplitTail must
+      // not copy.
+      for (int i = 0; i < 10; i++) {
+        const uint16_t id = left.by_key[rng.NextBounded(left.size())];
+        oracle.erase(std::string(left.Key(id)));
+        leafops::Erase(&left, direct_pos, id);
+      }
+      const size_t si = leafops::ChooseSplitIndex(left, false);
+      const std::string pivot(left.KeyAt(si));
+
+      LeafStore right;
+      leafops::SplitTail(&left, &right, si, direct_pos);
+      ASSERT_EQ(left.dead, 0u);
+      ASSERT_EQ(right.dead, 0u);
+      std::map<std::string, std::string> lo(oracle.begin(), oracle.find(pivot));
+      std::map<std::string, std::string> hi(oracle.find(pivot), oracle.end());
+      CheckStore(left, direct_pos, lo, hash_of);
+      CheckStore(right, direct_pos, hi, hash_of);
+      ASSERT_LT(left.KeyAt(left.size() - 1), std::string_view(pivot));
+      ASSERT_EQ(right.KeyAt(0), std::string_view(pivot));
+      for (LeafStore* half : {&left, &right}) {
+        const std::vector<uint16_t> by_key(half->by_key.begin(),
+                                           half->by_key.end());
+        const std::vector<uint32_t> by_hash(half->by_hash.begin(),
+                                            half->by_hash.end());
+        RebuildIndexes(half, direct_pos);
+        EXPECT_EQ(std::vector<uint16_t>(half->by_key.begin(), half->by_key.end()),
+                  by_key);
+        EXPECT_EQ(
+            std::vector<uint32_t>(half->by_hash.begin(), half->by_hash.end()),
+            by_hash);
       }
     }
-    // A few erases so the pre-split store carries dead bytes SplitTail must
-    // not copy.
-    for (int i = 0; i < 10; i++) {
-      const uint16_t id = left.by_key[rng.NextBounded(left.size())];
-      oracle.erase(std::string(left.Key(id)));
-      leafops::Erase(&left, direct_pos, id);
-    }
-    const size_t si = leafops::ChooseSplitIndex(left, false);
-    const std::string pivot(left.KeyAt(si));
-
-    LeafStore right;
-    leafops::SplitTail(&left, &right, si, direct_pos);
-    ASSERT_EQ(left.dead, 0u);
-    ASSERT_EQ(right.dead, 0u);
-    std::map<std::string, std::string> lo(oracle.begin(), oracle.find(pivot));
-    std::map<std::string, std::string> hi(oracle.find(pivot), oracle.end());
-    CheckStore(left, direct_pos, lo);
-    CheckStore(right, direct_pos, hi);
-    ASSERT_LT(left.KeyAt(left.size() - 1), std::string_view(pivot));
-    ASSERT_EQ(right.KeyAt(0), std::string_view(pivot));
   }
 }
 

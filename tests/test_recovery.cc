@@ -27,6 +27,7 @@
 #include "src/common/crc32c.h"
 #include "src/common/qsbr.h"
 #include "src/common/rng.h"
+#include "src/core/wormhole.h"
 #include "src/durability/fault_file.h"
 #include "src/durability/snapshot.h"
 #include "src/durability/wal.h"
@@ -948,12 +949,164 @@ TEST(DurableService, CheckpointWithLiveWriterRecoversExactFinalState) {
   EXPECT_EQ(responses[0].items, Pairs(oracle.begin(), oracle.end()));
 }
 
+// Checkpoint sweeps each log partition's own key range out of the one index:
+// shard-<i>'s snapshot holds exactly the keys in [boundary i-1, boundary i),
+// in order, and nothing another partition's log governs.
+TEST(DurableService, CheckpointSnapshotsHoldTheirPartitionRange) {
+  const std::string dir = FreshDir("svc_ranges");
+  du::Fs* fs = du::Fs::Default();
+  const ShardRouter router({"k100", "k200", "k300"});
+  Service service(DurableOpts(dir, fs), router);
+  ASSERT_TRUE(service.durability_status().ok());
+  ASSERT_EQ(service.partition_count(), 4u);
+  std::vector<Request> batch;
+  std::vector<Response> responses;
+  for (uint64_t i = 0; i < 400; i++) {
+    batch.push_back(MakePut(K(i), "v" + std::to_string(i)));
+  }
+  service.Execute(batch, &responses);
+  batch.clear();
+  for (uint64_t i = 0; i < 400; i += 7) {
+    batch.push_back(MakeDel(K(i)));
+  }
+  service.Execute(batch, &responses);
+  ASSERT_TRUE(service.Checkpoint().ok());
+  for (uint64_t s = 0; s < 4; s++) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    Pairs got;
+    uint64_t floor = 0;
+    ASSERT_TRUE(du::LoadSnapshot(
+                    fs, dir + "/shard-" + std::to_string(s),
+                    [&](std::string_view k, std::string_view v) {
+                      got.emplace_back(std::string(k), std::string(v));
+                    },
+                    &floor)
+                    .ok());
+    EXPECT_GT(floor, 0u);
+    Pairs want;
+    for (uint64_t i = s * 100; i < (s + 1) * 100; i++) {
+      if (i % 7 != 0) {
+        want.emplace_back(K(i), "v" + std::to_string(i));
+      }
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
+// The on-disk layout is one snapshot + WAL per shard-<i> directory. Build
+// such a directory directly through the durability layer, one Wormhole per
+// shard writing its own snapshot and log tail, and demand that the Service
+// serve every key from it, that Checkpoint + restart round-trip it, and
+// that a router with other boundaries refuses it.
+TEST(DurableService, RecoversPerShardDirectoriesWrittenByTheDurabilityLayer) {
+  const std::string dir = FreshDir("svc_layout");
+  du::Fs* fs = du::Fs::Default();
+  const ShardRouter router({"k100", "k200"});
+  du::WalOptions wal_opt;
+  Oracle oracle;
+  for (uint64_t s = 0; s < router.shard_count(); s++) {
+    const std::string sdir = dir + "/shard-" + std::to_string(s);
+    Qsbr qsbr;
+    Wormhole index(Options(), &qsbr);
+    du::Status st;
+    std::unique_ptr<du::Wal> wal = du::Wal::Open(fs, sdir, wal_opt, &st);
+    ASSERT_NE(wal, nullptr) << st.message();
+    // Logs the records, then applies them to the shard's index and the
+    // oracle, as the WAL-before-apply service did.
+    const auto log = [&](const std::vector<Request>& reqs) {
+      std::vector<du::WalEntry> entries;
+      for (const Request& r : reqs) {
+        entries.push_back({r.op == Op::kPut ? du::WalOp::kPut : du::WalOp::kDelete,
+                           r.key, r.value});
+      }
+      uint64_t last_seq = 0;
+      ASSERT_TRUE(wal->AppendBatch(entries.data(), entries.size(), &last_seq).ok());
+      for (const Request& r : reqs) {
+        if (r.op == Op::kPut) {
+          index.Put(r.key, r.value);
+        } else {
+          index.Delete(r.key);
+        }
+        Apply(&oracle, r.op == Op::kPut ? du::WalOp::kPut : du::WalOp::kDelete,
+              r.key, r.value);
+      }
+    };
+    std::vector<Request> reqs;
+    for (uint64_t i = s * 100; i < s * 100 + 80; i++) {
+      reqs.push_back(MakePut(K(i), "snap" + std::to_string(i)));
+    }
+    log(reqs);
+    const uint64_t floor = wal->next_seq() - 1;
+    {
+      std::unique_ptr<Cursor> cursor = index.NewCursor();
+      du::SnapshotStats stats;
+      ASSERT_TRUE(du::WriteSnapshot(fs, sdir, floor, cursor.get(), "", "", &stats)
+                      .ok());
+      EXPECT_EQ(stats.items, 80u);
+    }
+    ASSERT_TRUE(wal->TruncateBefore(floor + 1).ok());
+    // The tail: updates, deletes and inserts past the snapshot floor.
+    reqs.clear();
+    for (uint64_t i = s * 100; i < s * 100 + 100; i += 3) {
+      reqs.push_back(i % 2 == 0 ? MakeDel(K(i))
+                                : MakePut(K(i), "tail" + std::to_string(i)));
+    }
+    log(reqs);
+  }
+  const auto check = [&](Service* service) {
+    ASSERT_TRUE(service->durability_status().ok())
+        << service->durability_status().message();
+    EXPECT_EQ(service->size(), oracle.size());
+    std::vector<Request> batch;
+    for (uint64_t i = 0; i < 300; i++) {
+      batch.push_back(MakeGet(K(i)));
+    }
+    batch.push_back(MakeScanAll());
+    std::vector<Response> responses;
+    service->Execute(batch, &responses);
+    for (uint64_t i = 0; i < 300; i++) {
+      const auto it = oracle.find(K(i));
+      ASSERT_EQ(responses[i].found, it != oracle.end()) << K(i);
+      if (it != oracle.end()) {
+        ASSERT_EQ(responses[i].value, it->second) << K(i);
+      }
+    }
+    EXPECT_EQ(responses[300].items, Pairs(oracle.begin(), oracle.end()));
+  };
+  const ServiceOptions opt = DurableOpts(dir, fs);
+  {
+    Service service(opt, router);
+    check(&service);
+    ASSERT_TRUE(service.Checkpoint().ok());
+    std::vector<Request> batch{MakePut(K(150), "after"), MakeDel(K(1)),
+                               MakePut(K(299), "after")};
+    std::vector<Response> responses;
+    service.Execute(batch, &responses);
+    for (const Request& r : batch) {
+      Apply(&oracle, r.op == Op::kPut ? du::WalOp::kPut : du::WalOp::kDelete,
+            r.key, r.value);
+    }
+  }
+  {
+    Service service(opt, router);
+    check(&service);
+  }
+  // Other boundaries: shard-0 holds k000..k099, which would now belong to
+  // two partitions.
+  Service moved(opt, ShardRouter({"k050", "k200"}));
+  const du::Status st = moved.durability_status();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("other partition boundaries"), std::string::npos)
+      << st.message();
+}
+
 // ---------------------------------------------------------------------------
 // The randomized kill-point differential
 // ---------------------------------------------------------------------------
 
-// Crash a durable 2-shard service at a random persisted-byte budget while a
-// deterministic workload runs, then demand: (1) per shard, raw RecoverShard
+// Crash a durable service with two log partitions at a random persisted-byte
+// budget while a deterministic workload runs, then demand: (1) per
+// partition (shard-<i> directory), raw RecoverShard
 // on the surviving bytes yields EXACTLY apply(history[0..recovered)) for some
 // recovered >= the count of acknowledged writes — i.e. a prefix that loses
 // nothing acked and invents nothing; (2) a service constructed over the same

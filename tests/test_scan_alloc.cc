@@ -5,11 +5,12 @@
 // runs a batch of scans until every string, item vector and cursor window
 // has reached its high-water size; repeating the batch must then allocate a
 // small constant number of times, independent of how many items it returns:
-// per shard one cursor object and one copy of its seek key. The grouping
-// arrays, run-dispatch buffers and cursor cache live in Execute's per-thread
-// scratch and allocate nothing once grown. A per-item copy-out (one heap
-// string per key or value) or a cursor that allocates its window buffers
-// afresh shows up as a count that grows with the items or the shards.
+// the batch's one cursor object and one copy of its seek key, however many
+// ranges the router has. The grouping arrays and run-dispatch buffers live
+// in Execute's per-thread scratch and allocate nothing once grown. A
+// per-item copy-out (one heap string per key or value) or a cursor that
+// allocates its window buffer afresh shows up as a count that grows with
+// the items.
 //
 // Batches of Gets allocate nothing at all: Execute lends each response's
 // value buffer to MultiGet, so repeating a batch copies the values into
@@ -122,13 +123,16 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace wh {
 namespace {
 
-constexpr size_t kShards = 4;
+// Router ranges: WAL-off mode ignores them, so they must not show up in the
+// count.
+constexpr size_t kRouterRanges = 4;
 constexpr size_t kScansPerBatch = 32;
-// Repeats before counting. Execute's cursors take windows from the thread's
-// free list in LIFO order and return them in shard order, so which window
-// serves which shard cycles with a period of at most kShards batches; after
-// that every window has grown to the leaves it will be handed again.
-constexpr int kWarmups = 3 * static_cast<int>(kShards);
+// The batch's cursor and its seek-key copy.
+constexpr uint64_t kScanBatchAllocs = 2;
+// Repeats before counting: after them the cursor's window, taken from and
+// returned to the thread's free list each batch, has grown to every leaf it
+// fills.
+constexpr int kWarmups = 3;
 
 // Az1 keys are 33 bytes and the values 24, both past the small-string
 // buffer, so a copy-out into fresh strings allocates twice per item.
@@ -146,7 +150,7 @@ struct Fixture {
     ServiceOptions opt;
     opt.index.leaf_capacity = 64;
     service = std::make_unique<Service>(
-        opt, ShardRouter::FromSamples(keys, kShards));
+        opt, ShardRouter::FromSamples(keys, kRouterRanges));
     std::vector<Request> load;
     for (size_t i = 0; i < keys.size(); i++) {
       load.push_back(Request{Op::kPut, keys[i], ValueOf(i), 0});
@@ -207,8 +211,7 @@ TEST(ScanAlloc, RepeatedScanBatchAllocatesAConstant) {
   const uint64_t short_allocs = f.SteadyAllocs(f.ScanBatch(5), &short_resp);
   ASSERT_EQ(ItemCount(long_resp), kScansPerBatch * 50);
   ASSERT_EQ(ItemCount(short_resp), kScansPerBatch * 5);
-  // Per shard: the cursor object and its seek-key copy.
-  EXPECT_LE(long_allocs, 2 * kShards) << "1600-item batch";
+  EXPECT_LE(long_allocs, kScanBatchAllocs) << "1600-item batch";
   // Ten times the items, the same allocations.
   EXPECT_EQ(long_allocs, short_allocs);
 }
@@ -249,7 +252,7 @@ TEST(ScanAlloc, OpMixChurnIsAllocationStable) {
   }
   EXPECT_EQ(allocs[0], allocs[1]);
   // The scan-batch bound: the Get runs' buffers are per-thread scratch too.
-  EXPECT_LE(allocs[1], 2 * kShards);
+  EXPECT_LE(allocs[1], kScanBatchAllocs);
 }
 
 // Values are 24 bytes, past the small-string buffer: a Get that hands back

@@ -1,12 +1,11 @@
-// Service-layer correctness: the sharded Service must be observationally
-// equivalent to one Wormhole. The differential test drives Service(S=1) and
-// Service(S=4, boundaries from randomly sampled keys) against a single
-// Wormhole reference with mixed Get/Put/Delete/Scan batches — scans sit in
-// read-only batches because cross-shard interleaving is unordered by contract
-// (service.h), while per-key results are exactly sequential in every batch.
-// Also covered: the core batch entry points (MultiGet/MultiPut vs their
-// per-key forms), ShardRouter boundary selection, and a concurrent
-// multi-client smoke.
+// Service-layer correctness: the Service must be observationally equivalent
+// to one Wormhole. The differential test drives a Service with a one-range
+// and a four-range router (boundaries from randomly sampled keys) against a
+// single Wormhole reference with mixed Get/Put/Delete/Scan batches; the
+// WAL-off contract tests pin that a whole batch applies in submission order
+// whatever the router. Also covered: the core batch entry points
+// (MultiGet/MultiPut vs their per-key forms), ShardRouter boundary
+// selection, and a concurrent multi-client smoke.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -342,8 +341,44 @@ TEST(WormholeBatch, MultiPutMatchesPut) {
     ASSERT_TRUE(batched.Get(keys[9], &got));
     EXPECT_EQ(got, "r6");
 
+    // Groups of one key skip the pre-search and search under the lock:
+    // batches of one (updates and inserts), and batches of kRouteGroup + 1
+    // whose last group is one key. In those, the first key is refused (past
+    // kMaxKeyBytes) after its pre-search, so its leaf's version holds still,
+    // and the one-key group Puts a key of that same leaf: positions searched
+    // for the refused key must not be used for it.
+    std::vector<std::string> extra_keys;
+    for (size_t i = 0; i < 60; i++) {
+      extra_keys.push_back(keys[i * 11 % keys.size()] + (i % 2 ? "~one" : ""));
+    }
+    for (size_t i = 0; i < extra_keys.size(); i++) {
+      const std::string value = "s" + std::to_string(i);
+      batch = {{extra_keys[i], value}};
+      reference.Put(extra_keys[i], value);
+      batched.MultiPut(batch);
+    }
+    for (size_t round = 0; round < 4; round++) {
+      const std::string& last = extra_keys[40 + round];
+      const std::string refused = last + std::string(kMaxKeyBytes, 'z');
+      batch.clear();
+      batch_values.clear();
+      batch_values.reserve(Wormhole::kRouteGroup + 1);
+      for (size_t i = 0; i <= Wormhole::kRouteGroup; i++) {
+        const std::string& key = i == 0                       ? refused
+                                 : i == Wormhole::kRouteGroup ? last
+                                                              : extra_keys[round * 9 + i];
+        batch_values.push_back("t" + std::to_string(round) + "." +
+                               std::to_string(i));
+        batch.emplace_back(key, batch_values.back());
+        if (i > 0) {
+          reference.Put(key, batch_values.back());
+        }
+      }
+      EXPECT_FALSE(batched.MultiPut(batch));
+    }
+
     ASSERT_EQ(batched.size(), reference.size());
-    EXPECT_EQ(batched.size(), keys.size() + 1);
+    EXPECT_EQ(batched.size(), keys.size() + 1 + extra_keys.size() / 2);
     EXPECT_EQ(WormholeScan(&batched, "", keys.size() + 10),
               WormholeScan(&reference, "", keys.size() + 10));
   }
@@ -405,7 +440,7 @@ void RunServiceDifferential(size_t shards, uint64_t seed) {
                                 ? 128
                                 : 1 + static_cast<uint32_t>(rng.NextBounded(200)));
           if (roll >= 95 && !router.boundaries().empty()) {
-            // Start just below a shard boundary so the scan provably crosses
+            // Start just below a router boundary so the scan provably crosses
             // it (the boundary itself sorts above its truncated prefix) —
             // forward upward, reverse downward across the same boundary.
             const auto& b =
@@ -431,10 +466,9 @@ void RunServiceDifferential(size_t shards, uint64_t seed) {
     service.Execute(batch, &responses);
     ASSERT_EQ(responses.size(), batch.size());
 
-    // The reference applies the same batch sequentially. Per-key results are
-    // comparable in every batch (all ops on one key share a shard, and
-    // in-shard order is submission order); scan results are comparable
-    // because scan batches carry no writes.
+    // The reference applies the same batch sequentially, as the WAL-off
+    // Service does. Scans sit in read-only batches, so they read the same
+    // state in either.
     for (size_t i = 0; i < batch.size(); i++) {
       const Request& req = batch[i];
       const Response& got = responses[i];
@@ -489,7 +523,7 @@ void RunServiceDifferential(size_t shards, uint64_t seed) {
   }
 
   // End state: the merged full scans equal the reference in both directions,
-  // shard by shard and across every boundary, byte for byte.
+  // across every router boundary, byte for byte.
   ASSERT_EQ(service.size(), reference.size());
   batch.assign(1, Request{Op::kScan, "", "", 1u << 30});
   service.Execute(batch, &responses);
@@ -522,7 +556,7 @@ TEST(Service, CrossShardScanStitchesInOrder) {
   service.Execute(batch, &responses);
   ASSERT_EQ(service.size(), 600u);
 
-  // Spans all three shards, inclusive start, exact limit semantics.
+  // Spans all three ranges, inclusive start, exact limit semantics.
   batch.assign(1, Request{Op::kScan, "k150", "", 300});
   service.Execute(batch, &responses);
   ASSERT_EQ(responses[0].items.size(), 300u);
@@ -532,13 +566,13 @@ TEST(Service, CrossShardScanStitchesInOrder) {
     ASSERT_EQ(responses[0].items[static_cast<size_t>(i)].first, buf);
   }
 
-  // A scan that exhausts the keyspace stops cleanly past the last shard.
+  // A scan that exhausts the keyspace stops cleanly past the last key.
   batch.assign(1, Request{Op::kScan, "k590", "", 100});
   service.Execute(batch, &responses);
   EXPECT_EQ(responses[0].items.size(), 10u);
 
-  // Reverse across both boundaries: descending from k450 through shard 2,
-  // across k400 and k200, down into shard 0.
+  // Reverse across both boundaries: descending from k450 across k400 and
+  // k200, down into the lowest range.
   batch.assign(1, Request{Op::kScanRev, "k450", "", 300});
   service.Execute(batch, &responses);
   ASSERT_EQ(responses[0].items.size(), 300u);
@@ -548,10 +582,126 @@ TEST(Service, CrossShardScanStitchesInOrder) {
     ASSERT_EQ(responses[0].items[static_cast<size_t>(i)].first, buf);
   }
 
-  // A reverse scan that exhausts the keyspace stops cleanly before shard 0.
+  // A reverse scan that exhausts the keyspace stops cleanly before the first
+  // key.
   batch.assign(1, Request{Op::kScanRev, "k009", "", 100});
   service.Execute(batch, &responses);
   EXPECT_EQ(responses[0].items.size(), 10u);
+}
+
+// WAL-off contract (service.h): one index and one partition, so a whole
+// batch applies in submission order whatever the router's boundaries. The
+// keys sit on both sides of every boundary, each step writes them from the
+// highest range down, and scans cross every boundary in both directions, so
+// any per-range grouping of the batch would reorder some response. Every
+// response must equal a std::map replaying the batch in order.
+TEST(Service, WalOffBatchAppliesInSubmissionOrder) {
+  const ShardRouter router({"k150", "k300", "k450"});
+  Service service(ServiceOptions{}, router);
+  EXPECT_EQ(service.partition_count(), 1u);
+  std::map<std::string, std::string> oracle;
+  std::vector<Request> batch;
+  std::vector<Response> responses;
+  for (int i = 0; i < 600; i += 2) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%03d", i);
+    batch.push_back(Request{Op::kPut, buf, "p", 0});
+    oracle[buf] = "p";
+  }
+  service.Execute(batch, &responses);
+
+  const std::vector<std::string> keys = {"k451", "k450", "k449", "k301",
+                                         "k300", "k299", "k151", "k150",
+                                         "k149", "k000"};
+  batch.clear();
+  for (int step = 0; step < 4; step++) {
+    for (size_t i = 0; i < keys.size(); i++) {
+      const std::string value = "s" + std::to_string(step) + "." + std::to_string(i);
+      const bool del = (step + i) % 3 == 0;
+      batch.push_back(Request{del ? Op::kDelete : Op::kPut, keys[i],
+                              del ? "" : value, 0});
+      batch.push_back(Request{Op::kGet, keys[(i + 5) % keys.size()], "", 0});
+      if (i % 3 == 2) {
+        batch.push_back(Request{Op::kScan, "k148", "", 320});
+        batch.push_back(Request{Op::kScanRev, "k452", "", 320});
+      }
+    }
+  }
+  service.Execute(batch, &responses);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); i++) {
+    const Request& req = batch[i];
+    const Response& got = responses[i];
+    SCOPED_TRACE("request " + std::to_string(i) + " key " + req.key);
+    switch (req.op) {
+      case Op::kPut:
+        oracle[req.key] = req.value;
+        EXPECT_TRUE(got.found);
+        break;
+      case Op::kDelete:
+        EXPECT_EQ(got.found, oracle.erase(req.key) == 1);
+        break;
+      case Op::kGet: {
+        const auto it = oracle.find(req.key);
+        ASSERT_EQ(got.found, it != oracle.end());
+        if (got.found) {
+          EXPECT_EQ(got.value, it->second);
+        }
+        break;
+      }
+      case Op::kScan: {
+        Pairs want;
+        for (auto it = oracle.lower_bound(req.key);
+             it != oracle.end() && want.size() < req.scan_limit; ++it) {
+          want.emplace_back(*it);
+        }
+        EXPECT_EQ(got.items, want);
+        break;
+      }
+      case Op::kScanRev: {
+        Pairs want;
+        for (auto it = std::make_reverse_iterator(oracle.upper_bound(req.key));
+             it != oracle.rend() && want.size() < req.scan_limit; ++it) {
+          want.emplace_back(*it);
+        }
+        EXPECT_EQ(got.items, want);
+        break;
+      }
+    }
+  }
+}
+
+// WAL-off mode never consults the router: identical loads through a
+// one-range and a four-range router build the same index.
+TEST(Service, WalOffIgnoresRouterBoundaries) {
+  const auto keys = GenerateKeyset({KeysetId::kK3, 3000, 17});
+  Service one(ServiceOptions{}, ShardRouter({}));
+  Service four(ServiceOptions{}, ShardRouter::FromSamples(keys, 4));
+  ASSERT_EQ(four.router().shard_count(), 4u);
+  EXPECT_EQ(four.partition_count(), 1u);
+  Rng rng(0x10ad);
+  std::vector<Request> batch;
+  std::vector<Response> responses;
+  for (int round = 0; round < 40; round++) {
+    batch.clear();
+    for (int i = 0; i < 128; i++) {
+      const std::string& key = keys[rng.NextBounded(keys.size())];
+      if (rng.NextBounded(4) == 0) {
+        batch.push_back(Request{Op::kDelete, key, "", 0});
+      } else {
+        batch.push_back(Request{Op::kPut, key, "v" + std::to_string(round), 0});
+      }
+    }
+    one.Execute(batch, &responses);
+    four.Execute(batch, &responses);
+  }
+  EXPECT_EQ(one.size(), four.size());
+  EXPECT_EQ(one.MemoryBytes(), four.MemoryBytes());
+  std::vector<Response> from_one;
+  batch.assign(1, Request{Op::kScan, "", "", 1u << 30});
+  one.Execute(batch, &from_one);
+  four.Execute(batch, &responses);
+  EXPECT_EQ(from_one[0].items, responses[0].items);
 }
 
 // Contract regression (service.h): scan_limit == 0 is a valid request that
@@ -609,8 +759,8 @@ void CheckReusedResponses(const ServiceOptions& reused_opt,
   reused_svc.Execute(batch, &reused);
   fresh_svc.Execute(batch, &reused);
   if (reused_plan != nullptr) {
-    // Two mutating batches commit on every shard they touch, then fsyncs
-    // fail and the shards go fail-stop one by one.
+    // Two mutating batches commit on every partition they touch, then
+    // fsyncs fail and the partitions go fail-stop one by one.
     reused_plan->FailFsyncAfter(5);
     fresh_plan->FailFsyncAfter(5);
   }
@@ -782,9 +932,9 @@ TEST(Service, InputBoundsDurable) {
 }
 
 TEST(Service, ConcurrentClientsKeepPerKeySemantics) {
-  // 4 client threads, disjoint key ranges interleaved across shards: each
-  // thread can assert its own keys' final state exactly, while all threads
-  // hammer every shard (keys stripe modulo thread count).
+  // 4 client threads with disjoint keys interleaved across the router's
+  // ranges: each thread can assert its own keys' final state exactly, while
+  // all threads hammer the whole index (keys stripe modulo thread count).
   const size_t kThreads = 4;
   const size_t kKeysPerThread = 300;
   const auto samples = GenerateKeyset({KeysetId::kK3, 400, 9});
