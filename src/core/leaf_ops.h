@@ -13,7 +13,11 @@
 // allocation, no SSO slack. Values up to kInlineValue bytes (the paper's
 // index-only payload size) are stored inline in the slot; longer values go to
 // the slab. Erases and relocating overwrites leave dead bytes behind, tracked
-// in `dead` and reclaimed by Compact once they dominate the slab.
+// in `dead`. Erases also leave slot and index capacity behind. One builder,
+// BuildStore, makes every fresh store from a key-rank range of another:
+// SplitTail builds its two halves with it, and Compact rebuilds a store in
+// place once dead bytes dominate its slab or it falls below a quarter of its
+// slot capacity (MaybeCompact), so a store shrinks back under delete churn.
 //
 // Concurrency model (the seqlock read path). Mutators require the caller to
 // hold the leaf's exclusive lock. The index reads a leaf through exactly two
@@ -40,9 +44,10 @@
 // The view invariant: the bytes a validated slot references never change
 // for the life of their block. Writers only append past the slab's live end
 // (UpdateValue relocates every out-of-line value it changes, shrinks too);
-// Compact, growth and SplitTail publish a fresh block and retire the old
-// one. So a reader may view a validated slot's bytes in place for as long
-// as it keeps the block alive (a cursor's epoch pin: FlatWindow). The
+// growth and every built store (BuildStore, published by AdoptStore or a
+// split's link) publish a fresh block and retire the old one. So a reader
+// may view a validated slot's bytes in place for as long as it keeps the
+// block alive (a cursor's epoch pin: FlatWindow). The
 // slab-view lint rule rejects a write into a slab at a slot-derived offset.
 // Writers' Key/Value views die with the block a mutating call may replace.
 #ifndef WH_SRC_CORE_LEAF_OPS_H_
@@ -319,7 +324,7 @@ class SpecVec {
     size_t cap = 0;  // of the block `p` points into — the reader's bound
   };
   // Speculative entry point. The acquire load pairs with the release
-  // publication in Reserve/AssignFresh/AdoptFrom, making the header cap (and
+  // publication in Reserve/AdoptFrom, making the header cap (and
   // all bytes copied before publication) visible.
   View AcquireView() const {
     const Block* b = block_.load(std::memory_order_acquire);
@@ -336,12 +341,13 @@ class SpecVec {
 
   void SetSize(size_t n) { size_.store(n, std::memory_order_relaxed); }
 
-  // Grows capacity to exactly n elements (no-op if already >= n), copying the
-  // current contents into the fresh block with plain stores — it is private
-  // until the release publication below.
+  // Grows capacity to exactly n elements (no-op if already >= n, so an
+  // empty vector stays blockless at n == 0), copying the current contents
+  // into the fresh block with plain stores — it is private until the release
+  // publication below.
   void Reserve(size_t n, const BlockRelease& rel) {
     Block* old = block_.load(std::memory_order_relaxed);
-    if (old != nullptr && old->cap >= n) {
+    if ((old == nullptr ? 0 : old->cap) >= n) {
       return;
     }
     Block* fresh = AllocBlock(n);
@@ -353,22 +359,9 @@ class SpecVec {
     ReleaseBlock(old, rel);
   }
 
-  // Replaces the contents with [src, src + n) in one fresh right-sized block
-  // (Compact's whole-slab rewrite).
-  void AssignFresh(const T* src, size_t n, const BlockRelease& rel) {
-    Block* old = block_.load(std::memory_order_relaxed);
-    Block* fresh = n == 0 ? nullptr : AllocBlock(n);
-    if (n != 0) {
-      std::memcpy(Payload(fresh), src, n * sizeof(T));
-    }
-    size_.store(n, std::memory_order_relaxed);
-    block_.store(fresh, std::memory_order_release);
-    ReleaseBlock(old, rel);
-  }
-
   // Steals src's block (publishing it here with release) and empties src.
-  // src must be private to the calling thread — this is how SplitTail swaps
-  // a pre-built store into a published leaf in one pointer store per vector.
+  // src must be private to the calling thread — this is how AdoptStore swaps
+  // a built store into a published leaf in one pointer store per vector.
   void AdoptFrom(SpecVec* src, const BlockRelease& rel) {
     Block* old = block_.load(std::memory_order_relaxed);
     size_.store(src->size_.load(std::memory_order_relaxed),
@@ -651,41 +644,79 @@ inline uint16_t AppendRaw(LeafStore* s, std::string_view key,
   return id;
 }
 
-// Rewrites the slab with only live bytes; slot ids (hence the indexes) are
-// untouched because they address slots, not slab offsets. The fresh bytes are
-// assembled privately and swapped in as a new block; slot offsets are then
-// repointed with whole-slot stores. A speculative reader interleaving here
-// can see new-slab/old-offset combinations — in-bounds garbage its version
-// check rejects.
-inline void Compact(LeafStore* s) {
-  std::vector<char> fresh;
-  fresh.reserve(s->slab.size() - s->dead);
-  const size_t n = s->size();
-  std::vector<LeafSlot> updated(n);
-  for (size_t i = 0; i < n; i++) {
-    LeafSlot sl = s->slots[i];
-    const char* slab = s->slab.data();
-    const uint32_t koff = static_cast<uint32_t>(fresh.size());
-    fresh.insert(fresh.end(), slab + sl.koff, slab + sl.koff + sl.klen);
-    sl.koff = koff;
-    if (sl.vlen > kInlineValue) {
-      const uint32_t voff = static_cast<uint32_t>(fresh.size());
-      fresh.insert(fresh.end(), slab + sl.voff, slab + sl.voff + sl.vlen);
-      sl.voff = voff;
+// The one builder of a fresh store: fills *dst (empty, private to the
+// caller) with src's items of key ranks [lo, hi), appended in key order, so
+// slot id i holds rank lo + i and by_key is the identity. Every block is
+// exact-size and the slab holds live bytes only. by_hash, when src has one
+// (DirectPos: the index is never allocated without it), is src's
+// (hash, key)-ordered index restricted to the range, each entry's slot id
+// renumbered through rank[] (old slot id -> key rank): one pass each, no
+// comparison. Plain writes: dst is private until the caller publishes it
+// (AdoptStore, or a split's link store).
+inline void BuildStore(const LeafStore& src, size_t lo, size_t hi,
+                       LeafStore* dst) {
+  assert(lo <= hi && hi <= src.size() && dst->size() == 0);
+  const size_t n = hi - lo;
+  uint64_t bytes = 0;
+  for (size_t r = lo; r < hi; r++) {
+    const LeafSlot& sl = src.slots[src.by_key[r]];
+    bytes += sl.klen + (sl.vlen > kInlineValue ? sl.vlen : 0);
+  }
+  dst->slots.Reserve(n, dst->release);
+  dst->slab.Reserve(bytes, dst->release);
+  dst->by_key.Reserve(n, dst->release);
+  for (size_t r = lo; r < hi; r++) {
+    const uint16_t id = src.by_key[r];
+    AppendRaw(dst, src.Key(id), src.Value(id), src.slots[id].hash);
+    dst->by_key.data()[r - lo] = static_cast<uint16_t>(r - lo);
+  }
+  dst->by_key.SetSize(n);
+  if (n == 0 || src.by_hash.size() == 0) {
+    return;
+  }
+  std::vector<uint16_t> rank(src.size());
+  for (size_t r = 0; r < rank.size(); r++) {
+    rank[src.by_key[r]] = static_cast<uint16_t>(r);
+  }
+  dst->by_hash.Reserve(n, dst->release);
+  dst->by_hash.SetSize(n);
+  uint32_t* bh = dst->by_hash.data();
+  for (const uint32_t e : src.by_hash) {
+    const size_t r = rank[EntryId(e)];
+    if (r >= lo && r < hi) {
+      *bh++ = HashEntry(e, static_cast<uint16_t>(r - lo));
     }
-    updated[i] = sl;
   }
-  s->slab.AssignFresh(fresh.data(), fresh.size(), s->release);
-  for (size_t i = 0; i < n; i++) {
-    SlotStore(s->slots.data() + i, updated[i]);
-  }
-  s->dead = 0;
+}
+
+// Publishes the built store *fresh in place of published *dst's contents:
+// one release block store per vector, the old blocks retired through dst's
+// release hook. A speculative reader of dst can see a mix of old and new
+// blocks — in-bounds garbage its version check rejects.
+inline void AdoptStore(LeafStore* dst, LeafStore* fresh) {
+  dst->slots.AdoptFrom(&fresh->slots, dst->release);
+  dst->by_key.AdoptFrom(&fresh->by_key, dst->release);
+  dst->by_hash.AdoptFrom(&fresh->by_hash, dst->release);
+  dst->slab.AdoptFrom(&fresh->slab, dst->release);
+  dst->dead = fresh->dead;
+}
+
+// Rebuilds the store in place: live slab bytes only, and slots and indexes
+// right-sized. Slot ids change (they become key ranks).
+inline void Compact(LeafStore* s) {
+  LeafStore fresh;  // null release hook: it owns no block once adopted
+  BuildStore(*s, 0, s->size(), &fresh);
+  AdoptStore(s, &fresh);
 }
 
 inline void MaybeCompact(LeafStore* s) {
-  // Threshold keeps compaction O(1) amortized: at least half the slab must be
-  // dead, and tiny slabs are never worth rewriting.
-  if (s->dead >= 256 && s->dead * 2 > s->slab.size()) {
+  // Both triggers keep compaction O(1) amortized. Dead bytes: at least half
+  // the slab must be dead, and tiny slabs are never worth rewriting. Shrink:
+  // the store fell below a quarter of its slot capacity. A growth step
+  // leaves capacity at most 1.25 * size + 8, so an insert/erase pair never
+  // rebuilds twice in a row.
+  if ((s->dead >= 256 && s->dead * 2 > s->slab.size()) ||
+      s->size() * 4 + 8 < s->slots.capacity()) {
     Compact(s);
   }
 }
@@ -1229,36 +1260,6 @@ inline void Erase(LeafStore* s, bool direct_pos, uint16_t id) {
   MaybeCompact(s);
 }
 
-// The ordered indexes of a split half: `dst` holds src's items of key ranks
-// [lo, hi), appended in key order, so its by_key is the identity and its
-// by_hash is src's (hash, key)-ordered index restricted to the half, each
-// entry's slot id renumbered through rank[] (old slot id -> key rank). Both
-// come in one pass each, no comparison. Plain writes: dst is private until
-// SplitTail publishes it.
-inline void IndexSplitHalf(const LeafStore& src, const uint16_t* rank,
-                           size_t lo, size_t hi, LeafStore* dst,
-                           bool direct_pos) {
-  const size_t n = hi - lo;
-  dst->by_key.Reserve(n, dst->release);
-  dst->by_key.SetSize(n);
-  for (size_t i = 0; i < n; i++) {
-    dst->by_key.data()[i] = static_cast<uint16_t>(i);
-  }
-  if (!direct_pos) {
-    return;
-  }
-  dst->by_hash.Reserve(n, dst->release);
-  dst->by_hash.SetSize(n);
-  uint32_t* bh = dst->by_hash.data();
-  for (size_t i = 0; i < src.by_hash.size(); i++) {
-    const uint32_t e = src.by_hash[i];
-    const size_t r = rank[EntryId(e)];
-    if (r >= lo && r < hi) {
-      *bh++ = HashEntry(e, static_cast<uint16_t>(r - lo));
-    }
-  }
-}
-
 // Shortest prefix of right_min that compares greater than left_max — the new
 // leaf's anchor A, satisfying left_max < A <= right_min. Because left_max <
 // right_min, the first byte where right_min departs from left_max exists
@@ -1296,65 +1297,24 @@ inline size_t ChooseSplitIndex(const LeafStore& s, bool shortest_anchor) {
   return si;
 }
 
-// Moves the key-ordered tail [si, n) of *left into *right (assumed empty) and
-// compacts the retained head in place; derives both stores' indexes from
-// left's (IndexSplitHalf). Both halves are assembled as private stores —
-// indexes included — and the head is swapped into *left with four release
-// block publications at the end, so a speculative reader of *left sees
-// either the old store or a fully-built new one (never an index/slots mix
-// from different generations... which its version check would reject
-// anyway; the discipline keeps the window narrow and the blocks internally
-// consistent).
-inline void SplitTail(LeafStore* left, LeafStore* right, size_t si,
-                      bool direct_pos) {
-  const size_t n = left->size();
-  assert(si >= 1 && si < n && right->size() == 0);
-  // Exact reservations: both post-split slabs are right-sized, so a leaf's
-  // growth slack resets to zero at every split.
-  const auto slab_bytes_of = [&](size_t from, size_t to) {
-    uint64_t bytes = 0;
-    for (size_t i = from; i < to; i++) {
-      const LeafSlot& sl = left->slots[left->by_key[i]];
-      bytes += sl.klen + (sl.vlen > kInlineValue ? sl.vlen : 0);
-    }
-    return bytes;
-  };
-  std::vector<uint16_t> rank(n);
-  for (size_t i = 0; i < n; i++) {
-    rank[left->by_key[i]] = static_cast<uint16_t>(i);
-  }
-  right->slots.Reserve(n - si, right->release);
-  right->slab.Reserve(slab_bytes_of(si, n), right->release);
-  for (size_t i = si; i < n; i++) {
-    const uint16_t id = left->by_key[i];
-    AppendRaw(right, left->Key(id), left->Value(id), left->slots[id].hash);
-  }
-  IndexSplitHalf(*left, rank.data(), si, n, right, direct_pos);
-  LeafStore head;  // null release hook: scratch blocks free immediately
-  head.slots.Reserve(si, head.release);
-  head.slab.Reserve(slab_bytes_of(0, si), head.release);
-  for (size_t i = 0; i < si; i++) {
-    const uint16_t id = left->by_key[i];
-    AppendRaw(&head, left->Key(id), left->Value(id), left->slots[id].hash);
-  }
-  IndexSplitHalf(*left, rank.data(), 0, si, &head, direct_pos);
-  left->slots.AdoptFrom(&head.slots, left->release);
-  left->by_key.AdoptFrom(&head.by_key, left->release);
-  left->by_hash.AdoptFrom(&head.by_hash, left->release);
-  left->slab.AdoptFrom(&head.slab, left->release);
-  left->dead = 0;
+// Moves the key-ordered tail [si, n) of *left into *right (empty and
+// private) and rebuilds the retained head [0, si) in place, both through
+// BuildStore: both halves come out right-sized, so a leaf's growth slack
+// resets to zero at every split.
+inline void SplitTail(LeafStore* left, LeafStore* right, size_t si) {
+  assert(si >= 1 && si < left->size() && right->size() == 0);
+  BuildStore(*left, si, left->size(), right);
+  LeafStore head;  // null release hook: it owns no block once adopted
+  BuildStore(*left, 0, si, &head);
+  AdoptStore(left, &head);
 }
 
 // Exact heap footprint of one store (the embedding Leaf's sizeof is the
-// caller's to count). by_hash is only counted under DirectPos — without it
-// the index is empty by construction and must not inflate fig. 16.
-inline uint64_t MemoryBytes(const LeafStore& s, bool direct_pos) {
-  uint64_t total = s.slots.capacity() * sizeof(LeafSlot) + s.slab.capacity();
-  total += s.by_key.capacity() * sizeof(uint16_t);
-  if (direct_pos) {
-    total += s.by_hash.capacity() * sizeof(uint32_t);
-  }
-  return total;
+// caller's to count). Without DirectPos by_hash is never allocated.
+inline uint64_t MemoryBytes(const LeafStore& s) {
+  return s.slots.capacity() * sizeof(LeafSlot) + s.slab.capacity() +
+         s.by_key.capacity() * sizeof(uint16_t) +
+         s.by_hash.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace leafops

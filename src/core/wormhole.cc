@@ -774,31 +774,40 @@ void BasicWormhole<Sync>::PrefetchRoutes(const std::string_view* keys,
 }
 
 template <typename Sync>
-bool BasicWormhole<Sync>::MultiPut(
-    const std::vector<std::pair<std::string_view, std::string_view>>& items) {
+bool BasicWormhole<Sync>::PutBatch(
+    const std::pair<std::string_view, std::string_view>* items, size_t n) {
   typename Sync::Op op(qsbr_);
   // MultiGet's pipeline, with a write stage: stage 1 routes a group of keys
   // (RouteGroup), stage 2 pre-searches each routed leaf lock-free
   // (SearchGroup, with Put's search), and stage 3 applies the group's items
   // in batch order under their leaves' exclusive locks, using a key's
   // pre-search only if the locked leaf is still exactly what it searched.
-  // A group of one key has no search to overlap with, so it skips stage 2
-  // and searches under the lock, as Put does.
+  // A group of one key (a Put, or a batch's last key) has no route or
+  // search to overlap with: it skips both stages, and AcquireLeaf routes it
+  // and its search runs under the lock.
   std::string_view keys[kRouteGroup];
   Route routes[kRouteGroup];
   LeafSearch<leafops::PutProbe> pre[kRouteGroup];
   Leaf* leaf = nullptr;  // held exclusively while non-null
   size_t inserted = 0;
   bool all = true;
-  for (size_t base = 0; base < items.size(); base += kRouteGroup) {
-    const size_t g = std::min(kRouteGroup, items.size() - base);
-    for (size_t i = 0; i < g; i++) {
-      keys[i] = items[base + i].first;
-    }
-    RouteGroup(keys, g, routes);
-    const bool presearch = opt_.optimistic_retries > 0 && g > 1;
-    if (presearch) {
-      SearchGroup(keys, g, routes, pre);
+  for (size_t base = 0; base < n; base += kRouteGroup) {
+    const size_t g = std::min(kRouteGroup, n - base);
+    const bool routed = g > 1;
+    const bool presearch = routed && opt_.optimistic_retries > 0;
+    if (routed) {
+      for (size_t i = 0; i < g; i++) {
+        keys[i] = items[base + i].first;
+      }
+      RouteGroup(keys, g, routes);
+      if (presearch) {
+        SearchGroup(keys, g, routes, pre);
+      }
+    } else if (leaf != nullptr) {
+      // A held leaf is reused with the key's routed hash; an unrouted key
+      // has none, so it takes AcquireLeaf's.
+      leaf->lock.unlock();
+      leaf = nullptr;
     }
     for (size_t i = 0; i < g; i++) {
       const auto& [key, value] = items[base + i];
@@ -806,13 +815,14 @@ bool BasicWormhole<Sync>::MultiPut(
         all = false;  // refused: past the input bounds
         continue;
       }
-      uint32_t h = routes[i].kv_hash;
+      uint32_t h = routed ? routes[i].kv_hash : 0;
       if (leaf != nullptr && !Covers(leaf, key)) {
         leaf->lock.unlock();
         leaf = nullptr;
       }
       if (leaf == nullptr) {
-        leaf = AcquireLeaf(key, Mode::kExclusive, &h, routes[i].leaf);
+        leaf = AcquireLeaf(key, Mode::kExclusive, &h,
+                           routed ? routes[i].leaf : nullptr);
       }
       // The store is the one the pre-search read iff no write section ran
       // on the leaf since its snapshot: the version held still. Under the
@@ -847,6 +857,18 @@ bool BasicWormhole<Sync>::MultiPut(
 }
 
 template <typename Sync>
+bool BasicWormhole<Sync>::MultiPut(
+    const std::vector<std::pair<std::string_view, std::string_view>>& items) {
+  return PutBatch(items.data(), items.size());
+}
+
+template <typename Sync>
+bool BasicWormhole<Sync>::Put(std::string_view key, std::string_view value) {
+  const std::pair<std::string_view, std::string_view> item(key, value);
+  return PutBatch(&item, 1);
+}
+
+template <typename Sync>
 auto BasicWormhole<Sync>::PutInLeaf(Leaf* leaf, std::string_view key,
                                     std::string_view value, uint32_t kv_hash,
                                     const leafops::SlotPos& at) -> PutOutcome {
@@ -861,26 +883,6 @@ auto BasicWormhole<Sync>::PutInLeaf(Leaf* leaf, std::string_view key,
   leafops::SeqlockWriteSection ws(&leaf->version);
   leafops::Insert(&leaf->store, opt_.direct_pos, key, value, kv_hash, at);
   return PutOutcome::kInserted;
-}
-
-template <typename Sync>
-bool BasicWormhole<Sync>::Put(std::string_view key, std::string_view value) {
-  if (key.size() > kMaxKeyBytes || value.size() > kMaxValueBytes) {
-    return false;  // refused: past the input bounds
-  }
-  typename Sync::Op op(qsbr_);
-  uint32_t h;
-  Leaf* leaf = AcquireLeaf(key, Mode::kExclusive, &h);
-  leaf->lock.AssertHeld();  // handed over by AcquireLeaf (NO_TSA)
-  const PutOutcome oc =
-      PutInLeaf(leaf, key, value, h,
-                leafops::Locate(leaf->store, opt_.direct_pos, key, h));
-  leaf->lock.unlock();
-  if (oc == PutOutcome::kInserted ||
-      (oc == PutOutcome::kFull && PutSlow(key, value))) {
-    item_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return true;
 }
 
 template <typename Sync>
@@ -1007,20 +1009,9 @@ class BasicWormhole<Sync>::CursorImpl final : public Cursor {
   }
   ~CursorImpl() override { WindowFreeList::Give(std::move(win_)); }
 
-  void Seek(std::string_view target) override {
-    bound_.assign(target);
-    strict_ = false;
-    consumed_ = 0;
-    pending_ = Pending::kNone;
-    Position(/*forward=*/true);
-  }
-
+  void Seek(std::string_view target) override { SeekTo(target, true); }
   void SeekForPrev(std::string_view target) override {
-    bound_.assign(target);
-    strict_ = false;
-    consumed_ = 0;
-    pending_ = Pending::kNone;
-    Position(/*forward=*/false);
+    SeekTo(target, false);
   }
 
   bool Valid() const override {
@@ -1032,42 +1023,8 @@ class BasicWormhole<Sync>::CursorImpl final : public Cursor {
     hint_ = items_per_positioning;
   }
 
-  void Next() override {
-    EnsurePositioned();
-    if (!valid_) {
-      return;
-    }
-    consumed_++;
-    if (pos_ + 1 < win_.size()) {
-      pos_++;
-      return;
-    }
-    // Window drained: the logical position is "first key > the one we just
-    // returned" — remember it so any fallback re-routes exactly there.
-    bound_.assign(win_.KeyAt(pos_));
-    strict_ = true;
-    // Defer the refill until the cursor is queried again (Valid/key/value or
-    // another step). A bounded scan's LAST Next() always drains its window;
-    // refilling eagerly there would fill a whole window — up to half of all
-    // fill work for a scan that fits one window — that the caller, who is
-    // about to stop, never reads.
-    pending_ = Pending::kForward;
-  }
-
-  void Prev() override {
-    EnsurePositioned();
-    if (!valid_) {
-      return;
-    }
-    consumed_++;
-    if (pos_ > 0) {
-      pos_--;
-      return;
-    }
-    bound_.assign(win_.KeyAt(0));
-    strict_ = true;
-    pending_ = Pending::kBackward;
-  }
+  void Next() override { Step(true); }
+  void Prev() override { Step(false); }
 
   std::string_view key() const override {
     EnsurePositioned();
@@ -1079,6 +1036,39 @@ class BasicWormhole<Sync>::CursorImpl final : public Cursor {
   }
 
  private:
+  // Seek (forward) or SeekForPrev: position at the first key >= target, or
+  // the last key <= target.
+  void SeekTo(std::string_view target, bool forward) {
+    bound_.assign(target);
+    strict_ = false;
+    consumed_ = 0;
+    pending_ = Pending::kNone;
+    Position(forward);
+  }
+
+  // Next (forward) or Prev: one item in scan direction.
+  void Step(bool forward) {
+    EnsurePositioned();
+    if (!valid_) {
+      return;
+    }
+    consumed_++;
+    if (forward ? pos_ + 1 < win_.size() : pos_ > 0) {
+      pos_ = forward ? pos_ + 1 : pos_ - 1;
+      return;
+    }
+    // Window drained: the logical position is "first key beyond the one we
+    // just returned" — remember it so any fallback re-routes exactly there.
+    bound_.assign(win_.KeyAt(pos_));
+    strict_ = true;
+    // Defer the refill until the cursor is queried again (Valid/key/value or
+    // another step). A bounded scan's LAST step always drains its window;
+    // refilling eagerly there would fill a whole window — up to half of all
+    // fill work for a scan that fits one window — that the caller, who is
+    // about to stop, never reads.
+    pending_ = forward ? Pending::kForward : Pending::kBackward;
+  }
+
   // A deferred window-boundary step parked by Next()/Prev(): bound_ and
   // strict_ already name the logical position; the refill that materializes
   // it runs on the next query. Every public entry point funnels through
@@ -1481,7 +1471,7 @@ void BasicWormhole<Sync>::SplitAndInsert(Leaf* left, std::string_view key,
     // and an optimistic reader overlapping any of it sees an odd or advanced
     // version and retries. Net +2 — the same coverage-change bump as before.
     leafops::SeqlockWriteSection ws(&left->version);
-    leafops::SplitTail(&left->store, &right->store, si, opt_.direct_pos);
+    leafops::SplitTail(&left->store, &right->store, si);
     // The new item goes to whichever side covers it — placed before
     // publication, so no second published-leaf lock is ever taken.
     leafops::LeafStore* dst = key < std::string_view(right->anchor)
@@ -1577,7 +1567,7 @@ uint64_t BasicWormhole<Sync>::MemoryBytes() const {
   for (Leaf* l = head_; l != nullptr; l = l->next.load(std::memory_order_relaxed)) {
     ScopedReadLock lk(l->lock);
     total += sizeof(Leaf) + StrHeapBytes(l->anchor);
-    total += leafops::MemoryBytes(l->store, opt_.direct_pos);
+    total += leafops::MemoryBytes(l->store);
   }
   const Table* t = table_.load(std::memory_order_relaxed);
   total += sizeof(Table) + t->buckets.size() * sizeof(std::atomic<Bucket*>);

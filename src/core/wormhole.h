@@ -185,7 +185,9 @@ inline constexpr size_t kMaxLeafCapacity = 4096;
 
 // Input bounds: Put and MultiPut refuse a longer key or value. A leaf's slab
 // (uint32_t koff / voff) holds at most kMaxLeafCapacity + 1 items, no more
-// dead bytes than live ones plus 255 (MaybeCompact), and one overwritten
+// dead bytes than live ones plus 255 (MaybeCompact's dead-bytes trigger; its
+// shrink trigger only rebuilds sooner, and every store leafops::BuildStore
+// makes, split halves included, holds live bytes only), and one overwritten
 // value past that: under 4 * kMaxLeafCapacity items' worth of bytes.
 inline constexpr size_t kMaxKeyBytes = 8 << 10;
 inline constexpr size_t kMaxValueBytes = 120 << 10;
@@ -343,15 +345,14 @@ class BasicWormhole {
   // the leaf's version proves them current (the concurrency section of the
   // header comment); else it searches under the lock, as Put does. Keys
   // hitting the held leaf reuse its lock; a full leaf takes the split path.
-  // At optimistic_retries 0 no key pre-searches, nor does a group of one key
-  // (a batch of one, or a batch's last key). size() counts the batch's
-  // inserts when MultiPut returns. Applies every item within the input
-  // bounds; false if it refused any.
-  // NO_TSA: the held lock is loop-carried — which leaf's lock is held across
-  // iterations is data-dependent, a transfer TSA cannot express.
+  // At optimistic_retries 0 no key pre-searches, and a group of one key (a
+  // batch of one, or a batch's last key) is neither routed ahead nor
+  // pre-searched: it runs as Put does, which is a batch of one. size()
+  // counts the batch's inserts when MultiPut returns. Applies every item
+  // within the input bounds; false if it refused any.
   bool MultiPut(
       const std::vector<std::pair<std::string_view, std::string_view>>& items)
-      EXCLUDES(meta_mu_) NO_THREAD_SAFETY_ANALYSIS;
+      EXCLUDES(meta_mu_);
 
   uint64_t MemoryBytes() const EXCLUDES(meta_mu_);
   // Exact while no write runs. A MultiPut adds its inserts when it returns,
@@ -496,6 +497,16 @@ class BasicWormhole {
   PutOutcome PutInLeaf(Leaf* leaf, std::string_view key,
                        std::string_view value, uint32_t kv_hash,
                        const leafops::SlotPos& at) NO_THREAD_SAFETY_ANALYSIS;
+  // The body of Put (one item) and MultiPut: applies items[0, n) in order
+  // (stages in wormhole.cc). Forced inline (the attribute only takes on this
+  // declaration: the class is an extern template), so Put's call folds to
+  // the serial route, lock and search; called out of line, Put loads ran
+  // ~4% slower (200K K3 keys, one thread).
+  // NO_TSA: the held lock is loop-carried — which leaf's lock is held across
+  // iterations is data-dependent, a transfer TSA cannot express.
+  [[gnu::always_inline]] inline bool PutBatch(
+      const std::pair<std::string_view, std::string_view>* items, size_t n)
+      EXCLUDES(meta_mu_) NO_THREAD_SAFETY_ANALYSIS;
   // The split path of a Put whose leaf was full; true if it inserted key.
   bool PutSlow(std::string_view key, std::string_view value)
       EXCLUDES(meta_mu_);

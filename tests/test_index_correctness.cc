@@ -602,5 +602,42 @@ TEST(IndexCorrectness, MemoryBytesIsPlausible) {
   }
 }
 
+// Delete churn: after a load and the deletion of 90% of the keys, the
+// survivors' footprint stays within `bound` times that of a fresh build of
+// the survivors alone. Erase compacts a store that falls below a quarter of
+// its slot capacity; without that, no leaf's slots or indexes ever shrank,
+// and survivors cost 6.2x a fresh build on Az1 (8.9x on K3).
+template <typename Index>
+void CheckChurnFootprint(KeysetId id, double bound) {
+  SCOPED_TRACE(std::string("keyset=") + KeysetName(id));
+  const auto keys = GenerateKeyset({id, 50000, 29});
+  Index churned;
+  for (const auto& k : keys) {
+    ASSERT_TRUE(churned.Put(k, "8bytes.."));
+  }
+  Rng rng(0xc0ffee);
+  Index fresh;
+  for (const auto& k : keys) {
+    if (rng.NextBounded(10) == 0) {
+      ASSERT_TRUE(fresh.Put(k, "8bytes.."));
+    } else {
+      ASSERT_TRUE(churned.Delete(k));
+    }
+  }
+  ASSERT_EQ(churned.size(), fresh.size());
+  const double ratio = static_cast<double>(churned.MemoryBytes()) /
+                       static_cast<double>(fresh.MemoryBytes());
+  EXPECT_LE(ratio, bound) << churned.MemoryBytes() / churned.size()
+                          << " B/key against "
+                          << fresh.MemoryBytes() / fresh.size() << " fresh";
+}
+
+TEST(IndexCorrectness, DeleteChurnShrinksFootprint) {
+  CheckChurnFootprint<Wormhole>(KeysetId::kAz1, 3.0);
+  CheckChurnFootprint<WormholeUnsafe>(KeysetId::kAz1, 3.0);
+  CheckChurnFootprint<Wormhole>(KeysetId::kK3, 4.5);
+  CheckChurnFootprint<WormholeUnsafe>(KeysetId::kK3, 4.5);
+}
+
 }  // namespace
 }  // namespace wh

@@ -50,7 +50,7 @@ void InsertAbsent(LeafStore* s, bool direct_pos, std::string_view key,
 using HashFn = uint32_t (*)(std::string_view);
 
 // The indexes recomputed from `slots` by sorting: the oracle Insert's
-// splices and SplitTail's derived indexes must match entry for entry. Plain
+// splices and BuildStore's derived indexes must match entry for entry. Plain
 // writes: the store must be private to the test.
 void RebuildIndexes(LeafStore* s, bool direct_pos) {
   const size_t n = s->slots.size();
@@ -78,6 +78,32 @@ void RebuildIndexes(LeafStore* s, bool direct_pos) {
   } else {
     s->by_hash.SetSize(0);
   }
+}
+
+// A store BuildStore made (Compact, and both SplitTail halves): no dead
+// bytes, slots in key order (by_key is the identity), every block exact-size,
+// and the derived by_hash equal to a from-scratch rebuild entry for entry.
+// Rebuilds the indexes in place, which leaves them unchanged.
+void CheckBuilt(LeafStore* s, bool direct_pos) {
+  const size_t n = s->size();
+  ASSERT_EQ(s->dead, 0u);
+  ASSERT_EQ(s->slots.capacity(), n);
+  ASSERT_EQ(s->by_key.capacity(), n);
+  ASSERT_EQ(s->by_hash.capacity(), direct_pos ? n : 0u);
+  uint64_t live = 0;
+  for (size_t i = 0; i < n; i++) {
+    ASSERT_EQ(s->by_key[i], i);
+    const leafops::LeafSlot& sl = s->slots[i];
+    live += sl.klen + (sl.vlen > kInlineValue ? sl.vlen : 0);
+  }
+  ASSERT_EQ(s->slab.capacity(), live);
+  const std::vector<uint32_t> by_hash(s->by_hash.begin(), s->by_hash.end());
+  RebuildIndexes(s, direct_pos);
+  for (size_t i = 0; i < n; i++) {
+    ASSERT_EQ(s->by_key[i], i);
+  }
+  ASSERT_EQ(std::vector<uint32_t>(s->by_hash.begin(), s->by_hash.end()),
+            by_hash);
 }
 
 // Every structural invariant of one store, checked against the oracle.
@@ -353,7 +379,7 @@ void RunRandomized(bool direct_pos, uint64_t seed) {
       RebuildIndexes(&store, direct_pos);
     } else if (roll < 90) {  // forced compaction
       leafops::Compact(&store);
-      ASSERT_EQ(store.dead, 0u);
+      ASSERT_NO_FATAL_FAILURE(CheckBuilt(&store, direct_pos)) << "op " << op;
     }
     if (op % 97 == 0 || op == 3999) {
       CheckStore(store, direct_pos, oracle);
@@ -493,8 +519,9 @@ TEST(LeafOps, EraseKeepsMovedEntryTag) {
   ASSERT_EQ(value, "c");
 }
 
-// SplitTail derives each half's indexes from the full store's; they must
-// equal a from-scratch rebuild, also through equal-tag and equal-hash runs.
+// SplitTail builds each half through BuildStore, deriving its indexes from
+// the full store's; they must equal a from-scratch rebuild, also through
+// equal-tag and equal-hash runs, and both halves come out right-sized.
 TEST(LeafOps, SplitTailPartitionsAndCompacts) {
   for (const bool direct_pos : {true, false}) {
     for (const HashFn hash_of : {FullHash, SameTag, SameHash}) {
@@ -522,27 +549,69 @@ TEST(LeafOps, SplitTailPartitionsAndCompacts) {
       const std::string pivot(left.KeyAt(si));
 
       LeafStore right;
-      leafops::SplitTail(&left, &right, si, direct_pos);
-      ASSERT_EQ(left.dead, 0u);
-      ASSERT_EQ(right.dead, 0u);
+      leafops::SplitTail(&left, &right, si);
       std::map<std::string, std::string> lo(oracle.begin(), oracle.find(pivot));
       std::map<std::string, std::string> hi(oracle.find(pivot), oracle.end());
       CheckStore(left, direct_pos, lo, hash_of);
       CheckStore(right, direct_pos, hi, hash_of);
       ASSERT_LT(left.KeyAt(left.size() - 1), std::string_view(pivot));
       ASSERT_EQ(right.KeyAt(0), std::string_view(pivot));
-      for (LeafStore* half : {&left, &right}) {
-        const std::vector<uint16_t> by_key(half->by_key.begin(),
-                                           half->by_key.end());
-        const std::vector<uint32_t> by_hash(half->by_hash.begin(),
-                                            half->by_hash.end());
-        RebuildIndexes(half, direct_pos);
-        EXPECT_EQ(std::vector<uint16_t>(half->by_key.begin(), half->by_key.end()),
-                  by_key);
-        EXPECT_EQ(
-            std::vector<uint32_t>(half->by_hash.begin(), half->by_hash.end()),
-            by_hash);
-      }
+      ASSERT_NO_FATAL_FAILURE(CheckBuilt(&left, direct_pos));
+      ASSERT_NO_FATAL_FAILURE(CheckBuilt(&right, direct_pos));
+
+      // Compact is the same build over the whole store: after an insert
+      // (growth slack) and an erase (dead bytes, a moved slot), it leaves a
+      // built store holding the same items.
+      const std::string extra = "split-extra";
+      InsertAbsent(&right, direct_pos, extra, "an-out-of-line-value",
+                   hash_of(extra));
+      hi[extra] = "an-out-of-line-value";
+      const uint16_t id = right.by_key[0];
+      hi.erase(std::string(right.Key(id)));
+      leafops::Erase(&right, direct_pos, id);
+      leafops::Compact(&right);
+      CheckStore(right, direct_pos, hi, hash_of);
+      ASSERT_NO_FATAL_FAILURE(CheckBuilt(&right, direct_pos));
+    }
+  }
+}
+
+// Erase rebuilds a store that fell below a quarter of its slot capacity
+// (MaybeCompact's shrink), and only then: erases down to the trigger keep
+// the blocks, the one that crosses it leaves a built store, and insert/erase
+// pairs after it rebuild nothing (growth leaves capacity <= 1.25n + 8).
+TEST(LeafOps, EraseShrinksBelowAQuarterOfCapacity) {
+  for (const bool direct_pos : {true, false}) {
+    SCOPED_TRACE(direct_pos);
+    LeafStore s;
+    std::map<std::string, std::string> oracle;
+    // Two-byte keys: the whole slab stays under the 256 dead bytes the
+    // dead-bytes trigger needs, so only the shrink can fire.
+    for (int i = 0; i < 120; i++) {
+      const std::string key = {static_cast<char>('A' + i / 16),
+                               static_cast<char>('a' + i % 16)};
+      InsertAbsent(&s, direct_pos, key, "v", FullHash(key));
+      oracle[key] = "v";
+    }
+    const size_t cap = s.slots.capacity();
+    while (s.size() * 4 + 8 >= cap) {
+      ASSERT_EQ(s.slots.capacity(), cap);
+      const uint16_t id = s.by_key[s.size() / 2];
+      oracle.erase(std::string(s.Key(id)));
+      leafops::Erase(&s, direct_pos, id);
+    }
+    CheckStore(s, direct_pos, oracle);
+    ASSERT_NO_FATAL_FAILURE(CheckBuilt(&s, direct_pos));
+
+    const std::string key = "zz";
+    InsertAbsent(&s, direct_pos, key, "v", FullHash(key));
+    const leafops::LeafSlot* slots = s.slots.data();
+    for (int pair = 0; pair < 50; pair++) {
+      leafops::Erase(&s, direct_pos, static_cast<uint16_t>(
+                                         leafops::FindSlot(s, direct_pos, key,
+                                                           FullHash(key))));
+      InsertAbsent(&s, direct_pos, key, "v", FullHash(key));
+      ASSERT_EQ(s.slots.data(), slots) << "pair " << pair;
     }
   }
 }

@@ -377,8 +377,38 @@ TEST(WormholeBatch, MultiPutMatchesPut) {
       EXPECT_FALSE(batched.MultiPut(batch));
     }
 
+    // Batches of kRouteGroup + 1 whose one-key last group lands in the leaf
+    // the routed group left held: its key repeats the group's last key (an
+    // update) or extends it (an insert next to it). A held leaf is reused
+    // with the key's routed hash, and an unrouted key has none: it must
+    // route afresh, or DirectPos searches and inserts under a wrong hash.
+    std::vector<std::string> held_keys;
+    held_keys.reserve(4);
+    for (size_t round = 0; round < 4; round++) {
+      batch.clear();
+      batch_values.clear();
+      batch_values.reserve(Wormhole::kRouteGroup + 1);
+      for (size_t i = 0; i < Wormhole::kRouteGroup; i++) {
+        batch_values.push_back("h" + std::to_string(round) + "." +
+                               std::to_string(i));
+        batch.emplace_back(keys[(round * 97 + i * 13) % keys.size()],
+                           batch_values.back());
+      }
+      held_keys.push_back(std::string(batch.back().first) +
+                          (round % 2 == 0 ? "" : "~held"));
+      batch_values.push_back("h" + std::to_string(round) + ".last");
+      batch.emplace_back(held_keys.back(), batch_values.back());
+      for (const auto& [k, v] : batch) {
+        reference.Put(k, v);
+      }
+      EXPECT_TRUE(batched.MultiPut(batch));
+      std::string got;
+      ASSERT_TRUE(batched.Get(held_keys.back(), &got)) << held_keys.back();
+      EXPECT_EQ(got, batch_values.back());
+    }
+
     ASSERT_EQ(batched.size(), reference.size());
-    EXPECT_EQ(batched.size(), keys.size() + 1 + extra_keys.size() / 2);
+    EXPECT_EQ(batched.size(), keys.size() + 1 + extra_keys.size() / 2 + 2);
     EXPECT_EQ(WormholeScan(&batched, "", keys.size() + 10),
               WormholeScan(&reference, "", keys.size() + 10));
   }
